@@ -27,11 +27,9 @@
 //!
 //! Flags:
 //! * `--quick` — CI sizes only (256, 1024).
-//! * `--only <linial|star|t52|cd|t53|t54>` — run a single row (gives clean
+//! * `--only <linial|star|t52|t53|t54|cd>` — run a single row (gives clean
 //!   per-row peak-RSS numbers; `VmHWM` is a process-lifetime high-water
 //!   mark, so in a full run the column is cumulative across rows).
-//! * `--reference` — run the composite rows through the kept
-//!   materializing `*_reference` paths (ram backend only).
 //! * `--backend <ram|mmap>` — storage backend (see above).
 //! * `--max-n <N>` — extend the size ladder up to `N` (default 1048576;
 //!   ladder stops at 10⁸).
@@ -45,36 +43,36 @@
 //!   provenance record per (row, width); the experiments report renders
 //!   the widths into its speedup-vs-threads table. Without the flag the
 //!   ambient pool (the `DECOLOR_THREADS` knob) is used, as before.
-//! * `--relayout` — (ram backend) rebuild the star/t52 workloads under
+//! * `--relayout` — (ram backend) rebuild the star/t52/t53/t54 workloads under
 //!   the degree-class relabeling (`decolor_graph::Relabeling`) before
 //!   coloring, and assert the result proper on the **original** graph
 //!   (edge ids survive the relayout; rounds/palettes are pinned
 //!   identical by the relayout-equivalence proptests). Rows are tagged
 //!   `[relayout]` in the provenance records.
 //!
+//! * `--help` — print the flags and exit; any other flag is an error.
+//!
+//! The star, t52, t53 and t54 rows are the paper's
+//! [`Algorithm`] table entries, each run through the same row body;
+//! their record bound is the table's `palette_bound`.
+//!
 //! `cargo run --release -p decolor-bench --bin scaling [-- --quick]`
 
 use decolor_bench::{
     append_record, arboricity_workload, markdown_table, peak_rss_mb, regular_workload, Record,
 };
-use decolor_core::analysis;
-use decolor_core::arboricity::{
-    theorem52, theorem52_reference, theorem53, theorem53_reference, theorem54, theorem54_reference,
-};
-use decolor_core::cd_coloring::{cd_coloring, cd_coloring_reference, CdParams};
-use decolor_core::delta_plus_one::SubroutineConfig;
+use decolor_core::algorithms::Algorithm;
+use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::linial::{
     linial_coloring, linial_coloring_chunked, linial_coloring_chunked_checkpointed,
 };
-use decolor_core::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_reference,
-    star_partition_edge_coloring_spilled, StarPartitionParams,
-};
+use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
 use decolor_graph::storage::{ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{generators, Graph, Relabeling};
-use decolor_runtime::{IdAssignment, Network};
+use decolor_runtime::{IdAssignment, Network, NetworkStats};
+use std::path::Path;
 use std::time::Instant;
 
 /// The full size ladder; `--max-n` selects a prefix. The two rungs past
@@ -120,7 +118,7 @@ impl MmapDir {
     fn new(tag: &str, n: usize) -> MmapDir {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::path::Path::new("target")
+        let dir = Path::new("target")
             .join("scaling-mmap")
             .join(format!("{tag}-{n}-{}-{seq}", std::process::id()));
         MmapDir(dir)
@@ -137,7 +135,7 @@ impl Drop for MmapDir {
 /// `journal_every > 0` the build checkpoints its durable prefix (the
 /// `--checkpoint` path), so an interrupted build can resume.
 fn regular_workload_mmap(
-    dir: &std::path::Path,
+    dir: &Path,
     n: usize,
     d: usize,
     seed: u64,
@@ -153,12 +151,6 @@ fn regular_workload_mmap(
     b.finish().expect("sharded CSR build succeeds")
 }
 
-/// Spills an in-RAM workload graph (forest union, line graph) to disk and
-/// drops the in-RAM copy.
-fn spill(dir: &std::path::Path, g: Graph) -> ShardedCsr {
-    ShardedCsr::from_graph(dir, &g).expect("sharded CSR spill succeeds")
-}
-
 /// Rebuilds `g` under its degree-class relabeling (the `--relayout`
 /// path). Edge ids are preserved, so edge colorings of the result are
 /// asserted on `g` directly.
@@ -167,13 +159,88 @@ fn relay(g: &Graph) -> Graph {
     relab.apply_to_graph(g).expect("same vertex count")
 }
 
+/// The input graph family of an [`Algorithm`] row.
+#[derive(Clone, Copy)]
+enum Workload {
+    /// Random 8-regular (seed 1).
+    Regular8,
+    /// Union of two forests with degree cap 8 (seed 3): arboricity ≤ 2.
+    Arboricity2,
+}
+
+impl Workload {
+    fn ram(self, n: usize) -> Graph {
+        match self {
+            Workload::Regular8 => regular_workload(n, 8, 1),
+            Workload::Arboricity2 => arboricity_workload(n, 2, 8, 3),
+        }
+    }
+
+    /// The workload as a sharded CSR under `dir`: the regular graph is
+    /// streamed straight to disk, the forest union built in RAM and
+    /// spilled.
+    fn mmap(self, dir: &Path, n: usize, journal_every: usize) -> ShardedCsr {
+        match self {
+            Workload::Regular8 => regular_workload_mmap(dir, n, 8, 1, journal_every),
+            Workload::Arboricity2 => {
+                ShardedCsr::from_graph(dir, &self.ram(n)).expect("sharded CSR spill succeeds")
+            }
+        }
+    }
+}
+
+/// The star partition and Section 5 rows: the [`Algorithm`] table entry
+/// at the bench's parameters, its workload, its size ceiling on the
+/// `[ram, mmap]` backends, and the `x` recorded in provenance. On ram
+/// star materializes its top-level connector, hence the lower ceiling;
+/// Theorems 5.3/5.4 are recursive pipelines, capped where the n-trend is
+/// already visible.
+const ALGORITHM_ROWS: [(Algorithm, Workload, [usize; 2], u32); 4] = [
+    (
+        Algorithm::Star { x: 1 },
+        Workload::Regular8,
+        [STAR_CD_RAM_CAP, STAR_CD_MMAP_CAP],
+        1,
+    ),
+    (
+        Algorithm::T52 { a: 2, q: 2.5 },
+        Workload::Arboricity2,
+        [T52_CAP; 2],
+        1,
+    ),
+    (
+        Algorithm::T53 { a: 2, q: 2.5 },
+        Workload::Arboricity2,
+        [T53_T54_CAP; 2],
+        1,
+    ),
+    (
+        Algorithm::T54 { a: 2, q: 2.5, x: 2 },
+        Workload::Arboricity2,
+        [T53_T54_CAP; 2],
+        2,
+    ),
+];
+
+/// Times one run of `algo` on `g`.
+fn timed<G: GraphView + Sync>(
+    algo: &Algorithm,
+    g: &G,
+    scratch: Option<&Path>,
+) -> (EdgeColoring, NetworkStats, f64) {
+    let started = Instant::now();
+    let (coloring, stats) = algo
+        .run(g, scratch)
+        .unwrap_or_else(|e| panic!("{algo} failed: {e}"));
+    (coloring, stats, started.elapsed().as_secs_f64())
+}
+
 /// One pass over the size ladder at the ambient pool width. Returns the
 /// printed table rows; records provenance (including the live pool
 /// width) per row.
 struct LadderCfg<'a> {
     sizes: &'a [usize],
     mmap: bool,
-    reference: bool,
     checkpoint: bool,
     journal_every: usize,
     relayout: bool,
@@ -184,7 +251,6 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
     let (nproc, threads) = decolor_bench::pool_provenance();
     let &LadderCfg {
         mmap,
-        reference,
         checkpoint,
         journal_every,
         relayout,
@@ -193,6 +259,8 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
     } = cfg;
     let mut rows = Vec::new();
     for &n in cfg.sizes {
+        // (rounds, wall seconds) per column; None renders as "-".
+        let mut cells: Vec<Option<(u64, f64)>> = Vec::new();
         let mut linial: Option<(u64, f64)> = None;
         if runs("linial") {
             // Linial on 8-regular graphs: rounds should be ~flat (log* n).
@@ -248,123 +316,49 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 threads,
             });
         }
+        cells.push(linial);
 
-        // Star partition x = 1 on the same workload: log*-dominated entry.
-        let mut star_row: Option<(u64, f64)> = None;
-        let star_cap = if mmap {
-            STAR_CD_MMAP_CAP
-        } else {
-            STAR_CD_RAM_CAP
-        };
-        if runs("star") && n <= star_cap {
-            let run_star = |g: &dyn Fn() -> decolor_core::star_partition::StarPartitionResult,
-                            m: usize,
-                            delta: usize| {
-                let started = Instant::now();
-                let star = g();
-                (star, m, delta, started.elapsed())
-            };
-            let (star, m, delta, elapsed) = if mmap {
-                // The top-level edge connector (m virtual edges) is
-                // streamed into a second sharded CSR under the same
+        for (algo, workload, caps, x) in ALGORITHM_ROWS {
+            if !runs(algo.name()) || n > caps[usize::from(mmap)] {
+                cells.push(None);
+                continue;
+            }
+            let (coloring, stats, secs, m, delta) = if mmap {
+                // Star streams its top-level connector into the same
                 // scratch root — no in-RAM Graph on this path.
-                let dir = MmapDir::new("star", n);
-                let g = regular_workload_mmap(&dir.0.join("input"), n, 8, 1, journal_every);
-                let conn_dir = dir.0.join("conn");
-                let params = StarPartitionParams::for_levels(&g, 1);
-                let (m, delta) = (g.num_edges(), GraphView::max_degree(&g));
-                let out = run_star(
-                    &|| {
-                        star_partition_edge_coloring_spilled(&g, &params, &conn_dir)
-                            .expect("star succeeds")
-                    },
-                    m,
-                    delta,
-                );
-                assert!(out.0.coloring.is_proper(&g));
-                out
+                let dir = MmapDir::new(algo.name(), n);
+                let g = workload.mmap(&dir.0.join("input"), n, journal_every);
+                let (coloring, stats, secs) = timed(&algo, &g, Some(&dir.0));
+                assert!(coloring.is_proper(&g));
+                (
+                    coloring,
+                    stats,
+                    secs,
+                    g.num_edges(),
+                    GraphView::max_degree(&g),
+                )
             } else {
-                let g = regular_workload(n, 8, 1);
-                let colored = if relayout { relay(&g) } else { g.clone() };
-                let params = StarPartitionParams::for_levels(&colored, 1);
-                let (m, delta) = (g.num_edges(), g.max_degree());
-                let out = run_star(
-                    &|| {
-                        if reference {
-                            star_partition_edge_coloring_reference(&colored, &params)
-                        } else {
-                            star_partition_edge_coloring(&colored, &params)
-                        }
-                        .expect("star partition succeeds")
-                    },
-                    m,
-                    delta,
-                );
+                let g = workload.ram(n);
+                let relaid = relayout.then(|| relay(&g));
+                let (coloring, stats, secs) = timed(&algo, relaid.as_ref().unwrap_or(&g), None);
                 // Edge ids survive the relayout, so the coloring must be
                 // proper on the *original* workload either way.
-                assert!(out.0.coloring.is_proper(&g));
-                out
+                assert!(coloring.is_proper(&g));
+                (coloring, stats, secs, g.num_edges(), g.max_degree())
             };
-            star_row = Some((star.stats.rounds, elapsed.as_secs_f64()));
+            cells.push(Some((stats.rounds, secs)));
             append_record(&Record {
-                experiment: "scaling_star".into(),
+                experiment: format!("scaling_{}", algo.name()),
                 workload: format!("n={n}{tag}"),
                 n,
                 m,
                 delta,
-                x: 1,
-                palette: star.coloring.palette(),
-                colors_used: star.coloring.distinct_colors(),
-                bound: 4 * delta as u64,
-                rounds: star.stats.rounds,
-                messages: star.stats.messages,
-                time_shape: 0.0,
-                wall_s: elapsed.as_secs_f64(),
-                nproc,
-                threads,
-            });
-        }
-
-        // Theorem 5.2 on arboricity-2 workloads: ℓ = O(log n) stages.
-        let mut t52_row: Option<(u64, f64)> = None;
-        if runs("t52") && n <= T52_CAP {
-            let ga = arboricity_workload(n, 2, 8, 3);
-            let (m, delta) = (ga.num_edges(), ga.max_degree());
-            let (t52, secs) = if mmap {
-                let dir = MmapDir::new("t52", n);
-                let g = spill(&dir.0, ga);
-                let started = Instant::now();
-                let t52 = theorem52(&g, 2, 2.5, SubroutineConfig::default()).expect("t52 succeeds");
-                let secs = started.elapsed().as_secs_f64();
-                assert!(t52.coloring.is_proper(&g));
-                (t52, secs)
-            } else {
-                let colored = if relayout { relay(&ga) } else { ga.clone() };
-                let started = Instant::now();
-                let t52 = if reference {
-                    theorem52_reference(&colored, 2, 2.5, SubroutineConfig::default())
-                } else {
-                    theorem52(&colored, 2, 2.5, SubroutineConfig::default())
-                }
-                .expect("theorem 5.2 succeeds");
-                let secs = started.elapsed().as_secs_f64();
-                assert!(t52.coloring.is_proper(&ga));
-                (t52, secs)
-            };
-            t52_row = Some((t52.stats.rounds, secs));
-            let d = (2.5f64 * 2.0).ceil() as u64;
-            append_record(&Record {
-                experiment: "scaling_t52".into(),
-                workload: format!("n={n}{tag}"),
-                n,
-                m,
-                delta,
-                x: 1,
-                palette: t52.coloring.palette(),
-                colors_used: t52.coloring.distinct_colors(),
-                bound: (4 * d + 1).max(delta as u64 + d),
-                rounds: t52.stats.rounds,
-                messages: t52.stats.messages,
+                x,
+                palette: coloring.palette(),
+                colors_used: coloring.distinct_colors(),
+                bound: algo.palette_bound(delta),
+                rounds: stats.rounds,
+                messages: stats.messages,
                 time_shape: 0.0,
                 wall_s: secs,
                 nproc,
@@ -376,7 +370,12 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
         // graph with n/4 base vertices: the colored graph has exactly n
         // vertices, diversity 2, clique size Δ = 8.
         let mut cd_row: Option<(u64, f64)> = None;
-        if runs("cd") && n <= star_cap {
+        let cd_cap = if mmap {
+            STAR_CD_MMAP_CAP
+        } else {
+            STAR_CD_RAM_CAP
+        };
+        if runs("cd") && n <= cd_cap {
             let base_n = (n / 4).max(8);
             let (cd, secs, lg_n, lg_m, lg_delta) = if mmap {
                 // Fully streamed: the base workload goes straight to a
@@ -410,12 +409,8 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 let params = CdParams::for_levels(lg.cover.max_clique_size(), 1);
                 let ids = IdAssignment::sequential(lg.graph.num_vertices());
                 let started = Instant::now();
-                let cd = if reference {
-                    cd_coloring_reference(&lg.graph, &lg.cover, &params, &ids)
-                } else {
-                    cd_coloring(&lg.graph, &lg.cover, &params, &ids)
-                }
-                .expect("cd coloring succeeds");
+                let cd =
+                    cd_coloring(&lg.graph, &lg.cover, &params, &ids).expect("cd coloring succeeds");
                 let secs = started.elapsed().as_secs_f64();
                 assert!(cd.coloring.is_proper(&lg.graph));
                 let (lg_n, lg_m, lg_delta) = (
@@ -444,216 +439,146 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 threads,
             });
         }
-
-        // Theorems 5.3 / 5.4 on the same arboricity-2 workload as t52:
-        // the recursive pipelines run unmodified on either backend.
-        let mut t53_row: Option<(u64, f64)> = None;
-        let mut t54_row: Option<(u64, f64)> = None;
-        if (runs("t53") || runs("t54")) && n <= T53_T54_CAP {
-            let ga = arboricity_workload(n, 2, 8, 3);
-            let (m, delta) = (ga.num_edges(), ga.max_degree());
-            let cfg53 = SubroutineConfig::default();
-            let record = |experiment: &str,
-                          res: &decolor_core::arboricity::ArboricityColoring,
-                          x: u32,
-                          bound: u64,
-                          secs: f64| {
-                append_record(&Record {
-                    experiment: experiment.into(),
-                    workload: format!("n={n}{tag}"),
-                    n,
-                    m,
-                    delta,
-                    x,
-                    palette: res.coloring.palette(),
-                    colors_used: res.coloring.distinct_colors(),
-                    bound,
-                    rounds: res.stats.rounds,
-                    messages: res.stats.messages,
-                    time_shape: 0.0,
-                    wall_s: secs,
-                    nproc,
-                    threads,
-                });
-            };
-            let spilled = if mmap {
-                let dir = MmapDir::new("t5354", n);
-                Some((spill(&dir.0, ga.clone()), dir))
-            } else {
-                None
-            };
-            if runs("t53") {
-                let started = Instant::now();
-                let res = match (&spilled, reference) {
-                    (Some((g, _)), _) => theorem53(g, 2, 2.5, cfg53),
-                    (None, true) => theorem53_reference(&ga, 2, 2.5, cfg53),
-                    (None, false) => theorem53(&ga, 2, 2.5, cfg53),
-                }
-                .expect("theorem 5.3 succeeds");
-                let secs = started.elapsed().as_secs_f64();
-                assert!(res.coloring.is_proper(&ga));
-                t53_row = Some((res.stats.rounds, secs));
-                record(
-                    "scaling_t53",
-                    &res,
-                    1,
-                    analysis::theorem53_palette(delta as u64, 2, 2.5),
-                    secs,
-                );
-            }
-            if runs("t54") {
-                let started = Instant::now();
-                let res = match (&spilled, reference) {
-                    (Some((g, _)), _) => theorem54(g, 2, 2.5, 2, cfg53),
-                    (None, true) => theorem54_reference(&ga, 2, 2.5, 2, cfg53),
-                    (None, false) => theorem54(&ga, 2, 2.5, 2, cfg53),
-                }
-                .expect("theorem 5.4 succeeds");
-                let secs = started.elapsed().as_secs_f64();
-                assert!(res.coloring.is_proper(&ga));
-                t54_row = Some((res.stats.rounds, secs));
-                record(
-                    "scaling_t54",
-                    &res,
-                    2,
-                    2 * analysis::theorem54_palette(delta as u64, 2, 2.5, 2),
-                    secs,
-                );
-            }
-        }
+        cells.push(cd_row);
 
         // Rows not selected by --only (or beyond their ceiling) render as
         // "-", never as a fake 0.
-        let rounds_cell =
-            |r: &Option<(u64, f64)>| r.map_or_else(|| "-".into(), |(k, _)| format!("{k}"));
-        let wall_cell =
-            |r: &Option<(u64, f64)>| r.map_or_else(|| "-".into(), |(_, s)| format!("{s:.3}"));
-        rows.push(vec![
-            format!("{n}"),
-            rounds_cell(&linial),
-            rounds_cell(&star_row),
-            rounds_cell(&t52_row),
-            rounds_cell(&cd_row),
-            rounds_cell(&t53_row),
-            rounds_cell(&t54_row),
-            wall_cell(&linial),
-            wall_cell(&star_row),
-            wall_cell(&t52_row),
-            wall_cell(&cd_row),
-            wall_cell(&t53_row),
-            wall_cell(&t54_row),
-            rss_cell(),
-        ]);
+        let mut row = vec![format!("{n}")];
+        row.extend(
+            cells
+                .iter()
+                .map(|c| c.map_or_else(|| "-".into(), |(k, _)| format!("{k}"))),
+        );
+        row.extend(
+            cells
+                .iter()
+                .map(|c| c.map_or_else(|| "-".into(), |(_, s)| format!("{s:.3}"))),
+        );
+        row.push(rss_cell());
+        rows.push(row);
     }
     rows
 }
 
+/// Prints [`run_ladder`]'s rows under one rounds and one wall column per
+/// ladder row.
 fn print_ladder(rows: &[Vec<String>]) {
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "n",
-                "Linial rounds (log* n)",
-                "star partition x=1",
-                "Theorem 5.2 (O(log n))",
-                "CD-Coloring x=1",
-                "Theorem 5.3 (O(√a·log n))",
-                "Theorem 5.4 x=2",
-                "Linial wall (s)",
-                "star wall (s)",
-                "t52 wall (s)",
-                "cd wall (s)",
-                "t53 wall (s)",
-                "t54 wall (s)",
-                "peak RSS (MB)"
-            ],
-            rows
-        )
-    );
+    let names: Vec<String> = std::iter::once("linial".to_string())
+        .chain(ALGORITHM_ROWS.iter().map(|r| r.0.to_string()))
+        .chain(std::iter::once("cd:x=1 (line graph)".to_string()))
+        .collect();
+    let mut header = vec!["n".to_string()];
+    header.extend(names.iter().map(|name| format!("{name} rounds")));
+    header.extend(names.iter().map(|name| format!("{name} wall (s)")));
+    header.push("peak RSS (MB)".into());
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    println!("{}", markdown_table(&header, rows));
+}
+
+const USAGE: &str = "\
+usage: scaling [--quick] [--only <row>] [--backend ram|mmap] [--max-n N]
+               [--checkpoint] [--threads W1,W2,...] [--relayout] [--help]
+
+Rows: linial, star, t52, t53, t54, cd. See the module docs of
+crates/bench/src/bin/scaling.rs for what each flag does.
+";
+
+/// Prints `msg` and the usage to stderr and exits non-zero.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}\n\n{USAGE}");
+    std::process::exit(1);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let reference = args.iter().any(|a| a == "--reference");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    let only: Option<String> = flag_value("--only").map(str::to_string);
-    let backend = flag_value("--backend").unwrap_or("ram");
-    let mmap = match backend {
+    let mut quick = false;
+    let mut checkpoint = false;
+    let mut relayout = false;
+    let mut only: Option<String> = None;
+    let mut backend = "ram".to_string();
+    let mut max_n: usize = 1_048_576;
+    // Pool widths for the thread-scaling axis; empty = ambient pool.
+    let mut widths: Vec<usize> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
+            "--quick" => quick = true,
+            "--checkpoint" => checkpoint = true,
+            "--relayout" => relayout = true,
+            "--only" => only = Some(value()),
+            "--backend" => backend = value(),
+            "--max-n" => {
+                let v = value();
+                max_n = v
+                    .parse()
+                    .unwrap_or_else(|_| fail(&format!("--max-n expects an integer, got `{v}`")));
+            }
+            "--threads" => {
+                let v = value();
+                widths = v
+                    .split(',')
+                    .map(|w| w.trim().parse().ok().filter(|&w| w >= 1))
+                    .collect::<Option<_>>()
+                    .unwrap_or_else(|| {
+                        fail(&format!(
+                            "--threads expects a comma list of widths ≥ 1, got `{v}`"
+                        ))
+                    });
+            }
+            other => fail(&format!("unknown flag `{other}`")),
+        }
+    }
+    let row_names: Vec<&str> = std::iter::once("linial")
+        .chain(ALGORITHM_ROWS.iter().map(|r| r.0.name()))
+        .chain(std::iter::once("cd"))
+        .collect();
+    if let Some(o) = only.as_deref().filter(|o| !row_names.contains(o)) {
+        fail(&format!(
+            "unknown --only row `{o}` (rows: {})",
+            row_names.join(", ")
+        ));
+    }
+    let mmap = match backend.as_str() {
         "ram" => false,
         "mmap" => true,
-        other => {
-            eprintln!("unknown --backend `{other}` (expected ram or mmap)");
-            std::process::exit(1);
-        }
+        other => fail(&format!(
+            "unknown --backend `{other}` (expected ram or mmap)"
+        )),
     };
-    if mmap && reference {
-        eprintln!("--reference runs the materializing paths, which are ram-only");
-        std::process::exit(1);
-    }
-    let checkpoint = args.iter().any(|a| a == "--checkpoint");
     if checkpoint && !mmap {
-        eprintln!("--checkpoint applies to the out-of-core paths; add --backend mmap");
-        std::process::exit(1);
+        fail("--checkpoint applies to the out-of-core paths; add --backend mmap");
     }
-    let relayout = args.iter().any(|a| a == "--relayout");
     if relayout && mmap {
-        eprintln!(
+        fail(
             "--relayout rebuilds the in-RAM workloads; the streamed mmap \
              builds take the relabeling through `Relabeling::sink` (see \
-             the storage tests) and are not benched here"
+             the storage tests) and are not benched here",
         );
-        std::process::exit(1);
     }
     // Journal cadence for --checkpoint builds: every 2^20 edges.
     let journal_every = if checkpoint { 1 << 20 } else { 0 };
-    let max_n: usize = flag_value("--max-n").map_or(1_048_576, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--max-n expects an integer, got `{v}`");
-            std::process::exit(1);
-        })
-    });
-    // Pool widths for the thread-scaling axis; empty = ambient pool.
-    let widths: Vec<usize> = flag_value("--threads").map_or_else(Vec::new, |v| {
-        v.split(',')
-            .map(|w| {
-                w.trim()
-                    .parse()
-                    .ok()
-                    .filter(|&w| w >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads expects a comma list of widths ≥ 1, got `{v}`");
-                        std::process::exit(1);
-                    })
-            })
-            .collect()
-    });
     let runs = move |row: &str| only.as_deref().is_none_or(|o| o == row);
     let sizes: Vec<usize> = if quick {
         vec![256, 1024]
     } else {
         SIZES.iter().copied().filter(|&n| n <= max_n).collect()
     };
-    let path = if reference {
-        "materializing *_reference paths"
-    } else if mmap {
+    let path = if mmap {
         "out-of-core mmap backend (sharded CSR + chunked Linial)"
     } else {
         "borrowed-view paths"
     };
-    // Rows measured under --reference / --backend mmap / --relayout are
-    // tagged in the provenance records so EXPERIMENTS.md can tell the
-    // paths apart.
+    // Rows measured under --backend mmap / --relayout are tagged in the
+    // provenance records so EXPERIMENTS.md can tell the paths apart.
     let mut tag = String::new();
-    if reference {
-        tag.push_str(" [reference]");
-    } else if mmap {
+    if mmap {
         tag.push_str(" [mmap]");
     }
     if relayout {
@@ -662,7 +587,6 @@ fn main() {
     let cfg = LadderCfg {
         sizes: &sizes,
         mmap,
-        reference,
         checkpoint,
         journal_every,
         relayout,

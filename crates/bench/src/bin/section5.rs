@@ -7,10 +7,8 @@
 
 use decolor_baselines::misra_gries::misra_gries_edge_coloring;
 use decolor_bench::{append_record, arboricity_workload, markdown_table, Record};
-use decolor_core::analysis;
-use decolor_core::arboricity::{corollary55, theorem52, theorem53, theorem54};
-use decolor_core::delta_plus_one::SubroutineConfig;
-use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
+use decolor_core::algorithms::Algorithm;
+use decolor_core::arboricity::Corollary55Params;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -20,7 +18,6 @@ fn main() {
     } else {
         &[(1500, 2, 32), (1500, 4, 16), (1500, 8, 8), (3000, 2, 64)]
     };
-    let cfg = SubroutineConfig::default();
     let q = 2.5f64;
 
     println!("# Section 5 — (Δ + o(Δ))-edge-coloring of bounded-arboricity graphs\n");
@@ -30,139 +27,58 @@ fn main() {
     );
     for &(n, a, cap) in configs {
         let g = arboricity_workload(n, a, cap, 0x5ec5 + a as u64);
-        let delta = g.max_degree() as u64;
-        let nn = g.num_vertices() as u64;
-        let mut rows = Vec::new();
-        let record = |tag: &str,
-                      x: u32,
-                      palette: u64,
-                      used: usize,
-                      rounds: u64,
-                      msgs: u64,
-                      bound: u64,
-                      shape: f64| {
+        let delta = g.max_degree();
+        let excess = |palette: u64| format!("Δ+{}", palette as i64 - delta as i64);
+
+        let central = misra_gries_edge_coloring(&g);
+        let mut rows = vec![vec![
+            "Vizing (central)".into(),
+            format!("Δ+1 = {}", delta + 1),
+            excess(central.palette()),
+            "—".into(),
+        ]];
+        // The 4Δ star partition for contrast, then the Section 5 results;
+        // bounds and round shapes come from the algorithm table.
+        for (algo, x) in [
+            (Algorithm::Star { x: 1 }, 1),
+            (Algorithm::T52 { a, q }, 1),
+            (Algorithm::T53 { a, q }, 1),
+            (Algorithm::T54 { a, q, x: 2 }, 2),
+            (Algorithm::T54 { a, q, x: 3 }, 3),
+            (Algorithm::C55 { a }, Corollary55Params::select(delta, a).x),
+        ] {
+            let (coloring, stats) = algo
+                .run(&g, None)
+                .unwrap_or_else(|e| panic!("{algo} failed: {e}"));
+            assert!(coloring.is_proper(&g));
+            let bound = algo.palette_bound(delta);
+            rows.push(vec![
+                algo.label(delta),
+                format!("{} = {bound}", algo.claim()),
+                excess(coloring.palette()),
+                format!("{}", stats.rounds),
+            ]);
+            if matches!(algo, Algorithm::Star { .. }) {
+                continue;
+            }
             append_record(&Record {
-                experiment: tag.into(),
+                experiment: algo.name().into(),
                 workload: format!("forest_union(n={n}, a={a}, cap={cap})"),
                 n,
                 m: g.num_edges(),
-                delta: delta as usize,
-                x,
-                palette,
-                colors_used: used,
+                delta,
+                x: x as u32,
+                palette: coloring.palette(),
+                colors_used: coloring.distinct_colors(),
                 bound,
-                rounds,
-                messages: msgs,
+                rounds: stats.rounds,
+                messages: stats.messages,
                 wall_s: 0.0,
-                time_shape: shape,
+                time_shape: algo.round_shape(g.num_vertices(), delta),
                 nproc,
                 threads,
             });
-        };
-
-        let central = misra_gries_edge_coloring(&g);
-        rows.push(vec![
-            "Vizing (central)".into(),
-            format!("Δ+1 = {}", delta + 1),
-            format!("Δ+{}", central.palette() as i64 - delta as i64),
-            "—".into(),
-        ]);
-
-        let star = star_partition_edge_coloring(&g, &StarPartitionParams::for_levels(&g, 1))
-            .expect("star partition succeeds");
-        rows.push(vec![
-            "star partition x=1".into(),
-            format!("4Δ = {}", 4 * delta),
-            format!("Δ+{}", star.coloring.palette() as i64 - delta as i64),
-            format!("{}", star.stats.rounds),
-        ]);
-
-        let t52 = theorem52(&g, a, q, cfg).expect("theorem 5.2 succeeds");
-        assert!(t52.coloring.is_proper(&g));
-        rows.push(vec![
-            "Theorem 5.2".into(),
-            format!(
-                "Δ+O(a) = {}",
-                analysis::theorem52_palette(delta, a as u64, q)
-            ),
-            format!("Δ+{}", t52.coloring.palette() as i64 - delta as i64),
-            format!("{}", t52.stats.rounds),
-        ]);
-        record(
-            "t52",
-            1,
-            t52.coloring.palette(),
-            t52.coloring.distinct_colors(),
-            t52.stats.rounds,
-            t52.stats.messages,
-            analysis::theorem52_palette(delta, a as u64, q),
-            analysis::theorem52_time(a as u64, nn),
-        );
-
-        let t53 = theorem53(&g, a, q, cfg).expect("theorem 5.3 succeeds");
-        assert!(t53.coloring.is_proper(&g));
-        rows.push(vec![
-            "Theorem 5.3".into(),
-            format!(
-                "Δ+O(√(Δa)) = {}",
-                analysis::theorem53_palette(delta, a as u64, q)
-            ),
-            format!("Δ+{}", t53.coloring.palette() as i64 - delta as i64),
-            format!("{}", t53.stats.rounds),
-        ]);
-        record(
-            "t53",
-            1,
-            t53.coloring.palette(),
-            t53.coloring.distinct_colors(),
-            t53.stats.rounds,
-            t53.stats.messages,
-            analysis::theorem53_palette(delta, a as u64, q),
-            analysis::theorem53_time(a as u64, nn),
-        );
-
-        for x in [2usize, 3] {
-            let t54 = theorem54(&g, a, q, x, cfg).expect("theorem 5.4 succeeds");
-            assert!(t54.coloring.is_proper(&g));
-            rows.push(vec![
-                format!("Theorem 5.4 x={x}"),
-                format!(
-                    "(Δ^(1/x)+â^(1/x)+3)^x = {}",
-                    analysis::theorem54_palette(delta, a as u64, q, x as u32)
-                ),
-                format!("Δ+{}", t54.coloring.palette() as i64 - delta as i64),
-                format!("{}", t54.stats.rounds),
-            ]);
-            record(
-                "t54",
-                x as u32,
-                t54.coloring.palette(),
-                t54.coloring.distinct_colors(),
-                t54.stats.rounds,
-                t54.stats.messages,
-                analysis::theorem54_palette(delta, a as u64, q, x as u32),
-                analysis::theorem54_time(a as u64, q, x as u32, nn),
-            );
         }
-
-        let (c55, params) = corollary55(&g, a, cfg).expect("corollary 5.5 succeeds");
-        assert!(c55.coloring.is_proper(&g));
-        rows.push(vec![
-            format!("Corollary 5.5 (x={}, q={:.1})", params.x, params.q),
-            "Δ(1+o(1))".into(),
-            format!("Δ+{}", c55.coloring.palette() as i64 - delta as i64),
-            format!("{}", c55.stats.rounds),
-        ]);
-        record(
-            "c55",
-            params.x as u32,
-            c55.coloring.palette(),
-            c55.coloring.distinct_colors(),
-            c55.stats.rounds,
-            c55.stats.messages,
-            delta * 2,
-            0.0,
-        );
 
         println!("## n = {n}, a = {a}, Δ = {delta}, m = {}\n", g.num_edges());
         println!(

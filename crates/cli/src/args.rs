@@ -21,9 +21,35 @@ impl Parsed {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Removes and returns the positional at `index`, if present.
+    /// Returns the positional at `index`, if present.
     pub fn positional(&self, index: usize) -> Option<&str> {
         self.positional.get(index).map(String::as_str)
+    }
+
+    /// Fails on any `--option` outside `accepted`, so a mistyped flag is
+    /// an error rather than silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unaccepted option and lists the accepted ones.
+    pub fn accept(&self, accepted: &[&str]) -> Result<(), String> {
+        let Some((key, _)) = self
+            .options
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+        else {
+            return Ok(());
+        };
+        let list: Vec<String> = accepted.iter().map(|a| format!("--{a}")).collect();
+        Err(format!(
+            "unknown option `--{key}` for `{}` (accepted: {})",
+            self.command,
+            if list.is_empty() {
+                "none".into()
+            } else {
+                list.join(", ")
+            }
+        ))
     }
 }
 
@@ -56,82 +82,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     Ok(parsed)
 }
 
-/// Parses `key=value,key=value` parameter lists (the part of a spec after
-/// the colon).
-///
-/// # Errors
-///
-/// Returns a description of the malformed pair.
-pub fn parse_kv(params: &str) -> Result<Vec<(String, String)>, String> {
-    if params.is_empty() {
-        return Ok(Vec::new());
-    }
-    params
-        .split(',')
-        .map(|pair| {
-            pair.split_once('=')
-                .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-                .ok_or_else(|| format!("malformed parameter `{pair}` (expected key=value)"))
-        })
-        .collect()
-}
-
-/// Fetches a required integer parameter.
-///
-/// # Errors
-///
-/// Missing key or unparsable value.
-pub fn req_usize(kv: &[(String, String)], key: &str) -> Result<usize, String> {
-    kv.iter()
-        .find(|(k, _)| k == key)
-        .ok_or_else(|| format!("missing parameter `{key}`"))?
-        .1
-        .parse()
-        .map_err(|_| format!("parameter `{key}` must be an integer"))
-}
-
-/// Fetches an optional integer parameter with a default.
-///
-/// # Errors
-///
-/// Unparsable value.
-pub fn opt_usize(kv: &[(String, String)], key: &str, default: usize) -> Result<usize, String> {
-    match kv.iter().find(|(k, _)| k == key) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| format!("parameter `{key}` must be an integer")),
-    }
-}
-
-/// Fetches an optional float parameter with a default.
-///
-/// # Errors
-///
-/// Unparsable value.
-pub fn opt_f64(kv: &[(String, String)], key: &str, default: f64) -> Result<f64, String> {
-    match kv.iter().find(|(k, _)| k == key) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| format!("parameter `{key}` must be a number")),
-    }
-}
-
-/// Fetches an optional u64 parameter with a default.
-///
-/// # Errors
-///
-/// Unparsable value.
-pub fn opt_u64(kv: &[(String, String)], key: &str, default: u64) -> Result<u64, String> {
-    match kv.iter().find(|(k, _)| k == key) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| format!("parameter `{key}` must be an integer")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,20 +109,15 @@ mod tests {
     }
 
     #[test]
-    fn kv_parsing() {
-        let kv = parse_kv("n=10,m=20,seed=3").unwrap();
-        assert_eq!(req_usize(&kv, "n").unwrap(), 10);
-        assert_eq!(opt_usize(&kv, "x", 7).unwrap(), 7);
-        assert_eq!(opt_u64(&kv, "seed", 0).unwrap(), 3);
-        assert!(req_usize(&kv, "zzz").is_err());
-        assert!(parse_kv("oops").is_err());
-        assert!(parse_kv("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn float_params() {
-        let kv = parse_kv("r=0.25").unwrap();
-        assert!((opt_f64(&kv, "r", 1.0).unwrap() - 0.25).abs() < 1e-12);
-        assert!(opt_f64(&parse_kv("r=x").unwrap(), "r", 1.0).is_err());
+    fn unaccepted_options_are_rejected() {
+        let p = parse(&argv("color star g --backnd mmap")).unwrap();
+        let err = p.accept(&["backend"]).unwrap_err();
+        assert!(err.contains("unknown option `--backnd`"), "{err}");
+        assert!(err.contains("--backend"), "{err}");
+        p.accept(&["backnd"]).unwrap();
+        assert!(parse(&argv("analyze g --json x"))
+            .unwrap()
+            .accept(&[])
+            .is_err());
     }
 }

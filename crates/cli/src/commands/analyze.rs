@@ -11,6 +11,7 @@ use crate::spec::build_graph;
 ///
 /// Malformed spec.
 pub fn run(parsed: &mut Parsed) -> Result<String, String> {
+    parsed.accept(&[])?;
     let spec = parsed
         .positional(0)
         .ok_or("analyze needs a graph spec")?

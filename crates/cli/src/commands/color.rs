@@ -1,23 +1,24 @@
 //! `decolor color <algorithm> <spec>`.
 
+use std::path::Path;
+
 use decolor_baselines::distributed::two_delta_minus_one_edge_coloring;
 use decolor_baselines::greedy::greedy_edge_coloring;
 use decolor_baselines::misra_gries::misra_gries_edge_coloring;
 use decolor_baselines::randomized::randomized_edge_coloring;
-use decolor_core::arboricity::{corollary55, theorem52, theorem53, theorem54};
-use decolor_core::cd_coloring::{cd_edge_coloring, cd_edge_coloring_spilled, CdParams};
-use decolor_core::delta_plus_one::SubroutineConfig;
-use decolor_core::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
-};
+use decolor_core::algorithms::{Algorithm, Params};
 use decolor_core::verify;
 use decolor_graph::coloring::EdgeColoring;
-use decolor_graph::subgraph::GraphView;
+use decolor_graph::storage::ShardedCsr;
 use decolor_graph::Graph;
 use decolor_runtime::NetworkStats;
 
-use crate::args::{opt_f64, opt_usize, parse_kv, Parsed};
+use crate::args::Parsed;
 use crate::spec::build_graph;
+
+/// The comparison baselines: outside the paper's [`Algorithm`] table,
+/// ram backend only.
+pub(crate) const BASELINES: [&str; 4] = ["baseline", "misra", "greedy", "random"];
 
 /// Runs the requested edge-coloring algorithm; prints palette, distinct
 /// colors, rounds and messages; validates properness.
@@ -26,6 +27,7 @@ use crate::spec::build_graph;
 ///
 /// Malformed algorithm/spec or algorithm precondition failures.
 pub fn run(parsed: &mut Parsed) -> Result<String, String> {
+    parsed.accept(&["backend", "verify", "json", "dimacs", "dot"])?;
     let algo = parsed
         .positional(0)
         .ok_or("color needs an algorithm")?
@@ -34,14 +36,38 @@ pub fn run(parsed: &mut Parsed) -> Result<String, String> {
         .positional(1)
         .ok_or("color needs a graph spec")?
         .to_string();
-    let g = build_graph(&spec)?;
-    let (coloring, stats, label) = match parsed.option("backend").unwrap_or("ram") {
-        "ram" => dispatch(&algo, &g)?,
-        "mmap" => dispatch_mmap(&algo, &g)?,
+    let mmap = match parsed.option("backend").unwrap_or("ram") {
+        "ram" => false,
+        "mmap" => true,
         other => {
             return Err(format!(
                 "unknown --backend `{other}` (expected ram or mmap)"
             ))
+        }
+    };
+    let name = algo.split(':').next().unwrap_or_default();
+    let paper = if BASELINES.contains(&name) {
+        if mmap {
+            return Err(format!(
+                "algorithm `{name}` does not support --backend mmap (supported: {})",
+                Algorithm::NAMES.join(", ")
+            ));
+        }
+        None
+    } else {
+        Some(algo.parse::<Algorithm>().map_err(|e| e.to_string())?)
+    };
+    let g = build_graph(&spec)?;
+    let delta = g.max_degree();
+    let (coloring, stats, label) = match paper {
+        None => run_baseline(&algo, &g)?,
+        Some(paper) if mmap => {
+            let (c, s) = run_on_mmap(&paper, &g, &scratch_dir())?;
+            (c, Some(s), format!("{} [mmap backend]", paper.label(delta)))
+        }
+        Some(paper) => {
+            let (c, s) = paper.run(&g, None).map_err(|e| e.to_string())?;
+            (c, Some(s), paper.label(delta))
         }
     };
     if !coloring.is_proper(&g) {
@@ -49,9 +75,20 @@ pub fn run(parsed: &mut Parsed) -> Result<String, String> {
     }
     let mut verify_report = String::new();
     if parsed.option("verify").is_some() {
-        verify_report = certificate_report(&algo, &g, &coloring)?;
+        verify_report = match paper {
+            None => "(no certificate checks registered for this algorithm)\n".into(),
+            Some(paper) => {
+                let checks = verify::check_edge_coloring(
+                    &g,
+                    &coloring,
+                    paper.claim(),
+                    paper.palette_bound(delta),
+                );
+                verify::ensure_all(&checks).map_err(|e| e.to_string())?;
+                verify::render_report(&checks)
+            }
+        };
     }
-    let delta = g.max_degree();
     let mut out = format!(
         "{label} on {spec} (n = {}, m = {}, Δ = {delta})\n",
         g.num_vertices(),
@@ -76,253 +113,67 @@ pub fn run(parsed: &mut Parsed) -> Result<String, String> {
     Ok(out)
 }
 
-/// Runs the applicable certificate checks for the chosen algorithm.
-fn certificate_report(algo: &str, g: &Graph, coloring: &EdgeColoring) -> Result<String, String> {
-    let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
-    let kv = parse_kv(params)?;
-    let checks = match name {
-        "star" => verify::check_star_partition(g, coloring, opt_usize(&kv, "x", 1)? as u32),
-        "t52" => verify::check_theorem52(
-            g,
-            coloring,
-            opt_usize(&kv, "a", 2)? as u64,
-            opt_f64(&kv, "q", 2.5)?,
-        ),
-        "t54" => verify::check_theorem54(
-            g,
-            coloring,
-            opt_usize(&kv, "a", 2)? as u64,
-            opt_f64(&kv, "q", 2.5)?,
-            opt_usize(&kv, "x", 2)? as u32,
-        ),
-        _ => vec![],
-    };
-    if checks.is_empty() {
-        return Ok("(no certificate checks registered for this algorithm)
-"
-        .into());
-    }
-    verify::ensure_all(&checks).map_err(|e| e.to_string())?;
-    Ok(verify::render_report(&checks))
-}
-
-/// Algorithms [`dispatch_mmap`] handles. The unsupported-algorithm error
-/// message is derived from this table, and `mmap_dispatch_matches_ram`
-/// pins that every listed name actually dispatches — so the list cannot
-/// drift from the match arms.
-const MMAP_SUPPORTED: &[&str] = &["star", "cd", "t52", "t53", "t54", "c55"];
-
-/// Runs the algorithm on the **out-of-core backend**: the graph is
-/// spilled to a sharded mmap CSR under a scratch directory and the
-/// view-generic pipeline runs on it unmodified (bit-identical results to
-/// the ram backend — pinned by the core backend-equivalence tests).
-/// star and cd additionally stream their derived graphs (the top-level
-/// edge connector and the line graph) into sharded CSRs under the same
-/// scratch root, so no in-RAM `Graph` is materialized on any path.
-/// Algorithms whose entry points are still `Graph`-bound report a clear
-/// error instead of silently falling back.
-fn dispatch_mmap(
-    algo: &str,
-    g: &Graph,
-) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
+/// A fresh per-process scratch root for one mmap run.
+fn scratch_dir() -> std::path::PathBuf {
     static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("decolor-cli-mmap-{}-{seq}", std::process::id()));
-    dispatch_mmap_in(algo, g, &dir)
+    std::env::temp_dir().join(format!("decolor-cli-mmap-{}-{seq}", std::process::id()))
 }
 
-/// [`dispatch_mmap`] with an explicit scratch root — split out so tests
-/// can pin that the root is gone after success *and* error exits.
-fn dispatch_mmap_in(
+/// Runs a paper algorithm on the **out-of-core backend**: the graph is
+/// spilled to a sharded mmap CSR under `dir` and the view-generic
+/// pipeline runs on it unmodified (bit-identical to the ram backend —
+/// pinned by the core backend-equivalence tests). star and cd also
+/// stream their derived graphs under `dir`. The whole of `dir` is
+/// removed on success and error exits alike.
+fn run_on_mmap(
+    algo: &Algorithm,
+    g: &Graph,
+    dir: &Path,
+) -> Result<(EdgeColoring, NetworkStats), String> {
+    struct Cleanup<'a>(&'a Path);
+    impl Drop for Cleanup<'_> {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0);
+        }
+    }
+    let _cleanup = Cleanup(dir);
+    let sc = ShardedCsr::from_graph(dir.join("input"), g)
+        .map_err(|e| format!("cannot spill graph to mmap storage: {e}"))?;
+    algo.run(&sc, Some(dir)).map_err(|e| e.to_string())
+}
+
+fn run_baseline(
     algo: &str,
     g: &Graph,
-    dir: &std::path::Path,
 ) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
-    let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
-    let kv = parse_kv(params)?;
-    let cfg = SubroutineConfig::default();
     let err = |e: decolor_core::AlgoError| e.to_string();
-    if !MMAP_SUPPORTED.contains(&name) {
-        return Err(match name {
-            "baseline" | "misra" | "random" | "greedy" => format!(
-                "algorithm `{name}` does not support --backend mmap yet (supported: {})",
-                MMAP_SUPPORTED.join(", ")
-            ),
-            other => format!("unknown algorithm `{other}`"),
-        });
-    }
-    struct Cleanup(std::path::PathBuf);
-    impl Drop for Cleanup {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-    let _cleanup = Cleanup(dir.to_path_buf());
-    let sc = decolor_graph::storage::ShardedCsr::from_graph(dir.join("input"), g)
-        .map_err(|e| format!("cannot spill graph to mmap storage: {e}"))?;
-    match name {
-        "star" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let res = star_partition_edge_coloring_spilled(
-                &sc,
-                &StarPartitionParams::for_levels(&sc, x),
-                &dir.join("conn"),
-            )
-            .map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("star partition (x = {x}) [mmap backend]"),
-            ))
-        }
-        "cd" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let (c, s) = cd_edge_coloring_spilled(
-                &sc,
-                &CdParams::for_levels(sc.max_degree().max(2), x),
-                &dir.join("lg"),
-            )
-            .map_err(err)?;
-            Ok((
-                c,
-                Some(s),
-                format!("CD-Coloring of the line graph (x = {x}) [mmap backend]"),
-            ))
-        }
-        "t52" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem52(&sc, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.2 (a = {a}) [mmap backend]"),
-            ))
-        }
-        "t53" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem53(&sc, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.3 (a = {a}) [mmap backend]"),
-            ))
-        }
-        "t54" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let x = opt_usize(&kv, "x", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem54(&sc, a, q, x, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.4 (a = {a}, x = {x}) [mmap backend]"),
-            ))
-        }
-        "c55" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let (res, p) = corollary55(&sc, a, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!(
-                    "Corollary 5.5 (a = {a}; chose x = {}, q = {:.1}) [mmap backend]",
-                    p.x, p.q
-                ),
-            ))
-        }
-        other => Err(format!(
-            "algorithm `{other}` is listed as mmap-supported but has no dispatch arm"
-        )),
-    }
-}
-
-fn dispatch(algo: &str, g: &Graph) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
-    let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
-    let kv = parse_kv(params)?;
-    let cfg = SubroutineConfig::default();
-    let err = |e: decolor_core::AlgoError| e.to_string();
-    match name {
-        "star" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let res = star_partition_edge_coloring(g, &StarPartitionParams::for_levels(g, x))
-                .map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("star partition (x = {x})"),
-            ))
-        }
-        "cd" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let (c, s) = cd_edge_coloring(g, &CdParams::for_levels(g.max_degree().max(2), x))
-                .map_err(err)?;
-            Ok((
-                c,
-                Some(s),
-                format!("CD-Coloring of the line graph (x = {x})"),
-            ))
-        }
-        "t52" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem52(g, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.2 (a = {a})"),
-            ))
-        }
-        "t53" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem53(g, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.3 (a = {a})"),
-            ))
-        }
-        "t54" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let x = opt_usize(&kv, "x", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem54(g, a, q, x, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.4 (a = {a}, x = {x})"),
-            ))
-        }
-        "c55" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let (res, p) = corollary55(g, a, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Corollary 5.5 (a = {a}; chose x = {}, q = {:.1})", p.x, p.q),
-            ))
-        }
+    let (name, mut params) = Params::split(algo).map_err(err)?;
+    let seed = if name == "random" {
+        params.get("seed", 0).map_err(err)?
+    } else {
+        0
+    };
+    params.finish().map_err(err)?;
+    Ok(match name {
         "baseline" => {
             let (c, s) = two_delta_minus_one_edge_coloring(g).map_err(err)?;
-            Ok((c, Some(s), "(2Δ−1) baseline".to_string()))
+            (c, Some(s), "(2Δ−1) baseline".to_string())
         }
-        "misra" => Ok((
+        "misra" => (
             misra_gries_edge_coloring(g),
             None,
             "Misra–Gries (Δ+1)".to_string(),
-        )),
+        ),
         "random" => {
-            let seed = opt_usize(&kv, "seed", 0)? as u64;
             let delta = g.max_degree() as u64;
             let palette = (2 * delta).saturating_sub(1).max(1);
             let (c, s) = randomized_edge_coloring(g, palette, seed).map_err(err)?;
-            Ok((c, Some(s), "randomized (2Δ−1), Luby-style".to_string()))
+            (c, Some(s), "randomized (2Δ−1), Luby-style".to_string())
         }
-        "greedy" => Ok((greedy_edge_coloring(g), None, "greedy (2Δ−1)".to_string())),
-        other => Err(format!("unknown algorithm `{other}`")),
-    }
+        "greedy" => (greedy_edge_coloring(g), None, "greedy (2Δ−1)".to_string()),
+        other => return Err(format!("unknown algorithm `{other}`")),
+    })
 }
 
 #[cfg(test)]
@@ -330,38 +181,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mmap_dispatch_matches_ram() {
+    fn mmap_matches_ram_for_every_algorithm() {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
-        // One parameterization per MMAP_SUPPORTED entry — pins the const
-        // against the dispatch table.
-        let algos = [
-            "star:x=1",
-            "cd:x=1",
-            "t52:a=2",
-            "t53:a=2",
-            "t54:a=2,x=2",
-            "c55:a=2",
-        ];
-        for name in MMAP_SUPPORTED {
-            assert!(
-                algos.iter().any(|a| a.split(':').next() == Some(*name)),
-                "MMAP_SUPPORTED entry `{name}` is not exercised"
-            );
-        }
-        for algo in algos {
-            let (ram, ram_stats, _) = dispatch(algo, &g).unwrap();
-            let (mmap, mmap_stats, label) = dispatch_mmap(algo, &g).unwrap();
+        for algo in Algorithm::all() {
+            let (ram, ram_stats) = algo.run(&g, None).unwrap();
+            let (mmap, mmap_stats) = run_on_mmap(&algo, &g, &scratch_dir()).unwrap();
             assert_eq!(mmap.as_slice(), ram.as_slice(), "{algo} diverges");
             assert_eq!(mmap_stats, ram_stats, "{algo} ledger diverges");
-            assert!(label.contains("mmap backend"));
         }
-        let err = dispatch_mmap("misra", &g).unwrap_err();
-        assert!(err.contains("does not support --backend mmap"), "{err}");
-        assert!(
-            err.contains(&MMAP_SUPPORTED.join(", ")),
-            "error list not derived from dispatch table: {err}"
-        );
-        assert!(dispatch_mmap("zzz", &g).unwrap_err().contains("unknown"));
     }
 
     #[test]
@@ -369,39 +196,28 @@ mod tests {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
         let root =
             std::env::temp_dir().join(format!("decolor-cli-scratch-test-{}", std::process::id()));
-        for algo in ["star:x=1", "cd:x=1", "t53:a=2"] {
-            let dir = root.join(algo.replace([':', ','], "-"));
-            dispatch_mmap_in(algo, &g, &dir).unwrap();
+        for algo in Algorithm::all() {
+            let dir = root.join(algo.name());
+            run_on_mmap(&algo, &g, &dir).unwrap();
             assert!(!dir.exists(), "{algo}: scratch survived a success exit");
         }
         // q < 2 fails inside theorem52 *after* the graph was spilled.
         let dir = root.join("err");
-        assert!(dispatch_mmap_in("t52:a=2,q=1.0", &g, &dir).is_err());
+        let bad: Algorithm = "t52:a=2,q=1.0".parse().unwrap();
+        assert!(run_on_mmap(&bad, &g, &dir).is_err());
         assert!(!dir.exists(), "scratch survived an error exit");
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn dispatch_every_algorithm() {
+    fn every_baseline_runs_on_ram() {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
-        for algo in [
-            "star:x=1",
-            "star:x=2",
-            "cd:x=1",
-            "t52:a=2",
-            "t53:a=2",
-            "t54:a=2,x=2",
-            "c55:a=2",
-            "baseline",
-            "misra",
-            "greedy",
-            "random:seed=1",
-        ] {
-            let result = dispatch(algo, &g);
-            assert!(result.is_ok(), "{algo}: {}", result.unwrap_err());
-            let (c, _, _) = result.unwrap();
-            assert!(c.is_proper(&g), "{algo} produced improper coloring");
+        for name in BASELINES {
+            let (c, _, _) = run_baseline(name, &g).unwrap();
+            assert!(c.is_proper(&g), "{name} produced improper coloring");
         }
-        assert!(dispatch("zzz", &g).is_err());
+        assert!(run_baseline("random:seed=1", &g).is_ok());
+        let err = run_baseline("misra:seed=1", &g).unwrap_err();
+        assert!(err.contains("takes no parameters"), "{err}");
     }
 }

@@ -9,6 +9,7 @@ use crate::spec::build_graph;
 ///
 /// Malformed spec or unwritable output paths.
 pub fn run(parsed: &mut Parsed) -> Result<String, String> {
+    parsed.accept(&super::ARTIFACT_OPTIONS)?;
     let spec = parsed
         .positional(0)
         .ok_or("generate needs a graph spec")?

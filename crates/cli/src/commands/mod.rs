@@ -9,6 +9,9 @@ use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::dot::{render, DotOptions};
 use decolor_graph::Graph;
 
+/// The options [`write_artifacts`] reads.
+pub(crate) const ARTIFACT_OPTIONS: [&str; 3] = ["json", "dimacs", "dot"];
+
 /// Writes optional `--json` / `--dot` artifacts for a graph (+ coloring).
 pub(crate) fn write_artifacts(
     parsed: &crate::args::Parsed,

@@ -16,7 +16,10 @@ use decolor_graph::storage::{
 };
 use decolor_graph::{generators, EdgeSink, Graph, GraphError};
 
-use crate::args::{opt_f64, opt_u64, parse_kv, req_usize, Parsed};
+use decolor_core::algorithms::Params;
+use decolor_core::AlgoError;
+
+use crate::args::Parsed;
 use crate::spec::build_graph;
 
 /// Dispatches `store build` / `store verify`.
@@ -26,6 +29,10 @@ use crate::spec::build_graph;
 /// Malformed arguments, spec failures, or storage-layer errors
 /// (including [`GraphError::Corrupt`] for damaged stores).
 pub fn run(parsed: &mut Parsed) -> Result<String, String> {
+    parsed.accept(match parsed.positional(0) {
+        Some("build") => &["shard-bits", "journal-every", "resume", "verify"],
+        _ => &[],
+    })?;
     match parsed.positional(0) {
         Some("build") => build(parsed),
         Some("verify") => verify(parsed),
@@ -52,38 +59,44 @@ impl Source {
     /// Parses a spec into a source plus its vertex count.
     fn parse(spec: &str) -> Result<(Source, usize), String> {
         let (family, params) = spec.split_once(':').unwrap_or((spec, ""));
-        let kv = parse_kv(params).unwrap_or_default();
-        match family {
+        if !matches!(family, "grid" | "gnp" | "regular" | "hypercube") {
+            let g = build_graph(spec)?;
+            let n = g.num_vertices();
+            return Ok((Source::Ram(Box::new(g)), n));
+        }
+        Source::streamed(family, params).map_err(|e| e.to_string())
+    }
+
+    /// The families with a `*_stream` generator.
+    fn streamed(family: &str, params: &str) -> Result<(Source, usize), AlgoError> {
+        let mut p = Params::parse(params)?;
+        let parsed = match family {
             "grid" => {
-                let rows = req_usize(&kv, "rows")?;
-                let cols = req_usize(&kv, "cols")?;
-                Ok((Source::Grid { rows, cols }, rows * cols))
+                let (rows, cols) = (p.require("rows")?, p.require("cols")?);
+                (Source::Grid { rows, cols }, rows * cols)
             }
             "gnp" => {
-                let n = req_usize(&kv, "n")?;
-                let p = opt_f64(&kv, "p", 0.1)?;
-                let seed = opt_u64(&kv, "seed", 0)?;
-                Ok((Source::Gnp { n, p, seed }, n))
+                let n = p.require("n")?;
+                let (prob, seed) = (p.get("p", 0.1)?, p.get("seed", 0)?);
+                (Source::Gnp { n, p: prob, seed }, n)
             }
             "regular" => {
-                let n = req_usize(&kv, "n")?;
-                let d = req_usize(&kv, "d")?;
-                let seed = opt_u64(&kv, "seed", 0)?;
-                Ok((Source::Regular { n, d, seed }, n))
-            }
-            "hypercube" => {
-                let dim = u32::try_from(req_usize(&kv, "dim")?)
-                    .ok()
-                    .filter(|d| *d < 48)
-                    .ok_or_else(|| "parameter `dim` is out of range".to_string())?;
-                Ok((Source::Hypercube { dim }, 1usize << dim))
+                let n = p.require("n")?;
+                let (d, seed) = (p.require("d")?, p.get("seed", 0)?);
+                (Source::Regular { n, d, seed }, n)
             }
             _ => {
-                let g = build_graph(spec)?;
-                let n = g.num_vertices();
-                Ok((Source::Ram(Box::new(g)), n))
+                let dim: u32 = p.require("dim")?;
+                if dim >= 48 {
+                    return Err(AlgoError::InvalidParameters {
+                        reason: "parameter `dim` is out of range".into(),
+                    });
+                }
+                (Source::Hypercube { dim }, 1usize << dim)
             }
-        }
+        };
+        p.finish()?;
+        Ok(parsed)
     }
 
     /// Emits the spec's full edge stream into `sink`.

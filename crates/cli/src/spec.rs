@@ -1,9 +1,9 @@
 //! Graph-spec parsing: `family:key=value,...` strings to graphs.
 
+use decolor_core::algorithms::Params;
+use decolor_core::AlgoError;
 use decolor_graph::io::GraphData;
 use decolor_graph::{generators, ops, Graph};
-
-use crate::args::{opt_f64, opt_u64, opt_usize, parse_kv, req_usize};
 
 /// Builds a graph from a spec string (see `decolor help` for the list).
 ///
@@ -30,59 +30,44 @@ pub fn build_graph(spec: &str) -> Result<Graph, String> {
             serde_json::from_str(&text).map_err(|e| format!("bad JSON in {params}: {e}"))?;
         return data.to_graph().map_err(|e| e.to_string());
     }
-    let kv = parse_kv(params)?;
+    generate(family, params).map_err(|e| e.to_string())
+}
+
+/// A generator family with its `key=value` parameters; every key must
+/// be one the family reads.
+fn generate(family: &str, params: &str) -> Result<Graph, AlgoError> {
+    let mut p = Params::parse(params)?;
     let g = match family {
-        "gnm" => generators::gnm(
-            req_usize(&kv, "n")?,
-            req_usize(&kv, "m")?,
-            opt_u64(&kv, "seed", 0)?,
-        ),
-        "gnp" => generators::gnp(
-            req_usize(&kv, "n")?,
-            opt_f64(&kv, "p", 0.1)?,
-            opt_u64(&kv, "seed", 0)?,
-        ),
-        "regular" => generators::random_regular(
-            req_usize(&kv, "n")?,
-            req_usize(&kv, "d")?,
-            opt_u64(&kv, "seed", 0)?,
-        ),
-        "grid" => generators::grid(req_usize(&kv, "rows")?, req_usize(&kv, "cols")?),
-        "torus" => generators::torus(req_usize(&kv, "rows")?, req_usize(&kv, "cols")?),
-        "tree" => generators::random_tree(req_usize(&kv, "n")?, opt_u64(&kv, "seed", 0)?),
+        "gnm" => generators::gnm(p.require("n")?, p.require("m")?, p.get("seed", 0)?),
+        "gnp" => generators::gnp(p.require("n")?, p.get("p", 0.1)?, p.get("seed", 0)?),
+        "regular" => {
+            generators::random_regular(p.require("n")?, p.require("d")?, p.get("seed", 0)?)
+        }
+        "grid" => generators::grid(p.require("rows")?, p.require("cols")?),
+        "torus" => generators::torus(p.require("rows")?, p.require("cols")?),
+        "tree" => generators::random_tree(p.require("n")?, p.get("seed", 0)?),
         "forest" => generators::forest_union(
-            req_usize(&kv, "n")?,
-            opt_usize(&kv, "a", 2)?,
-            opt_usize(&kv, "cap", 8)?,
-            opt_u64(&kv, "seed", 0)?,
+            p.require("n")?,
+            p.get("a", 2)?,
+            p.get("cap", 8)?,
+            p.get("seed", 0)?,
         ),
-        "unitdisk" => generators::unit_disk(
-            req_usize(&kv, "n")?,
-            opt_f64(&kv, "r", 0.1)?,
-            opt_u64(&kv, "seed", 0)?,
-        ),
-        "hypercube" => {
-            let dim = u32::try_from(req_usize(&kv, "dim")?)
-                .map_err(|_| "parameter `dim` is out of range".to_string())?;
-            generators::hypercube(dim)
+        "unitdisk" => generators::unit_disk(p.require("n")?, p.get("r", 0.1)?, p.get("seed", 0)?),
+        "hypercube" => generators::hypercube(p.require("dim")?),
+        "ba" => generators::barabasi_albert(p.require("n")?, p.get("k", 3)?, p.get("seed", 0)?),
+        "rooks" => ops::rooks_graph(p.require("p")?, p.require("q")?).map(|(g, _)| g),
+        "complete" => generators::complete(p.require("n")?),
+        "star" => generators::star(p.require("n")?),
+        "cycle" => generators::cycle(p.require("n")?),
+        "path" => generators::path(p.require("n")?),
+        other => {
+            return Err(AlgoError::InvalidParameters {
+                reason: format!("unknown graph family `{other}`"),
+            })
         }
-        "ba" => generators::barabasi_albert(
-            req_usize(&kv, "n")?,
-            opt_usize(&kv, "k", 3)?,
-            opt_u64(&kv, "seed", 0)?,
-        ),
-        "rooks" => {
-            return ops::rooks_graph(req_usize(&kv, "p")?, req_usize(&kv, "q")?)
-                .map(|(g, _)| g)
-                .map_err(|e| e.to_string())
-        }
-        "complete" => generators::complete(req_usize(&kv, "n")?),
-        "star" => generators::star(req_usize(&kv, "n")?),
-        "cycle" => generators::cycle(req_usize(&kv, "n")?),
-        "path" => generators::path(req_usize(&kv, "n")?),
-        other => return Err(format!("unknown graph family `{other}`")),
     };
-    g.map_err(|e| e.to_string())
+    p.finish()?;
+    Ok(g?)
 }
 
 #[cfg(test)]
@@ -124,6 +109,9 @@ mod tests {
             .contains("unknown graph family"));
         assert!(build_graph("file:").unwrap_err().contains("needs a path"));
         assert!(build_graph("gnm:n=3,m=99").unwrap_err().contains("exceeds"));
+        let err = build_graph("regular:n=16,d=4,sed=1").unwrap_err();
+        assert!(err.contains("unknown parameter `sed`"), "{err}");
+        assert!(build_graph("grid:rows=3,cols=3,rows=4").is_err());
     }
 
     #[test]

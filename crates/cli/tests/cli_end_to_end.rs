@@ -68,20 +68,9 @@ fn mmap_backend_colors_out_of_core() {
         let _ = std::fs::remove_dir_all(stale);
     }
 
-    let (ok, stdout, stderr) = decolor(&[
-        "color",
-        "t52:a=2",
-        "forest:n=300,a=2,cap=8,seed=1",
-        "--backend",
-        "mmap",
-    ]);
-    assert!(ok, "mmap color failed: {stderr}");
-    assert!(stdout.contains("mmap backend"), "{stdout}");
-    assert!(stdout.contains("palette"));
-
-    // Every mmap-dispatched algorithm runs end-to-end, and the scratch
+    // Every paper algorithm runs end-to-end on mmap, and the scratch
     // directory is gone after each successful exit.
-    for algo in ["star:x=1", "cd:x=1", "t53:a=2", "t54:a=2,x=2", "c55:a=2"] {
+    for algo in decolor_core::algorithms::Algorithm::NAMES {
         let (ok, stdout, stderr) = decolor(&[
             "color",
             algo,
@@ -91,6 +80,7 @@ fn mmap_backend_colors_out_of_core() {
         ]);
         assert!(ok, "{algo} on mmap failed: {stderr}");
         assert!(stdout.contains("mmap backend"), "{stdout}");
+        assert!(stdout.contains("palette"), "{stdout}");
         let left = leftover();
         assert!(left.is_empty(), "{algo} left mmap scratch behind: {left:?}");
     }
@@ -256,10 +246,47 @@ fn malformed_graph_json_is_a_clean_error() {
 }
 
 #[test]
-fn every_section5_algorithm_via_cli() {
-    for algo in ["t52:a=2", "t54:a=2,x=2", "c55:a=2"] {
-        let (ok, stdout, stderr) = decolor(&["color", algo, "forest:n=200,a=2,cap=8,seed=1"]);
-        assert!(ok, "{algo} failed: {stderr}");
+fn strict_inputs_reject_unknown_keys_and_options() {
+    // Unknown algorithm key: no silent default, no silent ram fallback.
+    let (ok, stdout, stderr) = decolor(&["color", "star:x=1,bogus=7", "regular:n=64,d=8,seed=1"]);
+    assert!(!ok, "unknown algorithm key accepted: {stdout}");
+    assert!(stderr.contains("unknown parameter `bogus`"), "{stderr}");
+
+    // Mistyped graph-spec key (`sed` for `seed`).
+    let (ok, stdout, stderr) = decolor(&["color", "star:x=1", "regular:n=64,d=8,sed=1"]);
+    assert!(!ok, "mistyped spec key accepted: {stdout}");
+    assert!(stderr.contains("unknown parameter `sed`"), "{stderr}");
+
+    // Mistyped option (`--backnd` for `--backend`).
+    let (ok, stdout, stderr) = decolor(&[
+        "color",
+        "star:x=1",
+        "regular:n=64,d=8,seed=1",
+        "--backnd",
+        "mmap",
+    ]);
+    assert!(!ok, "mistyped option accepted: {stdout}");
+    assert!(stderr.contains("unknown option `--backnd`"), "{stderr}");
+
+    // Baselines take only their own keys; other commands their own options.
+    let (ok, _, stderr) = decolor(&["color", "misra:seed=1", "grid:rows=3,cols=3"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown parameter `seed`"), "{stderr}");
+    let (ok, _, stderr) = decolor(&["analyze", "grid:rows=3,cols=3", "--json", "x.json"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown option `--json`"), "{stderr}");
+}
+
+#[test]
+fn verify_certifies_every_paper_algorithm() {
+    for algo in decolor_core::algorithms::Algorithm::NAMES {
+        let (ok, stdout, stderr) =
+            decolor(&["color", algo, "forest:n=200,a=2,cap=8,seed=1", "--verify"]);
+        assert!(ok, "{algo} --verify failed: {stderr}");
+        assert!(
+            stdout.matches('✓').count() == 2 && !stdout.contains('✗'),
+            "{algo}: {stdout}"
+        );
         assert!(stdout.contains("rounds"), "{algo}: {stdout}");
     }
 }

@@ -21,7 +21,8 @@ fn qa_ceil_u64(q: f64, a: u64) -> u64 {
 
 /// Table 1, "our results" color count: `2^{x+1}·Δ`.
 pub fn table1_ours_colors(delta: u64, x: u32) -> u64 {
-    (1u64 << (x + 1)) * delta
+    1u64.checked_shl(x.saturating_add(1))
+        .map_or(u64::MAX, |levels| levels.saturating_mul(delta))
 }
 
 /// Table 1, "our results" time shape: `x · Δ^{1/(2x+2)} + log* n`.

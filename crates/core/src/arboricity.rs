@@ -80,9 +80,10 @@ fn empty_coloring() -> Result<ArboricityColoring, AlgoError> {
 /// **Theorem 5.2**: a (Δ + O(a))-edge-coloring in O(a log n) rounds, given
 /// an upper bound `a ≥ a(G)` on the arboricity.
 ///
-/// The palette is `max(4d + 1, Δ + d − 1)` with `d = ⌈q·a⌉`: intra-H-set
-/// edges take the 4d + 1 star-partition colors, crossing edges are merged
-/// with Lemma 5.1 using Δ + d − 1 colors.
+/// The palette is `max(4d + 1, Δ + d)` with `d = ⌈q·a⌉`
+/// ([`analysis::theorem52_palette`](crate::analysis::theorem52_palette)):
+/// intra-H-set edges take the 4d + 1 star-partition colors, crossing
+/// edges are merged with Lemma 5.1 using Δ + d colors.
 ///
 /// ```rust
 /// use decolor_core::arboricity::theorem52;
@@ -862,15 +863,43 @@ pub struct Corollary55Params {
     pub q: f64,
 }
 
-/// **Corollary 5.5**: automatic parameter selection for a
-/// Δ(1 + O(1/log Δ))-edge-coloring whenever the arboricity is
-/// polynomially below Δ.
-///
-/// Follows the paper's two regimes: for very small `a` a large `q`
-/// shortens the H-partition; otherwise `x ≈ log â / log log â` balances
-/// the per-level color loss. `x` is clamped to ≤ 6, which already covers
-/// every laptop-scale Δ (the asymptotic regimes only separate beyond
-/// Δ ≈ 2^64).
+impl Corollary55Params {
+    /// The paper's parameter selection for maximum degree `delta` and
+    /// arboricity bound `a` — a pure function of the two, so the palette
+    /// bound of a Corollary 5.5 run is known before it starts.
+    ///
+    /// Follows the paper's two regimes: for very small `a` a large `q`
+    /// shortens the H-partition; otherwise `x ≈ log â / log log â`
+    /// balances the per-level color loss. `x` is clamped to ≤ 6, which
+    /// already covers every laptop-scale Δ (the asymptotic regimes only
+    /// separate beyond Δ ≈ 2^64).
+    pub fn select(delta: usize, a: usize) -> Corollary55Params {
+        let delta = num::approx_f64(delta.max(2));
+        let a_eff = num::approx_f64(a.max(1));
+        let log_delta = delta.log2();
+        let loglog_delta = log_delta.log2().max(1.0);
+        let small_a_threshold = (log_delta / (4.0 * loglog_delta)).exp2();
+        let (x, q) = if a_eff < small_a_threshold {
+            // Small-arboricity regime: crank q up so ℓ = O(log n / log q).
+            let q = (2.0f64)
+                .max((log_delta / loglog_delta).exp2() / a_eff)
+                .min(1e6);
+            let ahat = (q * a_eff).max(2.0);
+            // lint: allow(cast, "ahat >= 2 so its log2 is >= 1, and the clamp bounds the result to 1..=6")
+            ((ahat.log2().ceil() as usize).clamp(1, 6), q.max(2.5))
+        } else {
+            let ahat = (2.5 * a_eff).max(2.0);
+            // lint: allow(cast, "positive ratio of logs, clamped to 1..=6 on the next line")
+            let x = (ahat.log2() / ahat.log2().log2().max(1.0)).ceil() as usize;
+            (x.clamp(1, 6), 2.5)
+        };
+        Corollary55Params { x, q }
+    }
+}
+
+/// **Corollary 5.5**: automatic parameter selection
+/// ([`Corollary55Params::select`]) for a Δ(1 + O(1/log Δ))-edge-coloring
+/// whenever the arboricity is polynomially below Δ.
 ///
 /// # Errors
 ///
@@ -880,27 +909,8 @@ pub fn corollary55<G: GraphView + Sync>(
     a: usize,
     cfg: SubroutineConfig,
 ) -> Result<(ArboricityColoring, Corollary55Params), AlgoError> {
-    let delta = num::approx_f64(g.max_degree().max(2));
-    let a_eff = num::approx_f64(a.max(1));
-    let log_delta = delta.log2();
-    let loglog_delta = log_delta.log2().max(1.0);
-    let small_a_threshold = (log_delta / (4.0 * loglog_delta)).exp2();
-    let (x, q) = if a_eff < small_a_threshold {
-        // Small-arboricity regime: crank q up so ℓ = O(log n / log q).
-        let q = (2.0f64)
-            .max((log_delta / loglog_delta).exp2() / a_eff)
-            .min(1e6);
-        let ahat = (q * a_eff).max(2.0);
-        // lint: allow(cast, "ahat >= 2 so its log2 is >= 1, and the clamp bounds the result to 1..=6")
-        ((ahat.log2().ceil() as usize).clamp(1, 6), q.max(2.5))
-    } else {
-        let ahat = (2.5 * a_eff).max(2.0);
-        // lint: allow(cast, "positive ratio of logs, clamped to 1..=6 on the next line")
-        let x = (ahat.log2() / ahat.log2().log2().max(1.0)).ceil() as usize;
-        (x.clamp(1, 6), 2.5)
-    };
-    let res = theorem54(g, a, q, x, cfg)?;
-    Ok((res, Corollary55Params { x, q }))
+    let p = Corollary55Params::select(g.max_degree(), a);
+    Ok((theorem54(g, a, p.q, p.x, cfg)?, p))
 }
 
 #[cfg(test)]
@@ -919,8 +929,7 @@ mod tests {
             let delta = g.max_degree() as u64;
             let res = theorem52(&g, a, 2.5, SubroutineConfig::default()).unwrap();
             assert!(res.coloring.is_proper(&g));
-            let d = (2.5 * a as f64).ceil() as u64;
-            let bound = (4 * d + 1).max(delta + d);
+            let bound = crate::analysis::theorem52_palette(delta, a as u64, 2.5);
             assert!(
                 res.coloring.palette() <= bound,
                 "palette {} exceeds Δ + O(a) bound {bound}",
@@ -964,12 +973,11 @@ mod tests {
     fn theorem54_color_budget() {
         let g = workload(500, 2, 24, 6);
         let delta = g.max_degree() as u64;
-        let d = (2.5f64 * 2.0).ceil() as u64;
         for x in 1..=3usize {
             let res = theorem54(&g, 2, 2.5, x, SubroutineConfig::default()).unwrap();
             assert!(res.coloring.is_proper(&g), "x = {x} improper");
-            let base = integer_root_ceil(delta, x as u32) + integer_root_ceil(d, x as u32) + 3;
-            let bound = base.pow(x as u32) * 2; // slack 2 for the final 5.2 stage
+            // slack 2 for the final 5.2 stage
+            let bound = 2 * crate::analysis::theorem54_palette(delta, 2, 2.5, x as u32);
             assert!(
                 res.coloring.palette() <= bound,
                 "x = {x}: palette {} > (Δ^(1/x)+â^(1/x)+3)^x·2 = {bound}",

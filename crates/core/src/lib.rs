@@ -3,6 +3,9 @@
 //! The paper's contribution: **connector-based deterministic distributed
 //! coloring** (Barenboim, Elkin, Maimon; PODC 2017).
 //!
+//! * [`algorithms`] — the paper's six edge-coloring algorithms as one
+//!   table: parameter schema, run entry point, palette bound and round
+//!   shape, read by the CLI, the bench and the verifier.
 //! * [`linial`] / [`reduction`] / [`delta_plus_one`] — the coloring
 //!   subroutine stack standing in for the paper's black box \[17\].
 //! * [`bitset`] — u64 palette-set kernels backing every hot mex loop
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod algorithms;
 pub mod analysis;
 pub mod arboricity;
 pub mod bitset;

@@ -203,6 +203,23 @@ pub fn linial_from_coloring<V: GraphView>(
     })
 }
 
+/// The distinct-ID assignment as the initial proper coloring every Linial
+/// entry point starts from.
+fn initial_from_ids<V: GraphView>(g: &V, ids: &IdAssignment) -> Result<VertexColoring, AlgoError> {
+    if ids.len() != g.num_vertices() {
+        return Err(AlgoError::InvalidParameters {
+            reason: format!("{} ids for {} vertices", ids.len(), g.num_vertices()),
+        });
+    }
+    let colors: Result<Vec<u32>, _> = ids.as_slice().iter().map(|&i| u32::try_from(i)).collect();
+    let colors = colors.map_err(|_| AlgoError::InvalidParameters {
+        reason: "identifier exceeds u32 (IDs must be O(log n)-bit)".into(),
+    })?;
+    VertexColoring::new(colors, ids.id_space().max(1)).map_err(|e| AlgoError::InvalidParameters {
+        reason: e.to_string(),
+    })
+}
+
 /// Runs Linial's algorithm from the distinct-ID assignment (the standard
 /// entry point).
 ///
@@ -231,21 +248,7 @@ pub fn linial_coloring<V: GraphView>(
     net: &mut Network<'_, V>,
     ids: &IdAssignment,
 ) -> Result<LinialResult, AlgoError> {
-    let g = net.graph();
-    if ids.len() != g.num_vertices() {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("{} ids for {} vertices", ids.len(), g.num_vertices()),
-        });
-    }
-    let colors: Result<Vec<u32>, _> = ids.as_slice().iter().map(|&i| u32::try_from(i)).collect();
-    let colors = colors.map_err(|_| AlgoError::InvalidParameters {
-        reason: "identifier exceeds u32 (IDs must be O(log n)-bit)".into(),
-    })?;
-    let initial = VertexColoring::new(colors, ids.id_space().max(1)).map_err(|e| {
-        AlgoError::InvalidParameters {
-            reason: e.to_string(),
-        }
-    })?;
+    let initial = initial_from_ids(net.graph(), ids)?;
     linial_from_coloring(net, &initial)
 }
 
@@ -277,34 +280,7 @@ pub fn linial_coloring_chunked<V: GraphView + Sync>(
     g: &V,
     ids: &IdAssignment,
 ) -> Result<(LinialResult, NetworkStats), AlgoError> {
-    if ids.len() != g.num_vertices() {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("{} ids for {} vertices", ids.len(), g.num_vertices()),
-        });
-    }
-    let colors: Result<Vec<u32>, _> = ids.as_slice().iter().map(|&i| u32::try_from(i)).collect();
-    let colors = colors.map_err(|_| AlgoError::InvalidParameters {
-        reason: "identifier exceeds u32 (IDs must be O(log n)-bit)".into(),
-    })?;
-    let initial = VertexColoring::new(colors, ids.id_space().max(1)).map_err(|e| {
-        AlgoError::InvalidParameters {
-            reason: e.to_string(),
-        }
-    })?;
-    linial_from_coloring_chunked(g, &initial)
-}
-
-/// [`linial_from_coloring`] in the chunked realization (see
-/// [`linial_coloring_chunked`]).
-///
-/// # Errors
-///
-/// As [`linial_from_coloring`].
-pub fn linial_from_coloring_chunked<V: GraphView + Sync>(
-    g: &V,
-    initial: &VertexColoring,
-) -> Result<(LinialResult, NetworkStats), AlgoError> {
-    let out = chunked_core(g, initial, None, None)?;
+    let out = chunked_core(g, &initial_from_ids(g, ids)?, None, None)?;
     Ok((out.result, out.stats))
 }
 
@@ -345,21 +321,7 @@ pub fn linial_coloring_chunked_checkpointed<V: GraphView + Sync>(
     ckpt: &std::path::Path,
     round_budget: Option<u64>,
 ) -> Result<ChunkedOutcome, AlgoError> {
-    if ids.len() != g.num_vertices() {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("{} ids for {} vertices", ids.len(), g.num_vertices()),
-        });
-    }
-    let colors: Result<Vec<u32>, _> = ids.as_slice().iter().map(|&i| u32::try_from(i)).collect();
-    let colors = colors.map_err(|_| AlgoError::InvalidParameters {
-        reason: "identifier exceeds u32 (IDs must be O(log n)-bit)".into(),
-    })?;
-    let initial = VertexColoring::new(colors, ids.id_space().max(1)).map_err(|e| {
-        AlgoError::InvalidParameters {
-            reason: e.to_string(),
-        }
-    })?;
-    chunked_core(g, &initial, Some(ckpt), round_budget)
+    chunked_core(g, &initial_from_ids(g, ids)?, Some(ckpt), round_budget)
 }
 
 /// The shared chunked-Linial engine behind both public entry points.

@@ -6,11 +6,9 @@
 //! print an auditable report: each check names the claim, the measured
 //! value and the bound it must not exceed.
 
-use decolor_graph::cliques::CliqueCover;
-use decolor_graph::coloring::{EdgeColoring, VertexColoring};
-use decolor_graph::{num, Graph};
+use decolor_graph::coloring::EdgeColoring;
+use decolor_graph::subgraph::GraphView;
 
-use crate::analysis;
 use crate::error::AlgoError;
 
 /// One verified (or violated) bound.
@@ -44,7 +42,7 @@ pub fn render_report(checks: &[BoundCheck]) -> String {
     let mut out = String::new();
     for c in checks {
         out.push_str(&format!(
-            "{} {:<42} measured {:>8} ≤ bound {:>8}\n",
+            "{} {:<52} measured {:>8} ≤ bound {:>8}\n",
             if c.holds() { "✓" } else { "✗" },
             c.claim,
             c.measured,
@@ -68,79 +66,15 @@ pub fn ensure_all(checks: &[BoundCheck]) -> Result<(), AlgoError> {
     }
 }
 
-/// Properness + Theorem 4.1 bound for a star-partition edge coloring.
-pub fn check_star_partition(g: &Graph, coloring: &EdgeColoring, x: u32) -> Vec<BoundCheck> {
-    let delta = num::to_u64(g.max_degree());
-    vec![
-        BoundCheck {
-            claim: "edge coloring is proper (violations)".into(),
-            measured: u64::from(coloring.first_violation(g).is_some()),
-            bound: 0,
-        },
-        BoundCheck {
-            claim: format!("palette ≤ 2^{}Δ (Theorem 4.1)", x + 1),
-            measured: coloring.palette(),
-            bound: analysis::table1_ours_colors(delta.max(1), x),
-        },
-    ]
-}
-
-/// Properness + Theorem 3.3 bound for a CD vertex coloring.
-pub fn check_cd_coloring(
-    g: &Graph,
-    cover: &CliqueCover,
-    coloring: &VertexColoring,
-    t: u64,
-    x: u32,
-) -> Vec<BoundCheck> {
-    let d = num::to_u64(cover.diversity().max(1));
-    let s = num::to_u64(cover.max_clique_size().max(1));
-    vec![
-        BoundCheck {
-            claim: "vertex coloring is proper (violations)".into(),
-            measured: u64::from(coloring.first_violation(g).is_some()),
-            bound: 0,
-        },
-        BoundCheck {
-            claim: "palette ≤ exact level product".into(),
-            measured: coloring.palette(),
-            bound: analysis::cd_palette_product(d, s, t, x),
-        },
-        BoundCheck {
-            claim: format!("colors used ≤ D^{}S (Theorem 3.3)", x + 1),
-            measured: num::to_u64(coloring.distinct_colors()),
-            bound: analysis::table2_ours_colors(d, s, x),
-        },
-    ]
-}
-
-/// Properness + Theorem 5.2 bound for an arboricity-based edge coloring.
-pub fn check_theorem52(g: &Graph, coloring: &EdgeColoring, a: u64, q: f64) -> Vec<BoundCheck> {
-    let delta = num::to_u64(g.max_degree());
-    vec![
-        BoundCheck {
-            claim: "edge coloring is proper (violations)".into(),
-            measured: u64::from(coloring.first_violation(g).is_some()),
-            bound: 0,
-        },
-        BoundCheck {
-            claim: "palette ≤ max(4d+1, Δ+d) (Theorem 5.2)".into(),
-            measured: coloring.palette(),
-            bound: analysis::theorem52_palette(delta, a, q),
-        },
-    ]
-}
-
-/// Properness + Theorem 5.4 bound (with the final-stage slack factor 2
-/// discussed in EXPERIMENTS.md).
-pub fn check_theorem54(
-    g: &Graph,
+/// Properness of an edge coloring plus its palette against `bound`
+/// (e.g. an [`Algorithm::palette_bound`](crate::algorithms::Algorithm::palette_bound),
+/// with its [`claim`](crate::algorithms::Algorithm::claim)).
+pub fn check_edge_coloring<G: GraphView>(
+    g: &G,
     coloring: &EdgeColoring,
-    a: u64,
-    q: f64,
-    x: u32,
+    claim: &str,
+    bound: u64,
 ) -> Vec<BoundCheck> {
-    let delta = num::to_u64(g.max_degree());
     vec![
         BoundCheck {
             claim: "edge coloring is proper (violations)".into(),
@@ -148,9 +82,9 @@ pub fn check_theorem54(
             bound: 0,
         },
         BoundCheck {
-            claim: "palette ≤ 2·(Δ^(1/x)+â^(1/x)+3)^x".into(),
+            claim: format!("palette ≤ {claim}"),
             measured: coloring.palette(),
-            bound: 2 * analysis::theorem54_palette(delta, a, q, x),
+            bound,
         },
     ]
 }
@@ -158,49 +92,25 @@ pub fn check_theorem54(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arboricity::theorem52;
-    use crate::cd_coloring::{cd_coloring, CdParams};
-    use crate::delta_plus_one::SubroutineConfig;
-    use crate::star_partition::{star_partition_edge_coloring, StarPartitionParams};
+    use crate::algorithms::Algorithm;
     use decolor_graph::generators;
-    use decolor_graph::line_graph::LineGraph;
-    use decolor_runtime::IdAssignment;
 
     #[test]
-    fn star_partition_certificates() {
-        let g = generators::random_regular(64, 16, 1).unwrap();
-        let res =
-            star_partition_edge_coloring(&g, &StarPartitionParams::for_levels(&g, 1)).unwrap();
-        let checks = check_star_partition(&g, &res.coloring, 1);
-        ensure_all(&checks).unwrap();
-        let report = render_report(&checks);
-        assert!(report.contains("✓"));
-        assert!(!report.contains("✗"));
-    }
-
-    #[test]
-    fn cd_certificates() {
-        let g = generators::random_regular(64, 9, 2).unwrap();
-        let lg = LineGraph::new(&g);
-        let params = CdParams::for_levels(9, 2);
-        let ids = IdAssignment::sequential(lg.graph.num_vertices());
-        let res = cd_coloring(&lg.graph, &lg.cover, &params, &ids).unwrap();
-        let checks = check_cd_coloring(&lg.graph, &lg.cover, &res.coloring, params.t as u64, 2);
-        ensure_all(&checks).unwrap();
-    }
-
-    #[test]
-    fn theorem52_certificates() {
-        let g = generators::forest_union(200, 2, 8, 3).unwrap();
-        let res = theorem52(&g, 2, 2.5, SubroutineConfig::default()).unwrap();
-        ensure_all(&check_theorem52(&g, &res.coloring, 2, 2.5)).unwrap();
-    }
-
-    #[test]
-    fn theorem54_certificates() {
+    fn every_algorithm_certifies() {
         let g = generators::forest_union(150, 2, 8, 4).unwrap();
-        let res = crate::arboricity::theorem54(&g, 2, 2.5, 2, SubroutineConfig::default()).unwrap();
-        ensure_all(&check_theorem54(&g, &res.coloring, 2, 2.5, 2)).unwrap();
+        for algo in Algorithm::all() {
+            let (coloring, _) = algo.run(&g, None).unwrap();
+            let checks = check_edge_coloring(
+                &g,
+                &coloring,
+                algo.claim(),
+                algo.palette_bound(g.max_degree()),
+            );
+            ensure_all(&checks).unwrap();
+            let report = render_report(&checks);
+            assert!(report.contains("✓"), "{algo}: {report}");
+            assert!(!report.contains("✗"), "{algo}: {report}");
+        }
     }
 
     #[test]
@@ -208,7 +118,7 @@ mod tests {
         let g = generators::complete(4).unwrap();
         // An improper "coloring": all edges share color 0.
         let bad = EdgeColoring::new(vec![0; 6], 1).unwrap();
-        let checks = check_star_partition(&g, &bad, 1);
+        let checks = check_edge_coloring(&g, &bad, "4Δ", 12);
         assert!(ensure_all(&checks).is_err());
         assert!(render_report(&checks).contains("✗"));
     }

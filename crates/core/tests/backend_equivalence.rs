@@ -5,11 +5,8 @@
 //! the environment knob). The Linial rows additionally pin the chunked
 //! streaming realization against the `Network`-simulated one.
 
-use decolor_core::arboricity::{theorem52, theorem53, theorem54};
-use decolor_core::cd_coloring::{
-    cd_coloring, cd_edge_coloring, cd_edge_coloring_spilled, CdParams,
-};
-use decolor_core::delta_plus_one::SubroutineConfig;
+use decolor_core::algorithms::Algorithm;
+use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
 use decolor_core::star_partition::{
     star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
@@ -68,28 +65,6 @@ fn linial_mmap_and_chunked_match_ram_network() {
 }
 
 #[test]
-fn theorem52_mmap_matches_ram() {
-    let g = generators::forest_union(500, 2, 10, 3).unwrap();
-    let (sc, dir) = spill("t52", &g);
-    for threads in [1usize, 4] {
-        rayon::with_num_threads(threads, || {
-            let ram = theorem52(&g, 2, 2.5, SubroutineConfig::default()).unwrap();
-            let mmap = theorem52(&sc, 2, 2.5, SubroutineConfig::default()).unwrap();
-            assert_eq!(
-                mmap.coloring.as_slice(),
-                ram.coloring.as_slice(),
-                "t52 coloring diverges at {threads} threads"
-            );
-            assert_eq!(mmap.coloring.palette(), ram.coloring.palette());
-            assert_eq!(mmap.stats, ram.stats, "t52 ledger diverges");
-            assert!(ram.coloring.is_proper(&g));
-        });
-    }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn star_partition_mmap_matches_ram() {
     let g = generators::random_regular(256, 16, 5).unwrap();
     let (sc, dir) = spill("star", &g);
@@ -106,50 +81,6 @@ fn star_partition_mmap_matches_ram() {
             assert_eq!(mmap.coloring.palette(), ram.coloring.palette());
             assert_eq!(mmap.untrimmed_palette, ram.untrimmed_palette);
             assert_eq!(mmap.stats, ram.stats, "star ledger diverges");
-        });
-    }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn theorem53_mmap_matches_ram() {
-    let g = generators::forest_union(500, 2, 10, 3).unwrap();
-    let (sc, dir) = spill("t53", &g);
-    for threads in [1usize, 4] {
-        rayon::with_num_threads(threads, || {
-            let ram = theorem53(&g, 2, 2.5, SubroutineConfig::default()).unwrap();
-            let mmap = theorem53(&sc, 2, 2.5, SubroutineConfig::default()).unwrap();
-            assert_eq!(
-                mmap.coloring.as_slice(),
-                ram.coloring.as_slice(),
-                "t53 coloring diverges at {threads} threads"
-            );
-            assert_eq!(mmap.coloring.palette(), ram.coloring.palette());
-            assert_eq!(mmap.stats, ram.stats, "t53 ledger diverges");
-            assert!(ram.coloring.is_proper(&g));
-        });
-    }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn theorem54_mmap_matches_ram() {
-    let g = generators::forest_union(500, 2, 10, 3).unwrap();
-    let (sc, dir) = spill("t54", &g);
-    for threads in [1usize, 4] {
-        rayon::with_num_threads(threads, || {
-            let ram = theorem54(&g, 2, 2.5, 2, SubroutineConfig::default()).unwrap();
-            let mmap = theorem54(&sc, 2, 2.5, 2, SubroutineConfig::default()).unwrap();
-            assert_eq!(
-                mmap.coloring.as_slice(),
-                ram.coloring.as_slice(),
-                "t54 coloring diverges at {threads} threads"
-            );
-            assert_eq!(mmap.coloring.palette(), ram.coloring.palette());
-            assert_eq!(mmap.stats, ram.stats, "t54 ledger diverges");
-            assert!(ram.coloring.is_proper(&g));
         });
     }
     drop(sc);
@@ -188,34 +119,54 @@ fn star_spilled_connector_matches_materialized() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The streamed (spilled-line-graph) cd path against the materializing
-/// one, with the mmap CSR as the source view.
+/// Every paper algorithm through the [`Algorithm`] table: the mmap root
+/// with scratch (star streams its top-level connector, cd its line graph)
+/// against the in-RAM run. Colorings, palettes and full ledgers must be
+/// bit-identical, and the derived-graph scratch must be gone afterwards.
 #[test]
-fn cd_spilled_line_graph_matches_materialized() {
-    let base = generators::random_regular(64, 8, 1).unwrap();
-    let (sc, dir) = spill("cd-spill", &base);
-    let params = CdParams::for_levels(base.max_degree().max(2), 1);
-    for threads in [1usize, 4] {
-        rayon::with_num_threads(threads, || {
-            let (ram, ram_stats) = cd_edge_coloring(&base, &params).unwrap();
-            let scratch = std::env::temp_dir().join(format!(
-                "decolor-backend-cdlg-{}-{threads}",
-                std::process::id()
-            ));
-            let (spilled, stats) = cd_edge_coloring_spilled(&sc, &params, &scratch).unwrap();
-            assert_eq!(
-                spilled.as_slice(),
-                ram.as_slice(),
-                "spilled cd coloring diverges at {threads} threads"
-            );
-            assert_eq!(spilled.palette(), ram.palette());
-            assert_eq!(stats, ram_stats, "spilled cd ledger diverges");
-            assert!(spilled.is_proper(&base));
-            assert!(!scratch.exists(), "line-graph scratch survived");
-        });
+fn paper_algorithms_on_mmap_match_ram() {
+    let cases = [
+        (
+            generators::random_regular(256, 16, 5).unwrap(),
+            vec![Algorithm::Star { x: 1 }],
+        ),
+        (
+            generators::random_regular(64, 8, 1).unwrap(),
+            vec![Algorithm::Cd { x: 1 }],
+        ),
+        (
+            generators::forest_union(500, 2, 10, 3).unwrap(),
+            Algorithm::all()
+                .into_iter()
+                .filter(|a| !matches!(a, Algorithm::Star { .. } | Algorithm::Cd { .. }))
+                .collect(),
+        ),
+    ];
+    for (i, (g, algos)) in cases.iter().enumerate() {
+        let (sc, dir) = spill(&format!("table-{i}"), g);
+        let scratch = dir.with_extension("scratch");
+        for algo in algos {
+            for threads in [1usize, 4] {
+                rayon::with_num_threads(threads, || {
+                    let (ram, ram_stats) = algo.run(g, None).unwrap();
+                    let (mmap, mmap_stats) = algo.run(&sc, Some(&scratch)).unwrap();
+                    assert_eq!(
+                        mmap.as_slice(),
+                        ram.as_slice(),
+                        "{algo} coloring diverges at {threads} threads"
+                    );
+                    assert_eq!(mmap.palette(), ram.palette());
+                    assert_eq!(mmap_stats, ram_stats, "{algo} ledger diverges");
+                    assert!(ram.is_proper(g));
+                    let left = std::fs::read_dir(&scratch).map_or(0, Iterator::count);
+                    assert_eq!(left, 0, "{algo} left derived-graph scratch behind");
+                });
+            }
+        }
+        drop(sc);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&scratch);
     }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

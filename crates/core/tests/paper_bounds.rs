@@ -13,15 +13,14 @@
 //! so a regression that changes the round *shape* (not just a constant)
 //! trips the suite.
 
+use std::path::Path;
+
+use decolor_core::algorithms::Algorithm;
 use decolor_core::analysis;
-use decolor_core::arboricity::{theorem52, theorem53, theorem54};
-use decolor_core::cd_coloring::{cd_coloring, cd_edge_coloring_spilled, CdParams};
-use decolor_core::delta_plus_one::SubroutineConfig;
+use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::linial::{final_palette_bound, linial_coloring};
-use decolor_core::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
-};
 use decolor_graph::line_graph::LineGraph;
+use decolor_graph::subgraph::GraphView;
 use decolor_graph::{generators, Graph};
 use decolor_runtime::{IdAssignment, Network};
 
@@ -78,6 +77,44 @@ fn linial_palette_and_rounds_within_bounds() {
     }
 }
 
+/// The Õ(·) slack of an [`Algorithm`] table entry's round shape.
+fn round_slack(algo: &Algorithm) -> f64 {
+    match algo {
+        Algorithm::Star { .. } => STAR_ROUND_SLACK,
+        Algorithm::Cd { .. } => CD_ROUND_SLACK,
+        Algorithm::T52 { .. } => T52_ROUND_SLACK,
+        Algorithm::T53 { .. } => T53_ROUND_SLACK,
+        Algorithm::T54 { .. } | Algorithm::C55 { .. } => T54_ROUND_SLACK,
+    }
+}
+
+/// Runs `algo` on `view` (a ram graph or its mmap spill, with `scratch`
+/// for the spilled paths) and asserts the coloring proper on `g` and
+/// within the table's palette bound and slack × round shape.
+fn assert_within_bounds<V: GraphView + Sync>(
+    algo: Algorithm,
+    g: &Graph,
+    view: &V,
+    scratch: Option<&Path>,
+) {
+    let (n, delta) = (g.num_vertices(), g.max_degree());
+    let (coloring, stats) = algo.run(view, scratch).unwrap();
+    assert!(coloring.is_proper(g), "{algo}: improper");
+    let bound = algo.palette_bound(delta);
+    assert!(
+        coloring.palette() <= bound,
+        "{algo}, n = {n}, Δ = {delta}: palette {} exceeds {} = {bound}",
+        coloring.palette(),
+        algo.claim()
+    );
+    let round_bound = (round_slack(&algo) * algo.round_shape(n, delta)).ceil() as u64;
+    assert!(
+        stats.rounds <= round_bound,
+        "{algo}, n = {n}, Δ = {delta}: {} rounds exceed shape bound {round_bound}",
+        stats.rounds
+    );
+}
+
 #[test]
 fn star_partition_palette_and_rounds_within_bounds() {
     // Grid over (n, Δ, x): Theorem 4.1's 2^{x+1}Δ colors in
@@ -90,23 +127,7 @@ fn star_partition_palette_and_rounds_within_bounds() {
         (2048, 32, 3, 5),
     ] {
         let g = generators::random_regular(n, d, seed).unwrap();
-        let res =
-            star_partition_edge_coloring(&g, &StarPartitionParams::for_levels(&g, x)).unwrap();
-        assert!(res.coloring.is_proper(&g));
-        let bound = analysis::table1_ours_colors(d as u64, x as u32);
-        assert!(
-            res.coloring.palette() <= bound,
-            "n = {n}, Δ = {d}, x = {x}: palette {} exceeds 2^{}Δ = {bound}",
-            res.coloring.palette(),
-            x + 1
-        );
-        let shape = analysis::table1_ours_time(d as u64, x as u32, n as u64);
-        let round_bound = (STAR_ROUND_SLACK * shape).ceil() as u64;
-        assert!(
-            res.stats.rounds <= round_bound,
-            "n = {n}, Δ = {d}, x = {x}: {} rounds exceed shape bound {round_bound}",
-            res.stats.rounds
-        );
+        assert_within_bounds(Algorithm::Star { x }, &g, &g, None);
     }
 }
 
@@ -120,129 +141,53 @@ fn arboricity_grid() -> Vec<(Graph, usize)> {
     ]
 }
 
+/// Theorems 5.2, 5.3 and 5.4 (x ∈ {2, 3}) over the arboricity grid.
+/// Theorem 5.4's closed form covers the connector levels; the final
+/// Theorem 5.2 stage contributes its own factor (the paper folds it into
+/// the +3 per level asymptotically; at these laptop-scale Δ the table's
+/// explicit factor-2 slack applies).
 #[test]
-fn theorem52_palette_and_rounds_within_bounds() {
+fn section5_palette_and_rounds_within_bounds() {
     for (g, a) in arboricity_grid() {
-        let n = g.num_vertices();
-        let res = theorem52(&g, a, 2.5, SubroutineConfig::default()).unwrap();
-        assert!(res.coloring.is_proper(&g));
-        let bound = analysis::theorem52_palette(g.max_degree() as u64, a as u64, 2.5);
-        assert!(
-            res.coloring.palette() <= bound,
-            "n = {n}, a = {a}: palette {} exceeds Δ + O(a) bound {bound}",
-            res.coloring.palette()
-        );
-        let shape = analysis::theorem52_time(a as u64, n as u64);
-        let round_bound = (T52_ROUND_SLACK * shape).ceil() as u64;
-        assert!(
-            res.stats.rounds <= round_bound,
-            "n = {n}, a = {a}: {} rounds exceed O(a log n) bound {round_bound}",
-            res.stats.rounds
-        );
-    }
-}
-
-#[test]
-fn theorem53_palette_and_rounds_within_bounds() {
-    for (g, a) in arboricity_grid() {
-        let n = g.num_vertices();
-        let res = theorem53(&g, a, 2.5, SubroutineConfig::default()).unwrap();
-        assert!(res.coloring.is_proper(&g));
-        let bound = analysis::theorem53_palette(g.max_degree() as u64, a as u64, 2.5);
-        assert!(
-            res.coloring.palette() <= bound,
-            "n = {n}, a = {a}: palette {} exceeds Δ + O(√(Δâ)) bound {bound}",
-            res.coloring.palette()
-        );
-        let shape = analysis::theorem53_time(a as u64, n as u64);
-        let round_bound = (T53_ROUND_SLACK * shape).ceil() as u64;
-        assert!(
-            res.stats.rounds <= round_bound,
-            "n = {n}, a = {a}: {} rounds exceed O(√a log n) bound {round_bound}",
-            res.stats.rounds
-        );
-    }
-}
-
-#[test]
-fn theorem54_palette_and_rounds_within_bounds() {
-    for (g, a) in arboricity_grid() {
-        for x in [2usize, 3] {
-            let n = g.num_vertices();
-            let res = theorem54(&g, a, 2.5, x, SubroutineConfig::default()).unwrap();
-            assert!(res.coloring.is_proper(&g));
-            // The closed form covers the connector levels; the final
-            // Theorem 5.2 stage contributes its own factor (the paper
-            // folds it into the +3 per level asymptotically; at these
-            // laptop-scale Δ the explicit factor-2 slack of the existing
-            // theorem tests applies).
-            let bound =
-                2 * analysis::theorem54_palette(g.max_degree() as u64, a as u64, 2.5, x as u32);
-            assert!(
-                res.coloring.palette() <= bound,
-                "n = {n}, a = {a}, x = {x}: palette {} exceeds (Δ^(1/x)+â^(1/x)+3)^x bound {bound}",
-                res.coloring.palette()
-            );
-            let shape = analysis::theorem54_time(a as u64, 2.5, x as u32, n as u64);
-            let round_bound = (T54_ROUND_SLACK * shape).ceil() as u64;
-            assert!(
-                res.stats.rounds <= round_bound,
-                "n = {n}, a = {a}, x = {x}: {} rounds exceed shape bound {round_bound}",
-                res.stats.rounds
-            );
+        for algo in [
+            Algorithm::T52 { a, q: 2.5 },
+            Algorithm::T53 { a, q: 2.5 },
+            Algorithm::T54 { a, q: 2.5, x: 2 },
+            Algorithm::T54 { a, q: 2.5, x: 3 },
+        ] {
+            assert_within_bounds(algo, &g, &g, None);
         }
     }
 }
 
 /// The same analytic bounds hold when the pipelines run over the mmap
 /// backend — t53/t54 on a spilled CSR root, and the streamed star
-/// connector / cd line-graph paths (the scaling bench's new mmap rows).
+/// connector / cd line-graph paths (the scaling bench's mmap rows).
 /// Equality with the ram results is pinned by the backend-equivalence
 /// suite; this asserts the paper bounds directly on the mmap outputs.
 #[test]
 fn bounds_hold_on_mmap_backend() {
     let root = std::env::temp_dir().join(format!("decolor-bounds-mmap-{}", std::process::id()));
-
-    let g = generators::forest_union(1024, 2, 8, 1).unwrap();
-    let sc = decolor_graph::storage::ShardedCsr::from_graph(root.join("arb"), &g).unwrap();
-    let (n, a) = (g.num_vertices(), 2usize);
-    let t53 = theorem53(&sc, a, 2.5, SubroutineConfig::default()).unwrap();
-    assert!(t53.coloring.is_proper(&g));
-    assert!(
-        t53.coloring.palette() <= analysis::theorem53_palette(g.max_degree() as u64, a as u64, 2.5)
-    );
-    let round_bound =
-        (T53_ROUND_SLACK * analysis::theorem53_time(a as u64, n as u64)).ceil() as u64;
-    assert!(t53.stats.rounds <= round_bound, "t53-mmap rounds");
-    let t54 = theorem54(&sc, a, 2.5, 2, SubroutineConfig::default()).unwrap();
-    assert!(t54.coloring.is_proper(&g));
-    assert!(
-        t54.coloring.palette()
-            <= 2 * analysis::theorem54_palette(g.max_degree() as u64, a as u64, 2.5, 2)
-    );
-    let round_bound =
-        (T54_ROUND_SLACK * analysis::theorem54_time(a as u64, 2.5, 2, n as u64)).ceil() as u64;
-    assert!(t54.stats.rounds <= round_bound, "t54-mmap rounds");
-
-    let rg = generators::random_regular(256, 8, 1).unwrap();
-    let rsc = decolor_graph::storage::ShardedCsr::from_graph(root.join("reg"), &rg).unwrap();
-    let star = star_partition_edge_coloring_spilled(
-        &rsc,
-        &StarPartitionParams::for_levels(&rg, 1),
-        &root.join("conn"),
-    )
-    .unwrap();
-    assert!(star.coloring.is_proper(&rg));
-    assert!(star.coloring.palette() <= analysis::table1_ours_colors(8, 1));
-
-    let params = CdParams::for_levels(rg.max_degree().max(2), 1);
-    let (cd, _) = cd_edge_coloring_spilled(&rsc, &params, &root.join("lg")).unwrap();
-    assert!(cd.is_proper(&rg));
-    // D = 2, S = Δ under the canonical line-graph identification.
-    assert!(cd.palette() <= analysis::cd_palette_product(2, 8, params.t as u64, 1));
-
-    drop(sc);
-    drop(rsc);
+    let cases = [
+        (
+            generators::forest_union(1024, 2, 8, 1).unwrap(),
+            [
+                Algorithm::T53 { a: 2, q: 2.5 },
+                Algorithm::T54 { a: 2, q: 2.5, x: 2 },
+            ],
+        ),
+        (
+            generators::random_regular(256, 8, 1).unwrap(),
+            [Algorithm::Star { x: 1 }, Algorithm::Cd { x: 1 }],
+        ),
+    ];
+    for (i, (g, algos)) in cases.iter().enumerate() {
+        let dir = root.join(i.to_string());
+        let sc = decolor_graph::storage::ShardedCsr::from_graph(dir.join("input"), g).unwrap();
+        for algo in algos {
+            assert_within_bounds(*algo, g, &sc, Some(&dir));
+        }
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
 
