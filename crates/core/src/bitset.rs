@@ -86,6 +86,23 @@ impl PaletteSet {
         }
     }
 
+    /// Makes this set a copy of `other` (same limit, same marks), copying
+    /// only the words in use — the cheap way to extend a shared base set
+    /// with per-decision marks.
+    pub(crate) fn copy_from(&mut self, other: &PaletteSet) {
+        self.limit = other.limit;
+        self.words_in_use = other.words_in_use;
+        let src = other.words();
+        if self.words_in_use <= INLINE_WORDS {
+            self.inline[..src.len()].copy_from_slice(src);
+        } else {
+            if self.spill.len() < src.len() {
+                self.spill.resize(src.len(), 0);
+            }
+            self.spill[..src.len()].copy_from_slice(src);
+        }
+    }
+
     /// The limit this set is currently armed for.
     pub fn limit(&self) -> u64 {
         self.limit
@@ -274,6 +291,30 @@ mod tests {
             mark(1);
         });
         assert_eq!(got, None);
+    }
+
+    #[test]
+    fn copy_from_carries_limit_and_marks() {
+        let mut base = PaletteSet::new();
+        base.reset(70);
+        base.insert(0);
+        base.insert(65);
+        let mut s = PaletteSet::new();
+        s.reset(3);
+        s.insert(1);
+        s.copy_from(&base);
+        assert_eq!(s.limit(), 70);
+        assert!(s.contains(0) && s.contains(65) && !s.contains(1));
+        assert_eq!(s.mex(), Some(1));
+        // The copy is independent of its source, also past the inline words.
+        let mut big = PaletteSet::new();
+        big.reset(INLINE_COLORS + 10);
+        big.insert(INLINE_COLORS + 1);
+        s.copy_from(&big);
+        s.insert(0);
+        assert!(s.contains(INLINE_COLORS + 1));
+        assert_eq!(big.mex(), Some(0));
+        assert_eq!(s.mex(), Some(1));
     }
 
     #[test]

@@ -16,11 +16,23 @@
 
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::subgraph::GraphView;
-use decolor_graph::{num, EdgeId, Graph};
+use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::{Network, NetworkStats};
 use rayon::prelude::*;
 
+use crate::bitset::PaletteSet;
 use crate::error::AlgoError;
+
+/// One crossing edge waiting for its label round.
+#[derive(Clone, Copy)]
+struct Active {
+    label: usize,
+    /// The deciding endpoint (not in `A`).
+    b: VertexId,
+    /// The labelling endpoint (in `A`).
+    a: VertexId,
+    e: EdgeId,
+}
 
 /// Colors `crossing` edges of `net.graph()` into `edge_colors`, given that
 /// each crossing edge has exactly one endpoint with `in_a[v] == true` and
@@ -31,8 +43,9 @@ use crate::error::AlgoError;
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidParameters`] if shapes mismatch or a crossing
-///   edge does not have exactly one `A`-endpoint.
+/// * [`AlgoError::InvalidParameters`] if shapes mismatch, a crossing
+///   edge does not have exactly one `A`-endpoint, or an edge is listed
+///   twice in `crossing`.
 /// * [`AlgoError::InvariantViolated`] if `palette` has no free color for
 ///   some edge (i.e. `palette < Δ + d − 1` was passed).
 pub fn color_crossing_edges<V: GraphView + Sync>(
@@ -43,133 +56,188 @@ pub fn color_crossing_edges<V: GraphView + Sync>(
     palette: u64,
 ) -> Result<(), AlgoError> {
     let g = net.graph();
-    let palette_len = num::to_usize(palette)?;
     if in_a.len() != g.num_vertices() || edge_colors.len() != g.num_edges() {
         return Err(AlgoError::InvalidParameters {
             reason: "in_a / edge_colors shape mismatch".into(),
         });
     }
     // Each A-vertex labels its crossing edges 1, 2, … (local, O(1)).
-    let mut label = vec![0usize; g.num_edges()];
+    // Precolored crossing edges take a label too but never become active.
+    let mut listed = vec![false; g.num_edges()];
     let mut next_label = vec![0usize; g.num_vertices()];
     let mut max_label = 0usize;
+    let mut active: Vec<Active> = Vec::with_capacity(crossing.len());
     for &e in crossing {
-        let [u, v] = g.endpoints(e);
-        let a = match (in_a[u.index()], in_a[v.index()]) {
-            (true, false) => u,
-            (false, true) => v,
-            _ => {
-                return Err(AlgoError::InvalidParameters {
-                    reason: format!("edge {e} does not cross the (A, B) partition"),
-                })
-            }
-        };
-        next_label[a.index()] += 1;
-        label[e.index()] = next_label[a.index()];
-        max_label = max_label.max(next_label[a.index()]);
-    }
-
-    // Incident-color lists are built once and patched incrementally as
-    // edges get colored; every label round broadcasts them through one
-    // reusable flat buffer (no per-round Vec-of-Vec rebuild). The greedy
-    // mex only consumes the *multiset* of incident colors, so appending
-    // newly assigned colors (instead of keeping port order) leaves every
-    // decision identical.
-    let mut incident: Vec<Vec<Color>> = (0..g.num_vertices())
-        .map(|v| {
-            let mut row = Vec::new();
-            g.for_each_incident_edge(decolor_graph::VertexId::new(v), |e| {
-                if let Some(c) = edge_colors[e.index()] {
-                    row.push(c);
-                }
+        let (a, b) = sides(g, in_a, e)?;
+        if std::mem::replace(&mut listed[e.index()], true) {
+            return Err(AlgoError::InvalidParameters {
+                reason: format!("edge {e} is listed twice among the crossing edges"),
             });
-            row
-        })
-        .collect();
-    let mut buf = net.make_buffer::<Vec<Color>>();
-    for round in 1..=max_label {
-        // One round: both endpoints of every edge exchange their current
-        // incident colors (LOCAL messages are unbounded).
-        net.broadcast_into(&incident, &mut buf)?;
-        // Group this round's active edges by their B endpoint, keeping
-        // `crossing` order within each group. Active edges of one round
-        // are vertex-disjoint except at shared B endpoints (labels are
-        // distinct at each A-vertex, and A/B sides never mix), so the
-        // groups are **independent**: the per-B-vertex greedy fans out on
-        // the worker pool — the LOCAL model's "every B-vertex decides
-        // simultaneously" — with decisions identical to the sequential
-        // sweep at any pool size. The receiving port of each active edge
-        // is resolved before the fan-out (the lazy port table is not
-        // shareable across workers).
-        // lint: allow(determinism, "entry()-only first-occurrence numbering over the deterministic crossing scan; the map is never iterated, group order comes from the push order")
-        let mut group_of: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
-        for &e in crossing {
-            if label[e.index()] != round || edge_colors[e.index()].is_some() {
-                continue;
-            }
-            let [u, v] = g.endpoints(e);
-            let b = if in_a[u.index()] { v } else { u };
-            let pb = net.port_of(b, e)?;
-            // lint: allow(cast, "vertex ids fit u32 by the builder's id-width invariant")
-            let gi = *group_of.entry(b.index() as u32).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push((e.index(), pb));
         }
-        let outcomes: Vec<Result<Vec<(usize, Color)>, AlgoError>> = groups
+        next_label[a.index()] += 1;
+        let label = next_label[a.index()];
+        max_label = max_label.max(label);
+        if edge_colors[e.index()].is_none() {
+            active.push(Active { label, b, a, e });
+        }
+    }
+    // Every label round's active edges, grouped by their B endpoint: one
+    // stable sort by (label, B) keeps `crossing` order inside each group.
+    // Active edges of one round are vertex-disjoint except at shared B
+    // endpoints (labels are distinct at each A-vertex, and A/B sides
+    // never mix), so the groups are **independent** and fan out on the
+    // worker pool — the LOCAL model's "every B-vertex decides
+    // simultaneously" — with decisions identical to the sequential sweep
+    // at any pool size.
+    active.sort_by_key(|x| (x.label, x.b));
+
+    let mut incident = IncidentColors::new(g, edge_colors);
+    // In every round both endpoints of every edge exchange their current
+    // incident colors (LOCAL messages are unbounded). The deciding B
+    // endpoint reads the A endpoint's list straight from `incident`:
+    // the lists are patched only after the round's decisions, so a live
+    // read is the round's snapshot. The round is charged as the
+    // `Vec<Color>` broadcast it stands for.
+    let round_cost = net.broadcast_cost::<Vec<Color>>();
+    let workers = rayon::current_num_threads();
+    let mut pending = &active[..];
+    for round in 1..=max_label {
+        net.absorb_sequential(round_cost);
+        let (now, later) = pending.split_at(pending.partition_point(|x| x.label <= round));
+        pending = later;
+        let batches = batches(now, workers);
+        let chosen: Vec<Result<Vec<Color>, AlgoError>> = batches
             .par_iter()
-            .map(|edges| {
-                // Within one B-vertex, its active edges are handled
-                // sequentially (a single processor).
-                let mut assigned: Vec<(usize, Color)> = Vec::with_capacity(edges.len());
-                for &(ei, pb) in edges {
-                    let e = EdgeId::new(ei);
-                    let [u, v] = g.endpoints(e);
-                    let b = if in_a[u.index()] { v } else { u };
-                    let mut used = vec![false; palette_len];
-                    // Colors around b (local knowledge).
-                    for &c in &incident[b.index()] {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
-                        }
-                    }
-                    // Colors around a (received this round over edge e).
-                    for &c in buf.msg(b, pb) {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
-                        }
-                    }
-                    // Colors b already gave its other active edges this
-                    // round.
-                    for &(_, c) in &assigned {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
-                        }
-                    }
-                    let free = used.iter().position(|&t| !t).ok_or_else(|| {
-                        AlgoError::InvariantViolated {
-                            reason: format!(
-                                "palette {palette} exhausted at edge {e} (needs Δ + d − 1)"
-                            ),
-                        }
-                    })? as Color;
-                    assigned.push((ei, free));
-                }
-                Ok(assigned)
-            })
+            .map(|batch| decide(batch, &incident, palette))
             .collect();
-        for outcome in outcomes {
-            for (i, c) in outcome? {
-                edge_colors[i] = Some(c);
-                let [u, v] = g.endpoints(EdgeId::new(i));
-                incident[u.index()].push(c);
-                incident[v.index()].push(c);
+        for (batch, colors) in batches.iter().zip(chosen) {
+            for (x, c) in batch.iter().zip(colors?) {
+                edge_colors[x.e.index()] = Some(c);
+                incident.push(x.a, c);
+                incident.push(x.b, c);
             }
         }
     }
     Ok(())
+}
+
+/// The `(A, B)` endpoints of crossing edge `e`.
+fn sides<V: GraphView>(g: &V, in_a: &[bool], e: EdgeId) -> Result<(VertexId, VertexId), AlgoError> {
+    let [u, v] = g.endpoints(e);
+    match (in_a[u.index()], in_a[v.index()]) {
+        (true, false) => Ok((u, v)),
+        (false, true) => Ok((v, u)),
+        _ => Err(AlgoError::InvalidParameters {
+            reason: format!("edge {e} does not cross the (A, B) partition"),
+        }),
+    }
+}
+
+/// The colors of every vertex's colored incident edges in one flat table:
+/// vertex `v`'s row is `colors[off[v]..off[v] + len[v]]`, inside the
+/// `deg(v)` slots reserved for it. The greedy mex consumes only the
+/// *multiset* of a row, so appending newly assigned colors (instead of
+/// keeping port order) leaves every decision identical. A row never
+/// overflows: each edge is colored once, since precolored edges never
+/// become active and `color_crossing_edges` rejects repeated edges.
+struct IncidentColors {
+    off: Vec<usize>,
+    len: Vec<usize>,
+    colors: Vec<Color>,
+}
+
+impl IncidentColors {
+    fn new<V: GraphView>(g: &V, edge_colors: &[Option<Color>]) -> IncidentColors {
+        let n = g.num_vertices();
+        let mut off = Vec::with_capacity(n + 1);
+        let mut slots = 0usize;
+        for v in 0..n {
+            off.push(slots);
+            slots += g.degree(VertexId::new(v));
+        }
+        off.push(slots);
+        let mut table = IncidentColors {
+            off,
+            len: vec![0; n],
+            colors: vec![0; slots],
+        };
+        for v in (0..n).map(VertexId::new) {
+            g.for_each_incident_edge(v, |e| {
+                if let Some(c) = edge_colors[e.index()] {
+                    table.push(v, c);
+                }
+            });
+        }
+        table
+    }
+
+    fn row(&self, v: VertexId) -> &[Color] {
+        let start = self.off[v.index()];
+        &self.colors[start..start + self.len[v.index()]]
+    }
+
+    fn push(&mut self, v: VertexId, c: Color) {
+        self.colors[self.off[v.index()] + self.len[v.index()]] = c;
+        self.len[v.index()] += 1;
+    }
+}
+
+/// Splits one round's grouped active edges into about `parts` contiguous
+/// batches of similar edge counts, cutting only between B groups.
+fn batches(now: &[Active], parts: usize) -> Vec<&[Active]> {
+    let size = now.len().div_ceil(parts.max(1)).max(1);
+    let mut out = Vec::with_capacity(parts);
+    let mut rest = now;
+    while !rest.is_empty() {
+        let mut end = size.min(rest.len());
+        while end < rest.len() && rest[end].b == rest[end - 1].b {
+            end += 1;
+        }
+        let (batch, tail) = rest.split_at(end);
+        out.push(batch);
+        rest = tail;
+    }
+    out
+}
+
+/// The greedy choices of one batch of B groups, in batch order. Each B
+/// vertex handles its active edges sequentially (a single processor):
+/// an edge takes the smallest color free around both endpoints and not
+/// yet given to an earlier active edge of the same B vertex.
+fn decide(
+    batch: &[Active],
+    incident: &IncidentColors,
+    palette: u64,
+) -> Result<Vec<Color>, AlgoError> {
+    // Colors around b (local knowledge) plus those b already gave out
+    // this round; `set` extends it with the colors around a (received
+    // this round over e).
+    let mut around_b = PaletteSet::new();
+    let mut set = PaletteSet::new();
+    let mut chosen = Vec::with_capacity(batch.len());
+    let mut current = None;
+    for x in batch {
+        if current != Some(x.b) {
+            current = Some(x.b);
+            around_b.reset(palette);
+            for &c in incident.row(x.b) {
+                around_b.insert(u64::from(c));
+            }
+        }
+        set.copy_from(&around_b);
+        for &c in incident.row(x.a) {
+            set.insert(u64::from(c));
+        }
+        let free = set.mex().ok_or_else(|| AlgoError::InvariantViolated {
+            reason: format!(
+                "palette {palette} exhausted at edge {} (needs Δ + d − 1)",
+                x.e
+            ),
+        })?;
+        around_b.insert(free);
+        chosen.push(free as Color);
+    }
+    Ok(chosen)
 }
 
 /// The "empty-precoloring" specialization: colors **all** edges of a graph
@@ -276,6 +344,42 @@ mod tests {
             0,
             "precolored edge must not change"
         );
+    }
+
+    #[test]
+    fn duplicate_crossing_edge_rejected() {
+        let g = generators::star(4).unwrap();
+        let in_a = vec![false, true, true, true];
+        let mut colors = vec![None; 3];
+        let mut net = Network::new(&g);
+        let twice = [EdgeId::new(0), EdgeId::new(1), EdgeId::new(0)];
+        assert!(color_crossing_edges(&mut net, &in_a, &mut colors, &twice, 10).is_err());
+    }
+
+    #[test]
+    fn precolored_crossing_edge_keeps_its_color_and_its_label() {
+        // A = {0} with crossing edges (0,1) precolored 0 and (0,2): the
+        // precolored edge still takes label 1, so the other one is
+        // decided in round 2 and must avoid color 0.
+        let g = decolor_graph::builder_from_edges(3, &[(0, 1), (0, 2)]).unwrap();
+        let in_a = vec![true, false, false];
+        let mut colors = vec![Some(0), None];
+        let mut net = Network::new(&g);
+        let crossing = [EdgeId::new(0), EdgeId::new(1)];
+        color_crossing_edges(&mut net, &in_a, &mut colors, &crossing, 5).unwrap();
+        assert_eq!(colors, vec![Some(0), Some(1)]);
+        assert_eq!(net.stats().rounds, 2);
+    }
+
+    #[test]
+    fn label_rounds_are_charged_as_broadcasts() {
+        let g = generators::complete_bipartite(3, 5).unwrap();
+        let in_a: Vec<bool> = (0..8).map(|v| v < 3).collect();
+        let (_, stats) = one_sided_edge_coloring(&g, &in_a, 7).unwrap();
+        let per_round = Network::new(&g).broadcast_cost::<Vec<Color>>();
+        assert_eq!(stats.rounds, 5);
+        assert_eq!(stats.messages, 5 * per_round.messages);
+        assert_eq!(stats.payload_bytes, 5 * per_round.payload_bytes);
     }
 
     #[test]

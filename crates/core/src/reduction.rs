@@ -15,7 +15,7 @@
 use decolor_graph::coloring::Color;
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{num, EdgeId, VertexId};
-use decolor_runtime::{Network, NetworkStats, RoundBuffer};
+use decolor_runtime::{Network, RoundBuffer};
 
 use crate::bitset::PaletteSet;
 use crate::error::AlgoError;
@@ -232,14 +232,8 @@ pub fn edge_palette_trim<V: GraphView>(
     // Each round every vertex still broadcasts its incident-color list
     // (LOCAL messages are unbounded); the exchange is realized by
     // reading the flat table directly, charged at exactly the ledger
-    // cost of the `Vec<Color>`-message broadcast it replaces: one
-    // message per (vertex, port) pair, `size_of::<Vec<Color>>()` bytes
-    // per message.
-    let round_cost = NetworkStats {
-        rounds: 1,
-        messages: num::to_u64(acc),
-        payload_bytes: num::to_u64(acc) * num::to_u64(std::mem::size_of::<Vec<Color>>()),
-    };
+    // cost of the `Vec<Color>`-message broadcast it replaces.
+    let round_cost = net.broadcast_cost::<Vec<Color>>();
     let mut set = PaletteSet::new();
     let mut updates: Vec<(EdgeId, Color)> = Vec::new();
     for top in (target..palette).rev() {

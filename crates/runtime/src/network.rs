@@ -201,9 +201,7 @@ impl<'g, V: GraphView> Network<'g, V> {
                 return Err(e);
             }
         };
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        self.stats = self.stats.then(round_cost::<M>(messages));
         Ok(())
     }
 
@@ -272,9 +270,7 @@ impl<'g, V: GraphView> Network<'g, V> {
             buf.set_full(v);
             messages += num::to_u64(self.graph.degree(v));
         }
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        self.stats = self.stats.then(round_cost::<M>(messages));
         Ok(())
     }
 
@@ -311,9 +307,7 @@ impl<'g, V: GraphView> Network<'g, V> {
                 row
             })
             .collect();
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        self.stats = self.stats.then(round_cost::<M>(messages));
         Ok(inbox)
     }
 
@@ -383,9 +377,7 @@ impl<'g, V: GraphView> Network<'g, V> {
                 return Err(err);
             }
         }
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        self.stats = self.stats.then(round_cost::<M>(messages));
         Ok(())
     }
 
@@ -443,9 +435,7 @@ impl<'g, V: GraphView> Network<'g, V> {
             );
         }
         let messages = 2 * num::to_u64(edges.len());
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        self.stats = self.stats.then(round_cost::<M>(messages));
         Ok(())
     }
 
@@ -471,6 +461,19 @@ impl<'g, V: GraphView> Network<'g, V> {
         Ok(buf.take_per_edge())
     }
 
+    /// What one [`Network::broadcast_into`] of `M` values adds to the
+    /// ledger: one round and one `size_of::<M>()`-byte message per
+    /// (vertex, port) pair. Pipelines that realize a broadcast by reading
+    /// a shared table in place charge this with
+    /// [`Network::absorb_sequential`], so their ledger matches the
+    /// materialized exchange bit for bit.
+    pub fn broadcast_cost<M>(&self) -> NetworkStats {
+        let messages = (0..self.graph.num_vertices())
+            .map(|v| num::to_u64(self.graph.degree(VertexId::new(v))))
+            .sum();
+        round_cost::<M>(messages)
+    }
+
     /// Charges `rounds` of *local restructuring* to the ledger without
     /// exchanging messages — the paper's "performed in O(1) rounds"
     /// bookkeeping for connector constructions and virtual-vertex setup.
@@ -488,6 +491,15 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// recorded so far.
     pub fn absorb_sequential(&mut self, phase: NetworkStats) {
         self.stats = self.stats.then(phase);
+    }
+}
+
+/// The ledger charge of one round delivering `messages` values of type `M`.
+fn round_cost<M>(messages: u64) -> NetworkStats {
+    NetworkStats {
+        rounds: 1,
+        messages,
+        payload_bytes: messages * num::to_u64(std::mem::size_of::<M>()),
     }
 }
 

@@ -2,8 +2,12 @@
 //! borrowed subgraph view and on the materialized subgraph the view
 //! stands for: same inboxes, same port tags, same port table answers,
 //! same [`NetworkStats`] ledger. This is the foundation the view-generic
-//! pipelines (CD-Coloring, Theorems 5.2–5.4) rest on.
+//! pipelines (CD-Coloring, Theorems 5.2–5.4) rest on. The ledger
+//! charge a pipeline books for an in-place broadcast
+//! ([`Network::broadcast_cost`]) is pinned here against the real
+//! exchange on each topology.
 
+use decolor_graph::storage::ShardedCsr;
 use decolor_graph::subgraph::{
     EdgeSubgraphView, GraphView, InducedSubgraph, InducedSubgraphView, SpanningEdgeSubgraph,
 };
@@ -135,4 +139,47 @@ fn full_view_is_the_graph() {
     net_v.broadcast_into(&values, &mut buf_v).unwrap();
     assert_eq!(rows(&net_g, &buf_g), rows(&net_v, &buf_v));
     assert_eq!(net_g.stats(), net_v.stats());
+}
+
+/// `broadcast_cost` is exactly what one real `broadcast_into` adds to the
+/// ledger, on every topology: a whole graph, an edge-subset view and the
+/// out-of-core sharded CSR.
+#[test]
+fn broadcast_cost_matches_a_real_broadcast() {
+    fn check<V: GraphView, M: Clone + Default>(name: &str, topology: &V, values: &[M]) {
+        let mut net = Network::new(topology);
+        let mut buf = net.make_buffer::<M>();
+        // A non-empty ledger first: the cost is a delta, not a total.
+        net.broadcast_into(values, &mut buf).unwrap();
+        let before = net.stats();
+        let cost = net.broadcast_cost::<M>();
+        net.broadcast_into(values, &mut buf).unwrap();
+        let after = net.stats();
+        assert_eq!(cost.rounds, after.rounds - before.rounds, "{name}: rounds");
+        assert_eq!(
+            cost.messages,
+            after.messages - before.messages,
+            "{name}: messages"
+        );
+        assert_eq!(
+            cost.payload_bytes,
+            after.payload_bytes - before.payload_bytes,
+            "{name}: payload bytes"
+        );
+    }
+    let g = generators::barabasi_albert(200, 3, 4).unwrap();
+    let lists: Vec<Vec<u32>> = (0..200u32).map(|v| (0..v % 5).collect()).collect();
+    let words: Vec<u64> = (0..200u64).collect();
+    let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 != 0).collect();
+    let view = EdgeSubgraphView::new(&g, class).unwrap();
+    let dir = std::env::temp_dir().join(format!("decolor-bcost-{}", std::process::id()));
+    let csr = ShardedCsr::from_graph(&dir, &g).unwrap();
+    check("graph", &g, &lists);
+    check("graph", &g, &words);
+    check("edge view", &view, &lists);
+    check("edge view", &view, &words);
+    check("sharded csr", &csr, &lists);
+    check("sharded csr", &csr, &words);
+    drop(csr);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
