@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use decolor_bench::{arboricity_workload, regular_workload};
-use decolor_core::arboricity::theorem52_with_intra_levels;
+use decolor_core::arboricity::theorem52_on;
 use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::delta_plus_one::SubroutineConfig;
 use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
@@ -45,10 +45,7 @@ fn bench_ablations(c: &mut Criterion) {
     let ga = arboricity_workload(300, 3, 10, 7);
     for intra in [1usize, 2] {
         group.bench_function(format!("t52_intra_levels_{intra}"), |b| {
-            b.iter(|| {
-                theorem52_with_intra_levels(&ga, 3, 2.5, intra, SubroutineConfig::default())
-                    .unwrap()
-            });
+            b.iter(|| theorem52_on(&ga, &ga, 3, 2.5, intra, SubroutineConfig::default()).unwrap());
         });
     }
     group.finish();

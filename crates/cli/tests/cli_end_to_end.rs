@@ -85,16 +85,17 @@ fn mmap_backend_colors_out_of_core() {
         assert!(left.is_empty(), "{algo} left mmap scratch behind: {left:?}");
     }
 
-    // Error exit *after* the graph was spilled (q < 2 fails inside the
-    // algorithm): scratch must be gone too.
+    // Error exit *after* the graph was spilled (an â = ⌈q·a⌉ past usize
+    // passes the spec parser and fails inside the algorithm): scratch
+    // must be gone too.
     let (ok, _, stderr) = decolor(&[
         "color",
-        "t52:a=2,q=1.0",
+        "t52:a=2,q=1e300",
         "grid:rows=5,cols=5",
         "--backend",
         "mmap",
     ]);
-    assert!(!ok, "q < 2 should fail");
+    assert!(!ok, "an overflowing â should fail");
     assert!(stderr.contains("q"), "{stderr}");
     let left = leftover();
     assert!(
@@ -243,6 +244,15 @@ fn malformed_graph_json_is_a_clean_error() {
         assert!(!stderr.contains("panicked"), "{name}: panic: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn degenerate_theorem_parameters_are_rejected() {
+    for algo in ["t52:q=inf", "t52:q=NaN", "t52:a=0"] {
+        let (ok, stdout, stderr) = decolor(&["color", algo, "grid:rows=6,cols=6", "--verify"]);
+        assert!(!ok, "{algo} accepted: {stdout}");
+        assert!(stderr.contains("invalid parameters"), "{algo}: {stderr}");
+    }
 }
 
 #[test]

@@ -371,12 +371,21 @@ impl FromStr for Algorithm {
             other => return Err(invalid(format!("unknown algorithm `{other}`"))),
         };
         p.finish()?;
-        if let Algorithm::Star { x: 0 } | Algorithm::Cd { x: 0 } | Algorithm::T54 { x: 0, .. } =
-            algo
-        {
-            return Err(invalid("x must be ≥ 1".into()));
+        match algo {
+            Algorithm::Star { x: 0 } | Algorithm::Cd { x: 0 } | Algorithm::T54 { x: 0, .. } => {
+                Err(invalid("x must be ≥ 1".into()))
+            }
+            Algorithm::T52 { a: 0, .. }
+            | Algorithm::T53 { a: 0, .. }
+            | Algorithm::T54 { a: 0, .. }
+            | Algorithm::C55 { a: 0 } => Err(invalid("a must be ≥ 1".into())),
+            Algorithm::T52 { q, .. } | Algorithm::T53 { q, .. } | Algorithm::T54 { q, .. }
+                if !q.is_finite() || q < 2.0 =>
+            {
+                Err(invalid(format!("q = {q} must be finite and ≥ 2")))
+            }
+            _ => Ok(algo),
         }
-        Ok(algo)
     }
 }
 
@@ -420,6 +429,12 @@ mod tests {
             "star:x=1,x=2",
             "zzz",
             "c55:q=3",
+            "t52:q=inf",
+            "t52:q=NaN",
+            "t53:q=-inf",
+            "t54:q=1.5",
+            "t52:a=0",
+            "c55:a=0",
         ] {
             assert!(bad.parse::<Algorithm>().is_err(), "{bad} parsed");
         }

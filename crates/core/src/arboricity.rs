@@ -19,7 +19,9 @@
 //! CSR through the topology-generic LOCAL simulator — Theorem 5.2 itself
 //! is view-generic ([`h_partition`], the intra star partition, and the
 //! Lemma 5.1 merges all simulate rounds on the view), so no per-class
-//! spanning subgraph, port table, or network is materialized. The
+//! spanning subgraph, port table, or network is materialized. Theorem
+//! 5.3's class step and every Theorem 5.4 level end in the shared ⟨ϕ, ψ⟩
+//! class product (`product::color_classes`). The
 //! pre-view implementations are kept as [`theorem52_reference`],
 //! [`theorem53_reference`], and [`theorem54_reference`]; the equivalence
 //! tests pin colorings, palettes, and [`NetworkStats`] bit-identical
@@ -39,6 +41,7 @@ use crate::crossing_merge::{color_crossing_edges, one_sided_edge_coloring};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
 use crate::h_partition::h_partition;
+use crate::product::color_classes;
 use crate::star_partition::{
     star_partition_edge_coloring, star_partition_edge_coloring_on, StarPartitionParams,
 };
@@ -49,14 +52,32 @@ use decolor_graph::num;
 /// reference path (subgraph, colors, palette, stats).
 type ClassOutcome = (SpanningEdgeSubgraph, Vec<Color>, u64, NetworkStats);
 
-/// The paper's a-hat = ceil(q * a) degree bound for the H-partition, clamped to >= 1.
-fn qa_ceil(q: f64, a: usize) -> usize {
-    let v = (q * num::approx_f64(a.max(1))).ceil();
-    // lint: allow(cast, "q is validated finite and >= 2, so the ceiling is positive; counts near 2^53 are unreachable")
-    (v as usize).max(1)
+/// The paper's â = ⌈q·a⌉ degree bound for the H-partition, clamped to
+/// ≥ 1, for a speed parameter `q` that is finite and ≥ 2.
+///
+/// # Errors
+///
+/// [`AlgoError::InvalidParameters`] for any other `q`, or when â does
+/// not fit a `usize`.
+fn a_hat(q: f64, a: usize) -> Result<usize, AlgoError> {
+    if !q.is_finite() || q < 2.0 {
+        return Err(AlgoError::InvalidParameters {
+            reason: format!("q = {q} must be finite and ≥ 2 (+ε)"),
+        });
+    }
+    let d = num::f64_to_usize((q * num::approx_f64(a.max(1))).ceil()).map_err(|_| {
+        AlgoError::InvalidParameters {
+            reason: format!("â = ⌈q·a⌉ with a = {a} does not fit a usize (q too large)"),
+        }
+    })?;
+    Ok(d.max(1))
 }
-/// Child outcome of a view-based class recursion (colors, palette, stats).
-type ViewOutcome = Result<Option<(Vec<Color>, u64, NetworkStats)>, AlgoError>;
+
+/// [`a_hat`] without its checks, saturating at `usize::MAX` — the form
+/// the materializing reference paths use.
+fn qa_ceil(q: f64, a: usize) -> usize {
+    num::f64_to_usize((q * num::approx_f64(a.max(1))).ceil()).map_or(usize::MAX, |d| d.max(1))
+}
 
 /// Result of the Section 5 edge colorings.
 #[derive(Clone, Debug)]
@@ -102,34 +123,15 @@ fn empty_coloring() -> Result<ArboricityColoring, AlgoError> {
 ///
 /// # Errors
 ///
-/// [`AlgoError::InvalidParameters`] if `q < 2` or `a` underestimates the
-/// arboricity badly enough to stall the peeling.
+/// [`AlgoError::InvalidParameters`] if `q` is not finite, `q < 2`, or
+/// `a` underestimates the arboricity badly enough to stall the peeling.
 pub fn theorem52<G: GraphView + Sync>(
     g: &G,
     a: usize,
     q: f64,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
-    theorem52_with_intra_levels(g, a, q, 1, cfg)
-}
-
-/// Theorem 5.2 with the proof's remark applied: "this step can be
-/// computed much faster in the expense of increasing the constant of the
-/// number of colors O(a). See Theorem 4.1." — the intra-H-set edges are
-/// colored with an `intra_levels`-deep star partition (2^{x+1}d instead
-/// of 4d colors, fewer rounds).
-///
-/// # Errors
-///
-/// Same as [`theorem52`], plus `intra_levels == 0`.
-pub fn theorem52_with_intra_levels<G: GraphView + Sync>(
-    g: &G,
-    a: usize,
-    q: f64,
-    intra_levels: usize,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    theorem52_on(g, g, a, q, intra_levels, cfg)
+    theorem52_on(g, g, a, q, 1, cfg)
 }
 
 /// The view-generic realization of Theorem 5.2: runs on any
@@ -141,9 +143,15 @@ pub fn theorem52_with_intra_levels<G: GraphView + Sync>(
 /// [`Network`], so decisions **and** [`NetworkStats`] are bit-identical
 /// to the materializing path.
 ///
+/// `intra_levels` applies the proof's remark: "this step can be computed
+/// much faster in the expense of increasing the constant of the number of
+/// colors O(a). See Theorem 4.1." — the intra-H-set edges are colored
+/// with an `intra_levels`-deep star partition (2^{x+1}d instead of 4d
+/// colors, fewer rounds); [`theorem52`] uses 1.
+///
 /// # Errors
 ///
-/// As [`theorem52_with_intra_levels`].
+/// As [`theorem52`], plus `intra_levels == 0`.
 pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     root: &R,
     view: &V,
@@ -155,17 +163,12 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     if view.num_edges() == 0 {
         return empty_coloring();
     }
-    if q < 2.0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("q = {q} must be ≥ 2 (+ε)"),
-        });
-    }
+    let d = a_hat(q, a)?;
     if intra_levels == 0 {
         return Err(AlgoError::InvalidParameters {
             reason: "intra_levels must be ≥ 1".into(),
         });
     }
-    let d = qa_ceil(q, a);
     let delta = num::to_u64(view.max_degree());
     let hp = h_partition(view, d)?;
     let mut stats = hp.stats;
@@ -346,7 +349,8 @@ pub fn theorem52_reference(
 ///
 /// # Errors
 ///
-/// Propagates parameter errors from the H-partition and Theorem 5.2.
+/// [`AlgoError::InvalidParameters`] if `q` is not finite or `q < 2`;
+/// propagates parameter errors from the H-partition and Theorem 5.2.
 pub fn theorem53<G: GraphView + Sync>(
     g: &G,
     a: usize,
@@ -392,7 +396,7 @@ fn theorem53_head<G: GraphView + Sync>(
     if g.num_edges() == 0 {
         return Ok(None);
     }
-    let d = qa_ceil(q, a);
+    let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
     let hp = h_partition(g, d)?;
     let orient = hp.orientation(g);
@@ -408,13 +412,12 @@ fn theorem53_head<G: GraphView + Sync>(
     Ok(Some((orient, phi, stats.then(phi_stats))))
 }
 
-/// Maximum out-degree over the class under `orient` — what the reference
-/// path reads off `Orientation::max_out_degree` of the restricted
-/// orientation, computed here without materializing either.
-fn class_max_out_degree<G: GraphView>(g: &G, orient: &Orientation, class: &[EdgeId]) -> usize {
+/// Maximum out-degree of the edges of `g` oriented by `arcs` (edge, head)
+/// — what the reference paths read off `Orientation::max_out_degree` of a
+/// restricted orientation, computed here without materializing either.
+fn max_out_degree<G: GraphView>(g: &G, arcs: impl Iterator<Item = (EdgeId, VertexId)>) -> usize {
     let mut out_deg = vec![0u32; g.num_vertices()];
-    for &e in class {
-        let head = orient.head(e);
+    for (e, head) in arcs {
         let [u, v] = g.endpoints(e);
         debug_assert!(head == u || head == v, "orientation heads are endpoints");
         let tail = if head == u { v } else { u };
@@ -432,51 +435,19 @@ fn combine_classes_on<G: GraphView + Sync>(
     phi: &EdgeColoring,
     q: f64,
     cfg: SubroutineConfig,
-    mut stats: NetworkStats,
+    stats: NetworkStats,
 ) -> Result<ArboricityColoring, AlgoError> {
-    let classes = phi.classes();
-    let outcomes: Vec<ViewOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let view = EdgeSubgraphView::new(g, class.clone()).map_err(AlgoError::bad_view)?;
-            let a_sub = class_max_out_degree(g, orient, class).max(1);
-            let psi = theorem52_on(g, &view, a_sub, q, 1, cfg)?;
-            Ok(Some((
-                psi.coloring.as_slice().to_vec(),
-                psi.coloring.palette(),
-                psi.stats,
-            )))
-        })
-        .collect();
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-    let inner = results
-        .iter()
-        .flatten()
-        .map(|(_, p, _)| *p)
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (class, result) in classes.iter().zip(&results) {
-        let Some((colors, _, _)) = result else {
-            continue;
-        };
-        for (local, &parent) in class.iter().enumerate() {
-            let combined = u64::from(phi.color(parent)) * inner + u64::from(colors[local]);
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|(_, _, s)| *s),
-    ));
+    let (out, inner, children) = color_classes(g.num_edges(), &phi.classes(), |class| {
+        let view = EdgeSubgraphView::new(g, class.to_vec()).map_err(AlgoError::bad_view)?;
+        let a_sub = max_out_degree(g, class.iter().map(|&e| (e, orient.head(e)))).max(1);
+        let psi = theorem52_on(g, &view, a_sub, q, 1, cfg)?;
+        Ok((
+            psi.coloring.as_slice().to_vec(),
+            psi.coloring.palette(),
+            psi.stats,
+        ))
+    })?;
+    let stats = stats.then(children);
     let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
         AlgoError::InvariantViolated {
             reason: e.to_string(),
@@ -571,7 +542,8 @@ fn combine_classes_reference(
 ///
 /// # Errors
 ///
-/// [`AlgoError::InvalidParameters`] if `x == 0` or `q < 2`.
+/// [`AlgoError::InvalidParameters`] if `x == 0`, `q` is not finite or
+/// `q < 2`.
 pub fn theorem54<G: GraphView + Sync>(
     g: &G,
     a: usize,
@@ -587,7 +559,7 @@ pub fn theorem54<G: GraphView + Sync>(
     if g.num_edges() == 0 {
         return empty_coloring();
     }
-    let d = qa_ceil(q, a);
+    let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
     let hp = h_partition(g, d)?;
     let orient = hp.orientation(g);
@@ -703,16 +675,10 @@ fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
         return Ok((vec![], 1, NetworkStats::default()));
     }
     if levels == 1 {
-        // The reference reads this off the restricted orientation; here
-        // it is the max per-tail count of the view's own head slice.
-        let mut out_deg = vec![0u32; view.num_vertices()];
-        for e in (0..view.num_edges()).map(EdgeId::new) {
-            let head = heads[e.index()];
-            let [u, v] = view.endpoints(e);
-            let tail = if head == u { v } else { u };
-            out_deg[tail.index()] += 1;
-        }
-        let a_cur = num::usize_from(out_deg.iter().copied().max().unwrap_or(0)).max(1);
+        let arcs = (0..view.num_edges())
+            .map(EdgeId::new)
+            .zip(heads.iter().copied());
+        let a_cur = max_out_degree(view, arcs).max(1);
         let t52 = theorem52_on(root, view, a_cur, ctx.q, 1, ctx.cfg)?;
         return Ok((
             t52.coloring.as_slice().to_vec(),
@@ -723,58 +689,19 @@ fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
     let (conn, in_a) = bipartite_orientation_connector_on(view, heads, ctx.s_in, ctx.s_out)?;
     let palette_conn = num::to_u64(ctx.s_in + ctx.s_out - 1);
     let (phi, phi_stats) = one_sided_edge_coloring(&conn, &in_a, palette_conn)?;
-    let mut stats = NetworkStats {
+    let stats = NetworkStats {
         rounds: 1,
         ..Default::default()
     }
     .then(phi_stats);
 
-    let classes = phi.classes();
-    let outcomes: Vec<ViewOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let parent_ids: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
-            let child = EdgeSubgraphView::new(root, parent_ids).map_err(AlgoError::bad_view)?;
-            let child_heads: Vec<VertexId> = class.iter().map(|&e| heads[e.index()]).collect();
-            Ok(Some(t54_level_on(
-                root,
-                &child,
-                &child_heads,
-                ctx,
-                levels - 1,
-            )?))
-        })
-        .collect();
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-    let inner = results
-        .iter()
-        .flatten()
-        .map(|(_, p, _)| *p)
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; view.num_edges()];
-    for (class, result) in classes.iter().zip(&results) {
-        let Some((colors, _, _)) = result else {
-            continue;
-        };
-        for (local, &view_edge) in class.iter().enumerate() {
-            let combined = u64::from(phi.color(view_edge)) * inner + u64::from(colors[local]);
-            out[view_edge.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|(_, _, s)| *s),
-    ));
-    Ok((out, palette_conn * inner, stats))
+    let (out, inner, children) = color_classes(view.num_edges(), &phi.classes(), |class| {
+        let parent_ids: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
+        let child = EdgeSubgraphView::new(root, parent_ids).map_err(AlgoError::bad_view)?;
+        let child_heads: Vec<VertexId> = class.iter().map(|&e| heads[e.index()]).collect();
+        t54_level_on(root, &child, &child_heads, ctx, levels - 1)
+    })?;
+    Ok((out, palette_conn * inner, stats.then(children)))
 }
 
 /// One Theorem 5.4 level of the **materializing reference path**.
@@ -1026,8 +953,23 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         let g = workload(50, 2, 4, 8);
-        assert!(theorem52(&g, 2, 1.0, SubroutineConfig::default()).is_err());
-        assert!(theorem54(&g, 2, 2.5, 0, SubroutineConfig::default()).is_err());
+        let cfg = SubroutineConfig::default();
+        assert!(theorem52(&g, 2, 1.0, cfg).is_err());
+        assert!(theorem54(&g, 2, 2.5, 0, cfg).is_err());
+        // Non-finite and overflowing q are parameter errors on every
+        // view entry point, not a wrapped or saturated â.
+        for q in [f64::NAN, f64::INFINITY, 1e300] {
+            for res in [
+                theorem52(&g, 2, q, cfg),
+                theorem53(&g, 2, q, cfg),
+                theorem54(&g, 2, q, 2, cfg),
+            ] {
+                assert!(
+                    matches!(res, Err(AlgoError::InvalidParameters { .. })),
+                    "q = {q}"
+                );
+            }
+        }
         assert!(theorem52_reference(&g, 2, 1.0, SubroutineConfig::default()).is_err());
         assert!(theorem54_reference(&g, 2, 2.5, 0, SubroutineConfig::default()).is_err());
     }
@@ -1052,8 +994,9 @@ mod tests {
     #[test]
     fn theorem52_intra_levels_tradeoff() {
         let g = workload(500, 3, 12, 10);
-        let slow = theorem52_with_intra_levels(&g, 3, 2.5, 1, SubroutineConfig::default()).unwrap();
-        let fast = theorem52_with_intra_levels(&g, 3, 2.5, 2, SubroutineConfig::default()).unwrap();
+        let cfg = SubroutineConfig::default();
+        let slow = theorem52_on(&g, &g, 3, 2.5, 1, cfg).unwrap();
+        let fast = theorem52_on(&g, &g, 3, 2.5, 2, cfg).unwrap();
         assert!(slow.coloring.is_proper(&g));
         assert!(fast.coloring.is_proper(&g));
         // Deeper intra recursion may cost more colors but never breaks
@@ -1061,6 +1004,6 @@ mod tests {
         let delta = g.max_degree() as u64;
         let d = (2.5f64 * 3.0).ceil() as u64;
         assert!(fast.coloring.palette() <= (8 * d + 1).max(delta + d));
-        assert!(theorem52_with_intra_levels(&g, 3, 2.5, 0, SubroutineConfig::default()).is_err());
+        assert!(theorem52_on(&g, &g, 3, 2.5, 0, cfg).is_err());
     }
 }

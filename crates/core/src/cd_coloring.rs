@@ -8,7 +8,9 @@
 //! level (Lemma 2.3). After `x` levels the subgraphs have cliques of size
 //! ≈ S/tˣ and degree ≤ D(⌈S/tˣ⌉ − 1), so they are colored directly. The
 //! final color of a vertex is the pair ⟨ϕ, ψ⟩ (line 15 of Algorithm 1),
-//! encoded canonically.
+//! encoded canonically by the shared class product
+//! (`product::color_classes`) that also closes the star-partition,
+//! Theorem 5.3/5.4 and decomposition recursions.
 //!
 //! Per §3, Linial's O(Δ²)-coloring is computed **once** on the input
 //! graph; every recursive subroutine call is seeded with the inherited
@@ -29,6 +31,7 @@ use crate::connectors::clique::{clique_connector, clique_connector_on};
 use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
 use crate::error::AlgoError;
 use crate::linial;
+use crate::product::color_classes;
 use crate::util::integer_root;
 use decolor_graph::num;
 
@@ -249,6 +252,19 @@ fn finish_cd<G: GraphView>(
     })
 }
 
+/// The inherited seed coloring `base` of the root, restricted to the
+/// class whose root vertices are `parents` (in class order) — what a view
+/// recursion hands its subroutine instead of IDs.
+pub(crate) fn restrict_seed(
+    base: &VertexColoring,
+    parents: &[VertexId],
+) -> Result<VertexColoring, AlgoError> {
+    let colors = parents.iter().map(|&v| base.color(v)).collect();
+    VertexColoring::new(colors, base.palette()).map_err(|e| AlgoError::InvariantViolated {
+        reason: e.to_string(),
+    })
+}
+
 /// One recursion level of Algorithm 1 over a borrowed
 /// [`VertexSubsetView`] of the *root* graph — the hot path. The clique
 /// connector of the class is built from the restricted cover alone
@@ -297,112 +313,44 @@ fn level_on<G: GraphView + Sync>(
 
     // Line 3: ϕ := color G′ with γ colors, seeded by the inherited coloring
     // restricted to the class.
-    let sub_base_colors: Vec<Color> = view
-        .parent_vertices()
-        .iter()
-        .map(|&v| base.color(v))
-        .collect();
-    let sub_base = VertexColoring::new(sub_base_colors, base.palette()).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
+    let sub_base = restrict_seed(base, view.parent_vertices())?;
     let (phi, phi_stats) =
         vertex_coloring_with_target(&conn.graph, Seed::Coloring(&sub_base), gamma, cfg)?;
-    let mut stats = NetworkStats {
+    let stats = NetworkStats {
         rounds: 1,
         ..Default::default()
     }
     .then(phi_stats);
 
     // Lines 4–13: recurse (or finish) on the color classes in parallel,
-    // each class a fresh subset view of the root.
+    // each class a fresh subset view of the root; line 15 combines
+    // ⟨ϕ, ψ⟩ canonically.
     let s_cur = local_cover.max_clique_size();
     let k_bound = s_cur.div_ceil(t);
-    let classes = phi.classes();
-    let outcomes: Vec<ViewOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let parents: Vec<VertexId> =
-                class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
-            if x > 1 {
-                let child = VertexSubsetView::new(root, parents).map_err(AlgoError::bad_view)?;
-                Ok(Some(level_on(
-                    root,
-                    cover,
-                    base,
-                    &child,
-                    diversity,
-                    params,
-                    x - 1,
-                )?))
-            } else {
-                // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors,
-                // on the induced view of the class.
-                let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::bad_view)?;
-                let target = num::to_u64(diversity) * (num::to_u64(k_bound) - 1) + 1;
-                if num::to_u64(child.max_degree()) >= target.max(1) {
-                    return Err(AlgoError::InvariantViolated {
-                        reason: format!(
-                            "Lemma 2.2 violated: class degree {} ≥ D(k−1)+1 = {target}",
-                            child.max_degree()
-                        ),
-                    });
-                }
-                let child_base_colors: Vec<Color> = child
-                    .parent_vertices()
-                    .iter()
-                    .map(|&v| base.color(v))
-                    .collect();
-                let child_base =
-                    VertexColoring::new(child_base_colors, base.palette()).map_err(|e| {
-                        AlgoError::InvariantViolated {
-                            reason: e.to_string(),
-                        }
-                    })?;
-                let (c, s) =
-                    vertex_coloring_with_target(&child, Seed::Coloring(&child_base), target, cfg)?;
-                Ok(Some((c.as_slice().to_vec(), c.palette(), s)))
-            }
-        })
-        .collect();
-
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-
-    // Line 15: combine ⟨ϕ, ψ⟩ canonically.
-    let inner_palette = results
-        .iter()
-        .flatten()
-        .map(|(_, p, _)| *p)
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; k];
-    for (c, (class, result)) in classes.iter().zip(&results).enumerate() {
-        let Some((colors, _, _)) = result else {
-            continue;
-        };
-        for (child_local, &view_local) in class.iter().enumerate() {
-            let combined = num::to_u64(c) * inner_palette + u64::from(colors[child_local]);
-            out[view_local.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
+    let (out, inner_palette, children) = color_classes(k, &phi.classes(), |class| {
+        let parents: Vec<VertexId> = class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
+        if x > 1 {
+            let child = VertexSubsetView::new(root, parents).map_err(AlgoError::bad_view)?;
+            return level_on(root, cover, base, &child, diversity, params, x - 1);
         }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|(_, _, s)| *s),
-    ));
-    Ok((out, gamma * inner_palette, stats))
+        // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors, on the
+        // induced view of the class.
+        let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::bad_view)?;
+        let target = num::to_u64(diversity) * (num::to_u64(k_bound) - 1) + 1;
+        if num::to_u64(child.max_degree()) >= target.max(1) {
+            return Err(AlgoError::InvariantViolated {
+                reason: format!(
+                    "Lemma 2.2 violated: class degree {} ≥ D(k−1)+1 = {target}",
+                    child.max_degree()
+                ),
+            });
+        }
+        let child_base = restrict_seed(base, child.parent_vertices())?;
+        let (c, s) = vertex_coloring_with_target(&child, Seed::Coloring(&child_base), target, cfg)?;
+        Ok((c.as_slice().to_vec(), c.palette(), s))
+    })?;
+    Ok((out, gamma * inner_palette, stats.then(children)))
 }
-
-/// Child outcome of a view-based class recursion (colors, palette, stats).
-type ViewOutcome = Result<Option<(Vec<Color>, u64, NetworkStats)>, AlgoError>;
 
 /// One recursion level of Algorithm 1 — the **materializing reference
 /// path** (each class copied into a fresh [`InducedSubgraph`]).

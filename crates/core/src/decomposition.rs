@@ -10,10 +10,13 @@
 //!
 //! CD-Coloring and the star-partition edge coloring use these implicitly;
 //! here they are exposed (and verified) as standalone results, matching
-//! the paper's statements.
+//! the paper's statements. Each level labels its classes with the shared
+//! ⟨ϕ, ψ⟩ class product (`product::color_classes`) over the realized
+//! child label counts; the entry points compact the labels by first
+//! occurrence, so only the partition they induce is observable.
 
 use decolor_graph::cliques::CliqueCover;
-use decolor_graph::coloring::VertexColoring;
+use decolor_graph::coloring::{Color, VertexColoring};
 use decolor_graph::subgraph::{
     EdgeSubgraphView, GraphView, InducedSubgraph, SpanningEdgeSubgraph, VertexSubsetView,
 };
@@ -21,16 +24,16 @@ use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use rayon::prelude::*;
 
+use crate::cd_coloring::restrict_seed;
 use crate::connectors::clique::clique_connector_for;
 use crate::connectors::edge::{edge_connector, edge_connector_graph_on};
 use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
 use crate::edge_space::edge_coloring_direct;
 use crate::error::AlgoError;
 use crate::linial;
+use crate::product::{color_classes, Colored};
 use decolor_graph::num;
 
-/// Child outcome of one view-based recursion level (labels + stats).
-type LevelOutcome = Result<Option<(Vec<u64>, NetworkStats)>, AlgoError>;
 /// Child outcome of a vertex-partition recursion.
 type VertexChild = (InducedSubgraph, Vec<u64>, NetworkStats);
 /// Child outcome of an edge-partition recursion.
@@ -135,7 +138,7 @@ pub fn clique_decomposition(
     let base_stats = net.stats();
 
     let full = VertexSubsetView::new(g, g.vertices().collect())?;
-    let (labels, stats) = decompose_level_on(g, cover, &base, &full, diversity, t, x)?;
+    let (labels, _, stats) = decompose_level_on(g, cover, &base, &full, diversity, t, x)?;
     // Compact the labels.
     let mut map = std::collections::BTreeMap::new();
     let mut part = vec![0usize; g.num_vertices()];
@@ -213,76 +216,34 @@ fn decompose_level_on(
     diversity: usize,
     t: usize,
     x: usize,
-) -> Result<(Vec<u64>, NetworkStats), AlgoError> {
+) -> Result<Colored, AlgoError> {
     let k = view.num_vertices();
     if x == 0 || !view.has_induced_edge() {
-        return Ok((vec![0; k], NetworkStats::default()));
+        return Ok((vec![0; k], 1, NetworkStats::default()));
     }
     // Restriction composes: filtering the root cover by the current
     // subset equals the reference path's level-by-level restriction.
     let local_cover = cover.restrict_to_subset(view);
     let conn = clique_connector_for(k, &local_cover, t)?;
     let gamma = num::to_u64(diversity) * (num::to_u64(t) - 1) + 1;
-    let sub_base_colors: Vec<u32> = view
-        .parent_vertices()
-        .iter()
-        .map(|&v| base.color(v))
-        .collect();
-    let sub_base = VertexColoring::new(sub_base_colors, base.palette()).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
+    let sub_base = restrict_seed(base, view.parent_vertices())?;
     let (phi, phi_stats) = vertex_coloring_with_target(
         &conn.graph,
         Seed::Coloring(&sub_base),
         gamma,
         SubroutineConfig::default(),
     )?;
-    let mut stats = NetworkStats {
+    let stats = NetworkStats {
         rounds: 1,
         ..Default::default()
     }
     .then(phi_stats);
-    let classes = phi.classes();
-    let outcomes: Vec<LevelOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let parents: Vec<VertexId> =
-                class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
-            let child = VertexSubsetView::new(root, parents)?;
-            Ok(Some(decompose_level_on(
-                root,
-                cover,
-                base,
-                &child,
-                diversity,
-                t,
-                x - 1,
-            )?))
-        })
-        .collect();
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-    let width = (num::to_u64(diversity) * num::to_u64(t)).saturating_pow(num::to_u32(x)? - 1);
-    let mut out = vec![0u64; k];
-    for (c, (class, result)) in classes.iter().zip(&results).enumerate() {
-        let Some((labels, _)) = result else {
-            continue;
-        };
-        for (child_local, &view_local) in class.iter().enumerate() {
-            out[view_local.index()] = num::to_u64(c) * width + labels[child_local];
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|&(_, s)| s),
-    ));
-    Ok((out, stats))
+    let (labels, _, children) = color_classes(k, &phi.classes(), |class| {
+        let parents: Vec<VertexId> = class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
+        let child = VertexSubsetView::new(root, parents)?;
+        decompose_level_on(root, cover, base, &child, diversity, t, x - 1)
+    })?;
+    Ok(label_count(labels, stats.then(children)))
 }
 
 /// One level of the **materializing reference path** for Theorem 2.4.
@@ -419,7 +380,8 @@ pub fn star_partition(g: &Graph, t: usize, x: usize) -> Result<StarPartition, Al
             reason: "edge connector requires a simple source graph".into(),
         });
     }
-    let (labels, stats) = star_level_on(g, g, t, x)?;
+    let (labels, _, stats) = star_level_on(g, g, t, x)?;
+    let labels = labels.into_iter().map(u64::from).collect();
     finish_star_partition(g, t, x, labels, stats)
 }
 
@@ -474,48 +436,33 @@ fn star_level_on<V: GraphView + Sync>(
     view: &V,
     t: usize,
     x: usize,
-) -> Result<(Vec<u64>, NetworkStats), AlgoError> {
+) -> Result<Colored, AlgoError> {
     if view.num_edges() == 0 || x == 0 {
-        return Ok((vec![0; view.num_edges()], NetworkStats::default()));
+        return Ok((vec![0; view.num_edges()], 1, NetworkStats::default()));
     }
     let conn = edge_connector_graph_on(view, t)?;
     let target = 2 * num::to_u64(t) - 1;
     let (phi, phi_stats) = edge_coloring_direct(&conn, target, SubroutineConfig::default())?;
-    let mut stats = NetworkStats {
+    let stats = NetworkStats {
         rounds: 1,
         ..Default::default()
     }
     .then(phi_stats);
-    let classes = phi.classes();
-    let outcomes: Vec<LevelOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let child_edges: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
-            let child = EdgeSubgraphView::new(root, child_edges)?;
-            Ok(Some(star_level_on(root, &child, t, x - 1)?))
-        })
-        .collect();
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-    let width = (2 * num::to_u64(t) - 1).saturating_pow(num::to_u32(x)? - 1);
-    let mut out = vec![0u64; view.num_edges()];
-    for (c, (class, result)) in classes.iter().zip(&results).enumerate() {
-        let Some((labels, _)) = result else {
-            continue;
-        };
-        for (child_local, &view_local) in class.iter().enumerate() {
-            out[view_local.index()] = num::to_u64(c) * width + labels[child_local];
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|&(_, s)| s),
-    ));
-    Ok((out, stats))
+    let (labels, _, children) = color_classes(view.num_edges(), &phi.classes(), |class| {
+        let child_edges: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
+        let child = EdgeSubgraphView::new(root, child_edges)?;
+        star_level_on(root, &child, t, x - 1)
+    })?;
+    Ok(label_count(labels, stats.then(children)))
+}
+
+/// A level's labels with the realized label count (largest label + 1) as
+/// its palette, so the next level up packs its ⟨ϕ, label⟩ pairs no wider
+/// than the labels actually used. Only the partition the labels induce
+/// matters: the entry points compact them by first occurrence.
+fn label_count(labels: Vec<Color>, stats: NetworkStats) -> Colored {
+    let count = labels.iter().max().map_or(1, |&l| u64::from(l) + 1);
+    (labels, count, stats)
 }
 
 /// One §4 star-partition level of the **materializing reference path**.
@@ -584,7 +531,9 @@ mod tests {
     #[test]
     fn star_partition_bounds_hold() {
         let g = generators::random_regular(128, 16, 2).unwrap();
-        for (t, x) in [(4usize, 1usize), (2, 2), (2, 3)] {
+        // x = 24: (2t − 1)^x = 3^24 labels would not fit a u32, but the
+        // levels pack only the label counts they realize.
+        for (t, x) in [(4usize, 1usize), (2, 2), (2, 3), (2, 24)] {
             let sp = star_partition(&g, t, x).unwrap();
             sp.verify(&g).unwrap();
         }

@@ -48,6 +48,7 @@ pub mod edge_space;
 mod error;
 pub mod h_partition;
 pub mod linial;
+mod product;
 pub mod reduction;
 pub mod star_partition;
 pub mod util;

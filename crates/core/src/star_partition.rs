@@ -9,6 +9,9 @@
 //! stages the classes are colored directly with 2⌈Δ/tˣ⌉ − 1 colors. With
 //! `t = ⌊Δ^{1/(x+1)}⌋`, the combined palette is ≤ 2^{x+1}Δ after the
 //! final one-class-per-round trim (§4's "within an additional round").
+//! Each stage ends in the shared ⟨ϕ, ψ⟩ class product
+//! (`product::color_classes`): the classes recurse in parallel and edge
+//! `e` of class `c` takes `c · inner + ψ(e)`.
 
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, SpanningEdgeSubgraph};
@@ -22,6 +25,7 @@ use crate::connectors::edge::{edge_connector, edge_connector_graph_on, edge_conn
 use crate::delta_plus_one::SubroutineConfig;
 use crate::edge_space::{edge_coloring_direct, edge_coloring_direct_on};
 use crate::error::AlgoError;
+use crate::product::color_classes;
 use crate::reduction::edge_palette_trim;
 use crate::util::integer_root;
 use decolor_graph::num;
@@ -29,8 +33,6 @@ use decolor_graph::num;
 /// Child outcome of a parallel class recursion in the materializing
 /// reference path (subgraph, colors, palette, stats).
 type ClassOutcome = (SpanningEdgeSubgraph, Vec<Color>, u64, NetworkStats);
-/// Child outcome of a view-based class recursion (colors, palette, stats).
-type ViewOutcome = Result<Option<(Vec<Color>, u64, NetworkStats)>, AlgoError>;
 
 /// Parameters for the star-partition edge coloring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,7 +352,7 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
             edge_coloring_direct(&conn, target_conn, cfg)?
         }
     };
-    let mut stats = NetworkStats {
+    let stats = NetworkStats {
         rounds: 1,
         ..Default::default()
     }
@@ -358,14 +360,9 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
 
     // Group the view's edges by connector color (edge ids align) and
     // recurse on each class as a fresh view of the root graph.
-    let classes = phi.classes();
     let star_bound = num::to_u64(view.max_degree().div_ceil(t));
-    let outcomes: Vec<ViewOutcome> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
+    let (out, inner_palette, children) =
+        color_classes(view.num_edges(), &phi.classes(), |class| {
             let child_edges: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
             let child = EdgeSubgraphView::new(root, child_edges)?;
             if num::to_u64(child.max_degree()) > star_bound {
@@ -376,45 +373,9 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
                     ),
                 });
             }
-            Ok(Some(stage_on(
-                root,
-                &child,
-                t,
-                x - 1,
-                cfg,
-                adaptive_t,
-                None,
-            )?))
-        })
-        .collect();
-
-    let mut results = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o?);
-    }
-    let inner_palette = results
-        .iter()
-        .flatten()
-        .map(|&(_, p, _)| p)
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; view.num_edges()];
-    for (c, (class, result)) in classes.iter().zip(&results).enumerate() {
-        let Some((colors, _, _)) = result else {
-            continue;
-        };
-        for (child_local, &view_local) in class.iter().enumerate() {
-            let combined = num::to_u64(c) * inner_palette + u64::from(colors[child_local]);
-            out[view_local.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        results.iter().flatten().map(|&(_, _, s)| s),
-    ));
-    Ok((out, target_conn * inner_palette, stats))
+            stage_on(root, &child, t, x - 1, cfg, adaptive_t, None)
+        })?;
+    Ok((out, target_conn * inner_palette, stats.then(children)))
 }
 
 /// One connector stage of the **materializing reference path** (or the

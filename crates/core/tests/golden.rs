@@ -1,30 +1,41 @@
-//! Golden output digests for every caller of Lemma 5.1's crossing merge
-//! (`crossing_merge::color_crossing_edges`): Theorems 5.2, 5.3, 5.4 and
-//! Corollary 5.5, each at its table defaults, on a power-law, a forest,
-//! a grid and a sparse random graph.
+//! Golden output digests for every algorithm in the table: star
+//! partition (Theorem 4.1), CD-Coloring (Theorem 3.3), Theorems 5.2, 5.3,
+//! 5.4 and Corollary 5.5, on a power-law, a forest, a grid and a sparse
+//! random graph.
 //!
 //! Each run is folded into one CRC32 over the coloring, the palette and
 //! the full `NetworkStats` (rounds, messages, payload bytes) and checked
-//! against `lemma51_golden.txt` at pool widths 1 and 4, so a changed
-//! decision or ledger entry in any of these pipelines fails here.
+//! against `golden.txt` at pool widths 1 and 4, so a changed decision or
+//! ledger entry in any of these pipelines fails here.
 //!
 //! Regenerate the table only on purpose:
 //!
 //! ```sh
-//! DECOLOR_BLESS=1 cargo test -p decolor-core --test lemma51_golden
+//! DECOLOR_BLESS=1 cargo test -p decolor-core --test golden
 //! ```
 
 use decolor_core::algorithms::Algorithm;
 use decolor_graph::storage::Crc32;
 use decolor_graph::{generators, Graph};
 
-const TABLE: &str = include_str!("lemma51_golden.txt");
+const TABLE: &str = include_str!("golden.txt");
 
-/// The algorithms that reach `color_crossing_edges`: the four table
-/// entries at their defaults, plus a wider `d` for Theorem 5.2 and a
+/// Every table entry at its defaults, plus a second connector level for
+/// star partition and CD-Coloring, a wider `d` for Theorem 5.2 and a
 /// Corollary 5.5 whose automatic (x, q) differs from Theorem 5.4's
 /// defaults.
-const ALGORITHMS: [&str; 6] = ["t52", "t52:a=3,q=3", "t53", "t54", "c55", "c55:a=4"];
+const ALGORITHMS: [&str; 10] = [
+    "star",
+    "star:x=2",
+    "cd",
+    "cd:x=2",
+    "t52",
+    "t52:a=3,q=3",
+    "t53",
+    "t54",
+    "c55",
+    "c55:a=4",
+];
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -77,11 +88,10 @@ fn table_at(threads: usize) -> Vec<String> {
 }
 
 #[test]
-fn lemma51_callers_match_golden_digests() {
+fn every_algorithm_matches_golden_digests() {
     let single = table_at(1);
     if std::env::var_os("DECOLOR_BLESS").is_some() {
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lemma51_golden.txt");
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.txt");
         std::fs::write(&path, single.join("\n") + "\n").unwrap();
         return;
     }
