@@ -53,11 +53,16 @@ impl Parsed {
     }
 }
 
+/// The options that take no value; they parse as `true` and never
+/// consume the next token. Every other option takes exactly one value.
+const BOOLEAN_FLAGS: [&str; 2] = ["verify", "resume"];
+
 /// Parses `argv` (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a description when a `--flag` lacks its value.
+/// Returns a description when a value option (any `--option` outside
+/// [`BOOLEAN_FLAGS`]) lacks its value.
 pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = argv.iter().peekable();
@@ -66,15 +71,14 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     }
     while let Some(tok) = it.next() {
         if let Some(key) = tok.strip_prefix("--") {
-            // Value-less flags (next token is another option, or nothing)
-            // parse as boolean `true`.
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = it.next().expect("peeked");
-                    parsed.options.push((key.to_string(), value.clone()));
-                }
-                _ => parsed.options.push((key.to_string(), "true".to_string())),
-            }
+            let value = if BOOLEAN_FLAGS.contains(&key) {
+                "true".to_string()
+            } else {
+                it.next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| format!("option `--{key}` needs a value"))?
+                    .clone()
+            };
+            parsed.options.push((key.to_string(), value));
         } else {
             parsed.positional.push(tok.clone());
         }
@@ -106,6 +110,9 @@ mod tests {
         let p = parse(&argv("color star g --verify --json out.json")).unwrap();
         assert_eq!(p.option("verify"), Some("true"));
         assert_eq!(p.option("json"), Some("out.json"));
+        let p = parse(&argv("store build --resume g d")).unwrap();
+        assert_eq!(p.positional, vec!["build", "g", "d"]);
+        assert!(parse(&argv("color star g --json --verify")).is_err());
     }
 
     #[test]

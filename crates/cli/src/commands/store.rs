@@ -2,7 +2,7 @@
 //! stores (see `decolor_graph::storage`).
 //!
 //! `build` streams a graph spec straight into a
-//! [`ShardedCsrBuilder`](decolor_graph::storage::ShardedCsrBuilder)
+//! [`ShardedCsrBuilder`]
 //! (families with `*_stream` generators never materialize the edge list;
 //! everything else builds in RAM first and spills). With
 //! `--journal-every N` the build checkpoints its durable prefix every `N`

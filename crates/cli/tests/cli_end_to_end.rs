@@ -288,6 +288,41 @@ fn strict_inputs_reject_unknown_keys_and_options() {
 }
 
 #[test]
+fn value_options_without_a_value_fail() {
+    let dir = std::env::temp_dir().join(format!("decolor-e2e-novalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for option in [
+        "--json",
+        "--dot",
+        "--dimacs",
+        "--backend",
+        "--shard-bits",
+        "--journal-every",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_decolor"))
+            .args(["color", "star:x=1", "gnm:n=10,m=20", option])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{option}: {stderr}");
+        assert!(stderr.contains("needs a value"), "{option}: {stderr}");
+    }
+    assert!(
+        !dir.join("true").exists(),
+        "a value-less option wrote `true`"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn boolean_flags_never_swallow_the_next_token() {
+    let (ok, stdout, stderr) = decolor(&["color", "--verify", "star:x=1", "gnm:n=10,m=20"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains('✓') && !stdout.contains('✗'), "{stdout}");
+}
+
+#[test]
 fn verify_certifies_every_paper_algorithm() {
     for algo in decolor_core::algorithms::Algorithm::NAMES {
         let (ok, stdout, stderr) =

@@ -162,7 +162,7 @@ impl PaletteSet {
 
     /// Resets for `limit`, lets `mark` feed the used colors through a
     /// callback, and returns the mex — the closure-driven shape the
-    /// edge-space phases use to stream `for_each_incident_color` straight
+    /// reduction kernel uses to stream an agent's neighbor colors straight
     /// into the set without materializing the neighborhood.
     pub fn mex_marked(
         &mut self,

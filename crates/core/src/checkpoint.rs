@@ -15,7 +15,7 @@
 //! input **fingerprint** (over `n`, edge count, Δ, and the initial
 //! coloring) so a checkpoint can never silently resume a *different*
 //! run: every mismatch surfaces as
-//! [`GraphError::Corrupt`](decolor_graph::GraphError::Corrupt).
+//! [`GraphError::Corrupt`].
 
 use std::io::Read;
 use std::path::Path;

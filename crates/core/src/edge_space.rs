@@ -5,15 +5,15 @@
 //! realizes an edge coloring by *building* L(G) and running the vertex
 //! pipeline on it: O(Σ_v deg(v)²) memory for the line-graph structure
 //! before a single round executes, which caps the harness at Δ ≤ 32.
-//! [`edge_coloring_direct`] runs the **same algorithm** (Linial's
-//! iteration followed by the configured color reduction) with each edge
-//! acting as an agent that exchanges colors over its ≤ 2Δ − 2 incident
-//! edges, reading neighbor colors straight off `G`'s incidence structure:
+//! [`edge_coloring_direct`] runs the **same kernels** (Linial's iteration
+//! in [`crate::linial`], then the configured reduction in
+//! [`crate::reduction`]) on the edge agents defined here: each edge is an
+//! agent whose conflict neighbors are its ≤ 2Δ − 2 incident edges, read
+//! straight off `G`'s incidence structure:
 //!
 //! * no L(G) is ever built — memory stays O(n + m);
-//! * per round, only the *deciding* color class gathers its
-//!   neighborhoods (a color-bucket index finds the class without an O(m)
-//!   scan), while non-deciding agents skip inbox work entirely;
+//! * a reduction round touches only its deciding color class, and a
+//!   Linial round fans its chunks out on the worker pool;
 //! * the round/message ledger still charges every round at its full
 //!   LOCAL cost — one incident-color-list broadcast on `G` per round —
 //!   so measured *rounds* are identical to the line-graph pipeline
@@ -30,58 +30,53 @@ use decolor_graph::subgraph::GraphView;
 use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::NetworkStats;
 
-use crate::bitset::PaletteSet;
 use crate::delta_plus_one::{ReductionStrategy, SubroutineConfig};
 use crate::error::AlgoError;
-use crate::linial::{choose_parameters, eval_poly, final_palette_bound};
+use crate::linial::{linial_pass, narrow, Agents, LinialState, Pooled};
+use crate::reduction::{basic_pass, kw_pass};
 use decolor_graph::num;
 
-/// Calls `f` with the current color of every L(G)-neighbor of `e` (edges
-/// sharing an endpoint with `e`, with multigraph multiplicity). Edge ids
-/// are the view's local ids, so the same code serves a whole [`Graph`]
-/// and a borrowed color-class view.
-#[inline]
-fn for_each_incident_color<V: GraphView>(g: &V, colors: &[u64], e: EdgeId, mut f: impl FnMut(u64)) {
-    let [u, v] = g.endpoints(e);
-    g.for_each_incident_edge(u, |other| {
-        if other != e {
-            f(colors[other.index()]);
-        }
-    });
-    g.for_each_incident_edge(v, |other| {
-        if other != e {
-            f(colors[other.index()]);
-        }
-    });
+/// The edges of a [`GraphView`] as agents: an edge conflicts with every
+/// edge sharing an endpoint (its L(G)-neighbors, with multigraph
+/// multiplicity). Edge ids are the view's local ids, so the same code
+/// serves a whole [`Graph`] and a borrowed color-class view.
+pub(crate) struct EdgeAgents<'g, V> {
+    g: &'g V,
+    round: NetworkStats,
 }
 
-/// Color-class buckets over the edge set, kept exact by moving each edge
-/// on recolor. `take(c)` drains a class in O(|class|).
-struct ClassIndex {
-    buckets: Vec<Vec<u32>>,
+impl<'g, V: GraphView> EdgeAgents<'g, V> {
+    pub(crate) fn new(g: &'g V, round: NetworkStats) -> Self {
+        EdgeAgents { g, round }
+    }
 }
 
-impl ClassIndex {
-    fn build(colors: &[u64], palette: u64) -> Self {
-        // lint: allow(cast, "palette ≤ m, an in-memory edge count that started as a usize")
-        let mut buckets = vec![Vec::new(); palette as usize];
-        for (e, &c) in colors.iter().enumerate() {
-            // lint: allow(cast, "c < palette ≤ m, and edge indices fit u32 workspace-wide (the CSR stores them as u32)")
-            buckets[c as usize].push(e as u32);
+impl<V: GraphView> Agents for EdgeAgents<'_, V> {
+    fn count(&self) -> usize {
+        self.g.num_edges()
+    }
+    /// The maximum degree of the (never materialized) line graph.
+    fn conflict_degree(&self) -> u64 {
+        (0..self.g.num_edges())
+            .map(|e| {
+                let [u, v] = self.g.endpoints(EdgeId::new(e));
+                num::to_u64(self.g.degree(u) + self.g.degree(v) - 2)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+    fn round_cost(&self) -> NetworkStats {
+        self.round
+    }
+    fn for_each_neighbor(&self, a: usize, mut f: impl FnMut(usize)) {
+        let e = EdgeId::new(a);
+        for end in self.g.endpoints(e) {
+            self.g.for_each_incident_edge(end, |other| {
+                if other != e {
+                    f(other.index());
+                }
+            });
         }
-        ClassIndex { buckets }
-    }
-
-    #[inline]
-    fn take(&mut self, color: u64) -> Vec<u32> {
-        // lint: allow(cast, "color < palette, the bucket count this index was built with")
-        std::mem::take(&mut self.buckets[color as usize])
-    }
-
-    #[inline]
-    fn put(&mut self, color: u64, e: u32) {
-        // lint: allow(cast, "color < palette, the bucket count this index was built with")
-        self.buckets[color as usize].push(e);
     }
 }
 
@@ -124,36 +119,26 @@ pub fn edge_coloring_direct(
 ///
 /// [`AlgoError::InvalidParameters`] if `target` is below the view's
 /// 2Δ − 1.
-pub fn edge_coloring_direct_on<V: GraphView>(
+pub fn edge_coloring_direct_on<V: GraphView + Sync>(
     g: &V,
     target: u64,
     cfg: SubroutineConfig,
 ) -> Result<(Vec<u32>, u64, NetworkStats), AlgoError> {
-    let m = g.num_edges();
-    let delta = num::to_u64(g.max_degree());
+    let m = num::to_u64(g.num_edges());
     if m == 0 {
         return Ok((vec![], 1, NetworkStats::default()));
     }
-    let needed = 2 * delta - 1;
+    let needed = 2 * num::to_u64(g.max_degree()) - 1;
     if target < needed {
         return Err(AlgoError::InvalidParameters {
             reason: format!("target {target} below 2Δ − 1 = {needed}"),
         });
     }
-    // Maximum degree of the (never materialized) line graph.
-    let delta_l: u64 = (0..m)
-        .map(|e| {
-            let [u, v] = g.endpoints(EdgeId::new(e));
-            num::to_u64(g.degree(u) + g.degree(v) - 2)
-        })
-        .max()
-        .unwrap_or(0);
-
     // One communication round of the edge-space realization: every vertex
     // broadcasts its incident-color list on all ports.
-    let round_cost = NetworkStats {
+    let round = NetworkStats {
         rounds: 1,
-        messages: 2 * num::to_u64(m),
+        messages: 2 * m,
         payload_bytes: (0..g.num_vertices())
             .map(|v| {
                 let d = g.degree(VertexId::new(v));
@@ -162,185 +147,28 @@ pub fn edge_coloring_direct_on<V: GraphView>(
             .sum::<u64>()
             * num::to_u64(std::mem::size_of::<u64>()),
     };
-    // The §4 setup round (vertices agree to simulate their edge agents),
-    // mirroring the line-graph pipeline's charge.
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
+    let agents = Pooled(EdgeAgents::new(g, round));
+    // Linial from the edge-index identifiers, after the §4 setup round
+    // (vertices agree to simulate their edge agents), mirroring the
+    // line-graph pipeline's charge.
+    let mut st = LinialState {
+        colors: (0..m).collect(),
+        m,
+        trace: Vec::new(),
+        stats: NetworkStats {
+            rounds: 1,
+            ..Default::default()
+        },
     };
-
-    let mut colors: Vec<u64> = (0..num::to_u64(m)).collect();
-    let mut palette = num::to_u64(m);
-
-    if delta_l > 0 {
-        // Phase 1: Linial's iteration from the edge-index identifiers down
-        // to the O(Δ_L²) fixed point. Every agent recolors each round, so
-        // the whole edge set gathers; a snapshot keeps rounds synchronous.
-        let fixed = final_palette_bound(num::to_usize(delta_l)?);
-        let mut prev = colors.clone();
-        // Incident colors of the deciding edge, gathered once per edge
-        // (not once per evaluation point) into a reused buffer.
-        let mut neighborhood: Vec<u64> = Vec::new();
-        while palette > fixed {
-            let (q, _) = choose_parameters(palette, delta_l);
-            if q * q >= palette {
-                break; // fixed point reached early
-            }
-            prev.copy_from_slice(&colors);
-            for e in (0..m).map(EdgeId::new) {
-                let my = prev[e.index()];
-                neighborhood.clear();
-                for_each_incident_color(g, &prev, e, |their| {
-                    // Neighbors with *equal* color would break properness
-                    // of the input (debug-checked); they never collide.
-                    debug_assert_ne!(their, my, "input coloring is not proper");
-                    if their != my {
-                        neighborhood.push(their);
-                    }
-                });
-                let mut alpha = None;
-                'points: for a in 0..q {
-                    let mine = eval_poly(my, q, a);
-                    for &their in &neighborhood {
-                        if eval_poly(their, q, a) == mine {
-                            continue 'points;
-                        }
-                    }
-                    alpha = Some(a);
-                    break;
-                }
-                // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-                let a = alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-                colors[e.index()] = a * q + eval_poly(my, q, a);
-            }
-            palette = q * q;
-            stats = stats.then(round_cost);
+    linial_pass(&agents, &mut st, None, |_| Ok(()))?;
+    let mut colors = narrow(st.colors)?;
+    let palette = match cfg.reduction {
+        ReductionStrategy::Basic => basic_pass(&agents, &mut colors, st.m, target, &mut st.stats),
+        ReductionStrategy::KuhnWattenhofer => {
+            kw_pass(&agents, &mut colors, st.m, target, &mut st.stats)
         }
-    } else {
-        // Isolated edges only: every agent takes color 0 silently.
-        colors.fill(0);
-        palette = 1;
-    }
-
-    // Phase 2: color reduction to `target`, per the configured strategy.
-    // Only the deciding class gathers each round; every round is still
-    // charged at full broadcast cost. Mex runs on the u64-word
-    // `PaletteSet` kernel (see `crate::bitset`) — allocation-free at
-    // these limits.
-    let mut scratch = PaletteSet::new();
-    let final_palette = match cfg.reduction {
-        ReductionStrategy::Basic => basic_phase(
-            g,
-            &mut colors,
-            palette,
-            target,
-            &mut scratch,
-            &mut stats,
-            round_cost,
-        ),
-        ReductionStrategy::KuhnWattenhofer => kw_phase(
-            g,
-            &mut colors,
-            palette,
-            target,
-            &mut scratch,
-            &mut stats,
-            round_cost,
-        ),
     };
-
-    let colors_u32: Result<Vec<u32>, _> = colors.iter().map(|&c| u32::try_from(c)).collect();
-    let colors_u32 = colors_u32.map_err(|_| AlgoError::InvariantViolated {
-        reason: "palette exceeds u32 after reduction".into(),
-    })?;
-    Ok((colors_u32, final_palette, stats))
-}
-
-/// Basic reduction in edge space: one top color class per round, each
-/// class a matching in L(G)-adjacency terms, so its agents decide
-/// simultaneously and in place.
-fn basic_phase<V: GraphView>(
-    g: &V,
-    colors: &mut [u64],
-    palette: u64,
-    target: u64,
-    scratch: &mut PaletteSet,
-    stats: &mut NetworkStats,
-    round_cost: NetworkStats,
-) -> u64 {
-    if palette <= target {
-        return palette.max(1);
-    }
-    let mut classes = ClassIndex::build(colors, palette);
-    for top in (target..palette).rev() {
-        for e in classes.take(top) {
-            let eid = EdgeId::new(num::usize_from(e));
-            let free = scratch
-                .mex_marked(target, |mark| for_each_incident_color(g, colors, eid, mark))
-                // lint: allow(panic, "2Δ − 2 incident edges cannot block 2Δ − 1 colors")
-                .expect("2Δ − 2 incident edges cannot block 2Δ − 1 colors");
-            colors[num::usize_from(e)] = free;
-            classes.put(free, e);
-        }
-        *stats = stats.then(round_cost);
-    }
-    target
-}
-
-/// Kuhn–Wattenhofer reduction in edge space: blockwise halving phases
-/// (vertex-disjoint palette blocks run in the same rounds), then the
-/// basic tail — the exact decision sequence of
-/// [`reduction::kw_reduction`](crate::reduction::kw_reduction) on L(G).
-fn kw_phase<V: GraphView>(
-    g: &V,
-    colors: &mut [u64],
-    palette: u64,
-    target: u64,
-    scratch: &mut PaletteSet,
-    stats: &mut NetworkStats,
-    round_cost: NetworkStats,
-) -> u64 {
-    let t = target;
-    let mut m = palette.max(1);
-    while m > 2 * t {
-        let blocks = m.div_ceil(2 * t);
-        let mut classes = ClassIndex::build(colors, blocks * 2 * t);
-        for step in 0..t {
-            let top_local = 2 * t - 1 - step;
-            for b in 0..blocks {
-                for e in classes.take(b * 2 * t + top_local) {
-                    let eid = EdgeId::new(num::usize_from(e));
-                    // Only same-block neighbors constrain the local mex.
-                    let free = scratch
-                        .mex_marked(t, |mark| {
-                            for_each_incident_color(g, colors, eid, |c| {
-                                if c / (2 * t) == b {
-                                    mark(c % (2 * t));
-                                }
-                            });
-                        })
-                        // lint: allow(panic, "Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors")
-                        .expect("Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors");
-                    let recolored = b * 2 * t + free;
-                    colors[num::usize_from(e)] = recolored;
-                    classes.put(recolored, e);
-                }
-            }
-            *stats = stats.then(round_cost);
-        }
-        // All local colors are now < t; renumber blocks densely (local).
-        for c in colors.iter_mut() {
-            let b = *c / (2 * t);
-            let local = *c % (2 * t);
-            debug_assert!(local < t, "halving phase left a local color ≥ t");
-            *c = b * t + local;
-        }
-        m = blocks * t;
-    }
-    if m <= t {
-        return m.max(1);
-    }
-    basic_phase(g, colors, m, t, scratch, stats, round_cost)
+    Ok((colors, palette, st.stats))
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Linial's deterministic O(Δ²)-coloring in O(log* n) rounds \[30\].
+//! Linial's deterministic O(Δ²)-coloring in O(log* n) rounds \[30\], and
+//! the agent sets the whole coloring subroutine runs on.
 //!
 //! Each iteration reduces a proper `m`-coloring to a proper `q²`-coloring
 //! where `q` is a prime chosen so that colors embed into polynomials of
@@ -12,11 +13,25 @@
 //!
 //! The initial coloring is either the distinct IDs (§1.1) or, per §3's
 //! optimization, an inherited proper coloring of a parent graph.
+//!
+//! Every algorithm of the paper calls one black box — Linial, then a color
+//! reduction ([`crate::reduction`]) — on vertices (CD-Coloring, bounded
+//! diversity) or on edges (star partition, §5: an edge coloring is a
+//! vertex coloring of the line graph). Both kernels are written once, over
+//! a private `Agents` set: an agent count, the Δ of the conflict graph, a
+//! neighbor enumerator and the ledger cost of one round. The vertex agents
+//! live here; the edge agents live in [`crate::edge_space`]. A Linial
+//! round recolors every agent from the previous round's colors, chunk by
+//! chunk (on the worker pool for `Pooled` agents), so the output is the
+//! same at any pool width and equal to a broadcast simulated on a
+//! [`Network`].
 
-use decolor_graph::coloring::VertexColoring;
+use std::ops::Range;
+
+use decolor_graph::coloring::{Color, VertexColoring};
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::VertexId;
-use decolor_runtime::{IdAssignment, Network, NetworkStats, RoundBuffer};
+use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use rayon::prelude::*;
 
 use crate::error::AlgoError;
@@ -89,50 +104,232 @@ pub(crate) fn eval_poly(mut c: u64, q: u64, a: u64) -> u64 {
     acc
 }
 
-/// One Linial recoloring round over the network: all vertices broadcast
-/// their colors (into the reusable `buf`), then recolor from palette `m`
-/// to palette `q²`.
-///
-/// Precondition (checked in debug): `colors` is proper with values `< m`.
-fn linial_round<V: GraphView>(
-    net: &mut Network<'_, V>,
-    buf: &mut RoundBuffer<u64>,
-    colors: &mut [u64],
-    m: u64,
-    delta: u64,
-) -> Result<u64, AlgoError> {
-    let (q, _deg) = choose_parameters(m, delta);
-    net.broadcast_into(colors, buf)?;
-    #[allow(clippy::needless_range_loop)] // v also names the buffer row
-    for v in 0..colors.len() {
-        let my = colors[v];
-        // Choose the smallest α where p_v differs from every neighbor's
-        // polynomial (their colors differ, so polynomials differ and agree
-        // on ≤ deg points each; Δ·deg < q points are excluded in total).
-        let mut alpha = None;
-        'points: for a in 0..q {
-            let mine = eval_poly(my, q, a);
-            for &their in buf.row(VertexId::new(v)) {
-                if their != my && eval_poly(their, q, a) == mine {
-                    continue 'points;
-                }
-                // Neighbors with *equal* color would break properness of
-                // the input; debug-checked below.
-                debug_assert_ne!(their, my, "input coloring is not proper");
-            }
-            alpha = Some(a);
-            break;
-        }
-        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-        let a = alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-        colors[v] = a * q + eval_poly(my, q, a);
+/// A set of agents recoloring in synchronous LOCAL rounds: the vertices
+/// of a graph, or its edges (the vertices of its line graph).
+pub(crate) trait Agents {
+    /// Number of agents; agents are `0..count()`.
+    fn count(&self) -> usize;
+    /// Maximum degree of the conflict graph.
+    fn conflict_degree(&self) -> u64;
+    /// What one round adds to the ledger.
+    fn round_cost(&self) -> NetworkStats;
+    /// Calls `f` with every conflict neighbor of agent `a`, with
+    /// multiplicity.
+    fn for_each_neighbor(&self, a: usize, f: impl FnMut(usize));
+    /// Maps `f` over `chunks`, in order. [`Pooled`] agents fan the chunks
+    /// out on the worker pool.
+    fn map_chunks<R: Send>(
+        &self,
+        chunks: &[Range<usize>],
+        f: impl Fn(&Self, Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        chunks.iter().map(|r| f(self, r.clone())).collect()
     }
-    Ok(q * q)
+}
+
+/// Agents whose Linial rounds run their chunks on the worker pool; this
+/// needs a `Sync` topology, which the [`Network`]-driven entry points do
+/// not require.
+pub(crate) struct Pooled<A>(pub(crate) A);
+
+impl<A: Agents + Sync> Agents for Pooled<A> {
+    fn count(&self) -> usize {
+        self.0.count()
+    }
+    fn conflict_degree(&self) -> u64 {
+        self.0.conflict_degree()
+    }
+    fn round_cost(&self) -> NetworkStats {
+        self.0.round_cost()
+    }
+    fn for_each_neighbor(&self, a: usize, f: impl FnMut(usize)) {
+        self.0.for_each_neighbor(a, f);
+    }
+    fn map_chunks<R: Send>(
+        &self,
+        chunks: &[Range<usize>],
+        f: impl Fn(&Self, Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        chunks.par_iter().map(|r| f(self, r.clone())).collect()
+    }
+}
+
+/// The vertices of a [`GraphView`] as agents; each round costs `round`,
+/// which the callers take from [`Network::broadcast_cost`] so the ledger
+/// matches a broadcast simulated on a [`Network`].
+pub(crate) struct VertexAgents<'g, V> {
+    g: &'g V,
+    round: NetworkStats,
+}
+
+impl<'g, V: GraphView> VertexAgents<'g, V> {
+    pub(crate) fn new(g: &'g V, round: NetworkStats) -> Self {
+        VertexAgents { g, round }
+    }
+}
+
+impl<V: GraphView> Agents for VertexAgents<'_, V> {
+    fn count(&self) -> usize {
+        self.g.num_vertices()
+    }
+    fn conflict_degree(&self) -> u64 {
+        num::to_u64(self.g.max_degree())
+    }
+    fn round_cost(&self) -> NetworkStats {
+        self.round
+    }
+    fn for_each_neighbor(&self, a: usize, mut f: impl FnMut(usize)) {
+        self.g.for_each_port(VertexId::new(a), |u, _| f(u.index()));
+    }
+}
+
+/// Agents recolored per work item of a Linial round — small enough that a
+/// chunk's output is cache-resident, large enough that the pool fan-out
+/// amortizes.
+const LINIAL_CHUNK: usize = 1 << 16;
+
+/// Linial's state between rounds — what a checkpoint saves.
+pub(crate) struct LinialState {
+    /// The color of every agent.
+    pub(crate) colors: Vec<u64>,
+    /// The current palette.
+    pub(crate) m: u64,
+    /// Palette sizes after each round (starting palette first).
+    pub(crate) trace: Vec<u64>,
+    /// The ledger so far.
+    pub(crate) stats: NetworkStats,
+}
+
+impl LinialState {
+    /// The state before the first round, from a proper coloring of `g`.
+    fn start<V: GraphView>(g: &V, initial: &VertexColoring) -> Result<Self, AlgoError> {
+        initial
+            .validate(g)
+            .map_err(|e| AlgoError::InvalidParameters {
+                reason: e.to_string(),
+            })?;
+        let m = initial.palette().max(1);
+        Ok(LinialState {
+            colors: initial.as_slice().iter().map(|&c| u64::from(c)).collect(),
+            m,
+            trace: vec![m],
+            stats: NetworkStats::default(),
+        })
+    }
+
+    fn into_result(self) -> Result<LinialResult, AlgoError> {
+        let coloring = VertexColoring::new(narrow(self.colors)?, self.m).map_err(|e| {
+            AlgoError::InvariantViolated {
+                reason: e.to_string(),
+            }
+        })?;
+        Ok(LinialResult {
+            coloring,
+            palette_trace: self.trace,
+        })
+    }
+}
+
+/// Narrows kernel colors to [`Color`]s.
+pub(crate) fn narrow(colors: Vec<u64>) -> Result<Vec<Color>, AlgoError> {
+    colors
+        .into_iter()
+        .map(Color::try_from)
+        .collect::<Result<_, _>>()
+        .map_err(|_| AlgoError::InvariantViolated {
+            reason: "palette exceeds u32".into(),
+        })
+}
+
+/// Runs Linial's iteration over `agents` from the proper coloring in `st`
+/// down to its O(Δ²) fixed point, charging `round_cost` per round. In a
+/// round every agent picks, off the previous round's colors, the smallest
+/// evaluation point at which its polynomial differs from all its
+/// neighbors'. `after_round` sees the state after each round (the
+/// checkpoint hook), and `round_budget` caps the rounds of this call.
+///
+/// Returns `false` only when the budget stopped the iteration early.
+pub(crate) fn linial_pass<A: Agents>(
+    agents: &A,
+    st: &mut LinialState,
+    round_budget: Option<u64>,
+    mut after_round: impl FnMut(&mut LinialState) -> Result<(), AlgoError>,
+) -> Result<bool, AlgoError> {
+    let delta = agents.conflict_degree();
+    if delta == 0 {
+        // No conflicts: every agent takes color 0 without communication.
+        st.colors.fill(0);
+        st.m = 1;
+        return Ok(true);
+    }
+    let target = final_palette_bound(num::to_usize(delta)?);
+    let n = agents.count();
+    let chunks: Vec<Range<usize>> = (0..n.div_ceil(LINIAL_CHUNK))
+        .map(|c| (c * LINIAL_CHUNK)..((c + 1) * LINIAL_CHUNK).min(n))
+        .collect();
+    let mut rounds = 0u64;
+    while st.m > target {
+        let (q, _deg) = choose_parameters(st.m, delta);
+        if q * q >= st.m {
+            break; // fixed point reached early
+        }
+        if round_budget.is_some_and(|b| rounds >= b) {
+            // Stop between rounds, exactly where a kill would land.
+            return Ok(false);
+        }
+        let prev = &st.colors;
+        let outs = agents.map_chunks(&chunks, |agents, range| {
+            let mut neigh: Vec<u64> = Vec::new();
+            range
+                .map(|a| {
+                    let my = prev[a];
+                    neigh.clear();
+                    agents.for_each_neighbor(a, |b| {
+                        // Equal colors would break properness of the input.
+                        debug_assert_ne!(prev[b], my, "input coloring is not proper");
+                        if prev[b] != my {
+                            neigh.push(prev[b]);
+                        }
+                    });
+                    // Smallest α where p_a differs from every neighbor's
+                    // polynomial (they agree on ≤ deg points each, and
+                    // Δ·deg < q points are excluded in total).
+                    let mut alpha = None;
+                    'points: for x in 0..q {
+                        let mine = eval_poly(my, q, x);
+                        for &their in &neigh {
+                            if eval_poly(their, q, x) == mine {
+                                continue 'points;
+                            }
+                        }
+                        alpha = Some(x);
+                        break;
+                    }
+                    let x =
+                        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
+                        alpha.expect("a valid evaluation point exists by the pigeonhole argument");
+                    x * q + eval_poly(my, q, x)
+                })
+                .collect::<Vec<u64>>()
+        });
+        // The chunk outputs are the round's second buffer: every decision
+        // read only the previous colors, so writing them back in place
+        // keeps peak state at two words per agent.
+        for (range, out) in chunks.iter().zip(outs) {
+            st.colors[range.clone()].copy_from_slice(&out);
+        }
+        st.stats = st.stats.then(agents.round_cost());
+        st.m = q * q;
+        st.trace.push(st.m);
+        rounds += 1;
+        after_round(st)?;
+    }
+    Ok(true)
 }
 
 /// Runs Linial's iteration from an arbitrary proper coloring down to its
-/// fixed point (an O(Δ²)-coloring), counting real communication rounds on
-/// `net`.
+/// fixed point (an O(Δ²)-coloring), charging each round to `net` as a
+/// broadcast of the colors.
 ///
 /// # Errors
 ///
@@ -143,64 +340,13 @@ pub fn linial_from_coloring<V: GraphView>(
     initial: &VertexColoring,
 ) -> Result<LinialResult, AlgoError> {
     let g = net.graph();
-    initial
-        .validate(g)
-        .map_err(|e| AlgoError::InvalidParameters {
-            reason: e.to_string(),
-        })?;
-    let delta = num::to_u64(g.max_degree());
-    let mut colors: Vec<u64> = initial.as_slice().iter().map(|&c| u64::from(c)).collect();
-    let mut m = initial.palette().max(1);
-    let mut trace = vec![m];
-
-    if g.num_vertices() == 0 {
-        // lint: allow(panic, "empty coloring is valid")
-        let coloring = VertexColoring::new(vec![], 1).expect("empty coloring is valid");
-        return Ok(LinialResult {
-            coloring,
-            palette_trace: trace,
-        });
-    }
-    if delta == 0 {
-        // No edges: everything can take color 0 without communication.
-        let coloring =
-            // lint: allow(panic, "constant coloring")
-            VertexColoring::new(vec![0; g.num_vertices()], 1).expect("constant coloring");
-        return Ok(LinialResult {
-            coloring,
-            palette_trace: trace,
-        });
-    }
-
-    let target = final_palette_bound(g.max_degree());
-    let mut buf = net.make_buffer();
-    while m > target {
-        let next = {
-            let (q, _) = choose_parameters(m, delta);
-            q * q
-        };
-        if next >= m {
-            break; // fixed point reached early
-        }
-        let reached = linial_round(net, &mut buf, &mut colors, m, delta)?;
-        m = reached;
-        trace.push(m);
-    }
-
-    let colors_u32: Vec<u32> = colors
-        .iter()
-        // lint: allow(panic, "palette fits u32 at the fixed point")
-        .map(|&c| u32::try_from(c).expect("palette fits u32 at the fixed point"))
-        .collect();
-    let coloring =
-        VertexColoring::new(colors_u32, m).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    debug_assert!(coloring.is_proper(g));
-    Ok(LinialResult {
-        coloring,
-        palette_trace: trace,
-    })
+    let mut st = LinialState::start(g, initial)?;
+    let agents = VertexAgents::new(g, net.broadcast_cost::<u64>());
+    linial_pass(&agents, &mut st, None, |_| Ok(()))?;
+    net.absorb_sequential(st.stats);
+    let result = st.into_result()?;
+    debug_assert!(result.coloring.is_proper(g));
+    Ok(result)
 }
 
 /// The distinct-ID assignment as the initial proper coloring every Linial
@@ -252,26 +398,19 @@ pub fn linial_coloring<V: GraphView>(
     linial_from_coloring(net, &initial)
 }
 
-/// Vertices recolored per work item of the chunked pass — small enough
-/// that a chunk's output is cache-resident, large enough that the pool
-/// fan-out amortizes.
-const LINIAL_CHUNK: usize = 1 << 16;
-
-/// The **streaming/chunked realization** of [`linial_coloring`]: no
-/// [`Network`], no O(m)-slot [`RoundBuffer`] — each round gathers
-/// neighbor colors straight off the topology's CSR (in-memory `Graph` or
-/// out-of-core `ShardedCsr`) into per-chunk scratch, double-buffering the
-/// color array, with the chunks fanned out on the worker pool. Peak
-/// algorithm state is 2n u64 words instead of n + 2m, which is what opens
-/// the `scaling` Linial row to n ≈ 10⁸.
+/// The **pooled realization** of [`linial_coloring`], without a
+/// [`Network`]: the same kernel, reading neighbor colors straight off the
+/// topology's CSR (in-memory `Graph` or out-of-core `ShardedCsr`), with
+/// each round's chunks fanned out on the worker pool. Peak algorithm state
+/// is 2n u64 words, which is what opens the `scaling` Linial row to
+/// n ≈ 10⁸.
 ///
 /// A vertex's recoloring decision depends only on the previous round's
 /// colors, so the output is **bit-identical** at any `DECOLOR_THREADS`
-/// and bit-identical to the [`Network`]-simulated path — colorings,
-/// palette traces, round counts, and the returned [`NetworkStats`]
-/// (synthesized from the same per-round ledger a broadcast charges:
-/// Σ deg(v) messages of 8 payload bytes each) — pinned by the
-/// backend-equivalence tests.
+/// and bit-identical to [`linial_coloring`] — colorings, palette traces,
+/// round counts, and the returned [`NetworkStats`] (the ledger a
+/// broadcast charges: Σ deg(v) messages of 8 payload bytes each per
+/// round) — pinned by the backend-equivalence tests.
 ///
 /// # Errors
 ///
@@ -333,31 +472,28 @@ fn chunked_core<V: GraphView + Sync>(
 ) -> Result<ChunkedOutcome, AlgoError> {
     use crate::checkpoint::{input_fingerprint, RoundCheckpoint};
 
-    initial
-        .validate(g)
-        .map_err(|e| AlgoError::InvalidParameters {
-            reason: e.to_string(),
-        })?;
-    let n = g.num_vertices();
+    let mut st = LinialState::start(g, initial)?;
+    let n = num::to_u64(g.num_vertices());
     let delta = num::to_u64(g.max_degree());
-    let mut colors: Vec<u64> = initial.as_slice().iter().map(|&c| u64::from(c)).collect();
-    let mut m = initial.palette().max(1);
-    let mut trace = vec![m];
-    let mut stats = NetworkStats::default();
     let mut resumed_at_round = None;
 
     // Bind any checkpoint to this exact run before trusting its state: a
     // checkpoint for a different graph or id assignment must surface as
     // Corrupt, never resume into a silently wrong coloring.
     let fingerprint = ckpt.map(|path| {
-        (
-            path,
-            input_fingerprint(n, g.num_edges(), g.max_degree(), m, initial.as_slice()),
-        )
+        let (edges, max_degree) = (g.num_edges(), g.max_degree());
+        let fp = input_fingerprint(
+            g.num_vertices(),
+            edges,
+            max_degree,
+            st.m,
+            initial.as_slice(),
+        );
+        (path, fp)
     });
     if let Some((path, fp)) = fingerprint {
         if let Some(saved) = RoundCheckpoint::load(path)? {
-            if saved.fingerprint != fp || saved.n != num::to_u64(n) || saved.delta != delta {
+            if saved.fingerprint != fp || saved.n != n || saved.delta != delta {
                 return Err(AlgoError::Graph(decolor_graph::GraphError::Corrupt {
                     path: path.display().to_string(),
                     reason: format!(
@@ -366,128 +502,45 @@ fn chunked_core<V: GraphView + Sync>(
                     ),
                 }));
             }
-            colors = saved.colors;
-            m = saved.m;
-            trace = saved.trace;
-            stats.rounds = saved.rounds;
-            stats.messages = saved.messages;
-            stats.payload_bytes = saved.payload_bytes;
             resumed_at_round = Some(saved.rounds);
-        }
-    }
-
-    if n == 0 {
-        // lint: allow(panic, "empty coloring is valid")
-        let coloring = VertexColoring::new(vec![], 1).expect("empty coloring is valid");
-        return Ok(ChunkedOutcome {
-            result: LinialResult {
-                coloring,
-                palette_trace: trace,
-            },
-            stats,
-            completed: true,
-            resumed_at_round,
-        });
-    }
-    if delta == 0 {
-        // lint: allow(panic, "constant coloring")
-        let coloring = VertexColoring::new(vec![0; n], 1).expect("constant coloring");
-        return Ok(ChunkedOutcome {
-            result: LinialResult {
-                coloring,
-                palette_trace: trace,
-            },
-            stats,
-            completed: true,
-            resumed_at_round,
-        });
-    }
-
-    let target = final_palette_bound(g.max_degree());
-    // One broadcast's ledger: every vertex sends its color on all ports.
-    let round_messages = 2 * num::to_u64(g.num_edges());
-    let round_payload = round_messages * num::to_u64(std::mem::size_of::<u64>());
-    let chunks: Vec<std::ops::Range<usize>> = (0..n.div_ceil(LINIAL_CHUNK))
-        .map(|c| (c * LINIAL_CHUNK)..((c + 1) * LINIAL_CHUNK).min(n))
-        .collect();
-    let mut rounds_this_call = 0u64;
-    let mut completed = true;
-    while m > target {
-        let (q, _deg) = choose_parameters(m, delta);
-        if q * q >= m {
-            break; // fixed point reached early
-        }
-        if round_budget.is_some_and(|b| rounds_this_call >= b) {
-            // Round budget exhausted: stop between rounds, exactly where
-            // a kill would land. The last checkpoint carries the state.
-            completed = false;
-            break;
-        }
-        // One "round": recolor every chunk off the previous colors.
-        let outs: Vec<Vec<u64>> = chunks
-            .par_iter()
-            .map(|range| {
-                let mut out = Vec::with_capacity(range.len());
-                let mut neigh: Vec<u64> = Vec::new();
-                for vi in range.clone() {
-                    let my = colors[vi];
-                    neigh.clear();
-                    g.for_each_port(VertexId::new(vi), |u, _| neigh.push(colors[u.index()]));
-                    // Smallest α where p_v differs from every neighbor's
-                    // polynomial — the same decision `linial_round` makes
-                    // off the broadcast buffer.
-                    let mut alpha = None;
-                    'points: for a in 0..q {
-                        let mine = eval_poly(my, q, a);
-                        for &their in &neigh {
-                            if their != my && eval_poly(their, q, a) == mine {
-                                continue 'points;
-                            }
-                            debug_assert_ne!(their, my, "input coloring is not proper");
-                        }
-                        alpha = Some(a);
-                        break;
-                    }
-                    let a =
-                        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-                        alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-                    out.push(a * q + eval_poly(my, q, a));
-                }
-                out
-            })
-            .collect();
-        // The chunk outputs *are* the round's second buffer: every
-        // vertex's decision read only the pre-round `colors`, so writing
-        // them back in place keeps peak state at 2n words (colors +
-        // outs), never 3n.
-        for (range, out) in chunks.iter().zip(outs) {
-            colors[range.clone()].copy_from_slice(&out);
-        }
-        stats.rounds += 1;
-        stats.messages += round_messages;
-        stats.payload_bytes += round_payload;
-        rounds_this_call += 1;
-        m = q * q;
-        trace.push(m);
-        if let Some((path, fp)) = fingerprint {
-            // The color array is *moved* into the checkpoint for the save
-            // (no n-word copy) and moved back out afterwards.
-            let ck = RoundCheckpoint {
-                n: num::to_u64(n),
-                delta,
-                fingerprint: fp,
-                m,
-                rounds: stats.rounds,
-                messages: stats.messages,
-                payload_bytes: stats.payload_bytes,
-                trace: trace.clone(),
-                colors: std::mem::take(&mut colors),
+            st = LinialState {
+                colors: saved.colors,
+                m: saved.m,
+                trace: saved.trace,
+                stats: NetworkStats {
+                    rounds: saved.rounds,
+                    messages: saved.messages,
+                    payload_bytes: saved.payload_bytes,
+                },
             };
-            let saved = ck.save(path);
-            colors = ck.colors;
-            saved.map_err(AlgoError::Graph)?;
         }
     }
+
+    let agents = Pooled(VertexAgents::new(
+        g,
+        Network::new(g).broadcast_cost::<u64>(),
+    ));
+    let completed = linial_pass(&agents, &mut st, round_budget, |st| {
+        let Some((path, fp)) = fingerprint else {
+            return Ok(());
+        };
+        // The color array is *moved* into the checkpoint for the save (no
+        // n-word copy) and moved back out afterwards.
+        let ck = RoundCheckpoint {
+            n,
+            delta,
+            fingerprint: fp,
+            m: st.m,
+            rounds: st.stats.rounds,
+            messages: st.stats.messages,
+            payload_bytes: st.stats.payload_bytes,
+            trace: st.trace.clone(),
+            colors: std::mem::take(&mut st.colors),
+        };
+        let saved = ck.save(path);
+        st.colors = ck.colors;
+        saved.map_err(AlgoError::Graph)
+    })?;
 
     if completed {
         if let Some((path, _)) = fingerprint {
@@ -503,20 +556,9 @@ fn chunked_core<V: GraphView + Sync>(
             }
         }
     }
-    let colors_u32: Vec<u32> = colors
-        .iter()
-        // lint: allow(panic, "palette fits u32 at the fixed point")
-        .map(|&c| u32::try_from(c).expect("palette fits u32 at the fixed point"))
-        .collect();
-    let coloring =
-        VertexColoring::new(colors_u32, m).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
+    let stats = st.stats;
     Ok(ChunkedOutcome {
-        result: LinialResult {
-            coloring,
-            palette_trace: trace,
-        },
+        result: st.into_result()?,
         stats,
         completed,
         resumed_at_round,

@@ -11,14 +11,25 @@
 //! * [`edge_palette_trim`] — the edge-coloring analogue used by §4's
 //!   "within an additional round the number of colors can be reduced":
 //!   each top edge-color class is a matching, so it recolors in one round.
+//!
+//! All three run one kernel over the agent sets of [`crate::linial`]:
+//! the vertex reductions on vertex agents, the trim and the edge-space
+//! subroutine ([`crate::edge_space`]) on edge agents. A round's deciders
+//! share one color (one per palette block for KW), so no two of them
+//! constrain each other: they recolor in place, which reads the same
+//! colors as the round's broadcast would deliver. Each round is charged
+//! at the broadcast's full ledger cost; only the deciding class is
+//! touched.
 
 use decolor_graph::coloring::Color;
+use decolor_graph::num;
 use decolor_graph::subgraph::GraphView;
-use decolor_graph::{num, EdgeId, VertexId};
-use decolor_runtime::{Network, RoundBuffer};
+use decolor_runtime::{Network, NetworkStats};
 
 use crate::bitset::PaletteSet;
+use crate::edge_space::EdgeAgents;
 use crate::error::AlgoError;
+use crate::linial::{Agents, VertexAgents};
 
 /// Smallest color `< limit` absent from `used` (the "mex below limit").
 ///
@@ -40,6 +51,129 @@ pub(crate) fn mex_below(used: impl Iterator<Item = Color>, limit: u64) -> Option
     taken.iter().position(|&t| !t).map(|p| p as Color)
 }
 
+/// One reduction phase over `agents`: for each local color `top` in
+/// `t..block`, from the top down, one round in which every agent whose
+/// color is `top` within its block of `block` colors moves to the
+/// smallest local color below `t` held by no same-block neighbor. Needs
+/// `t` above the conflict degree; afterwards every local color is below
+/// `t`. The basic reduction is the one-block case (`block` = palette).
+fn reduce_blocks<A: Agents>(
+    agents: &A,
+    colors: &mut [Color],
+    block: u64,
+    t: u64,
+    stats: &mut NetworkStats,
+) {
+    // Deciders bucketed by local color (a counting sort over `t..block`),
+    // so a round touches only its own class.
+    let slot = |c: Color| {
+        let local = u64::from(c) % block;
+        // lint: allow(cast, "local − t < block − t, the slot count, which is allocated below")
+        (local >= t).then(|| (local - t) as usize)
+    };
+    // lint: allow(cast, "block − t ≤ the palette, a color count of in-memory agents")
+    let slots = (block - t) as usize;
+    let mut start = vec![0usize; slots + 1];
+    for &c in colors.iter() {
+        if let Some(k) = slot(c) {
+            start[k + 1] += 1;
+        }
+    }
+    for k in 0..slots {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0usize; start[slots]];
+    for (a, &c) in colors.iter().enumerate() {
+        if let Some(k) = slot(c) {
+            order[next[k]] = a;
+            next[k] += 1;
+        }
+    }
+    let mut set = PaletteSet::new();
+    for k in (0..slots).rev() {
+        for &a in &order[start[k]..start[k + 1]] {
+            let b = u64::from(colors[a]) / block;
+            let free = set
+                .mex_marked(t, |mark| {
+                    agents.for_each_neighbor(a, |n| {
+                        let c = u64::from(colors[n]);
+                        if c / block == b {
+                            mark(c % block);
+                        }
+                    });
+                })
+                // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
+                .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
+            colors[a] = (b * block + free) as Color;
+        }
+        *stats = stats.then(agents.round_cost());
+    }
+}
+
+/// The basic reduction over `agents`: one top color class per round, from
+/// `palette` down to `target` (above the conflict degree). Returns the
+/// resulting palette.
+pub(crate) fn basic_pass<A: Agents>(
+    agents: &A,
+    colors: &mut [Color],
+    palette: u64,
+    target: u64,
+    stats: &mut NetworkStats,
+) -> u64 {
+    if palette <= target {
+        return palette.max(1);
+    }
+    reduce_blocks(agents, colors, palette, target, stats);
+    target
+}
+
+/// The Kuhn–Wattenhofer reduction over `agents`: halving phases, in which
+/// the palette blocks of 2t colors each reduce to t colors in the same t
+/// rounds, then the basic tail. Returns the resulting palette.
+pub(crate) fn kw_pass<A: Agents>(
+    agents: &A,
+    colors: &mut [Color],
+    palette: u64,
+    t: u64,
+    stats: &mut NetworkStats,
+) -> u64 {
+    let mut m = palette.max(1);
+    while m > 2 * t {
+        reduce_blocks(agents, colors, 2 * t, t, stats);
+        // All local colors are now < t; renumber blocks densely.
+        for c in colors.iter_mut() {
+            let b = u64::from(*c) / (2 * t);
+            let local = u64::from(*c) % (2 * t);
+            debug_assert!(local < t, "halving phase left a local color ≥ t");
+            *c = (b * t + local) as Color;
+        }
+        m = m.div_ceil(2 * t) * t;
+    }
+    basic_pass(agents, colors, m, t, stats)
+}
+
+/// The vertex agents of `net`'s graph for a reduction of `colors` to
+/// `target`, after the checks both vertex reductions share.
+fn vertex_agents<'g, V: GraphView>(
+    net: &Network<'g, V>,
+    colors: &[Color],
+    target: u64,
+) -> Result<VertexAgents<'g, V>, AlgoError> {
+    let g = net.graph();
+    if colors.len() != g.num_vertices() {
+        return Err(AlgoError::InvalidParameters {
+            reason: format!("{} colors for {} vertices", colors.len(), g.num_vertices()),
+        });
+    }
+    if target < num::to_u64(g.max_degree()) + 1 {
+        return Err(AlgoError::InvalidParameters {
+            reason: format!("target {} below Δ + 1 = {}", target, g.max_degree() + 1),
+        });
+    }
+    Ok(VertexAgents::new(g, net.broadcast_cost::<Color>()))
+}
+
 /// Reduces a proper vertex coloring with palette `palette` to palette
 /// `target` by recoloring top color classes one round at a time.
 ///
@@ -56,53 +190,11 @@ pub fn basic_reduction<V: GraphView>(
     palette: u64,
     target: u64,
 ) -> Result<u64, AlgoError> {
-    let g = net.graph();
-    if colors.len() != g.num_vertices() {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("{} colors for {} vertices", colors.len(), g.num_vertices()),
-        });
-    }
-    if target < num::to_u64(g.max_degree()) + 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("target {} below Δ + 1 = {}", target, g.max_degree() + 1),
-        });
-    }
-    if palette <= target {
-        return Ok(palette.max(1));
-    }
-    let mut buf = net.make_buffer();
-    basic_reduction_rounds(net, &mut buf, colors, palette, target)?;
-    Ok(target)
-}
-
-/// The communication rounds of [`basic_reduction`], reusing `buf` (one
-/// flat inbox for the whole cascade). Preconditions already checked.
-fn basic_reduction_rounds<V: GraphView>(
-    net: &mut Network<'_, V>,
-    buf: &mut RoundBuffer<Color>,
-    colors: &mut [Color],
-    palette: u64,
-    target: u64,
-) -> Result<(), AlgoError> {
-    let mut set = PaletteSet::new();
-    for top in (target..palette).rev() {
-        net.broadcast_into(colors, buf)?;
-        #[allow(clippy::needless_range_loop)] // v also names the buffer row
-        for v in 0..colors.len() {
-            if u64::from(colors[v]) == top {
-                set.reset(target);
-                for &c in buf.row(VertexId::new(v)) {
-                    set.insert(u64::from(c));
-                }
-                let free = set
-                    .mex()
-                    // lint: allow(panic, "Δ neighbors cannot block Δ + 1 colors")
-                    .expect("Δ neighbors cannot block Δ + 1 colors");
-                colors[v] = free as Color;
-            }
-        }
-    }
-    Ok(())
+    let agents = vertex_agents(net, colors, target)?;
+    let mut stats = NetworkStats::default();
+    let reached = basic_pass(&agents, colors, palette, target, &mut stats);
+    net.absorb_sequential(stats);
+    Ok(reached)
 }
 
 /// Kuhn–Wattenhofer reduction: proper `palette`-coloring → proper
@@ -117,71 +209,18 @@ pub fn kw_reduction<V: GraphView>(
     palette: u64,
     target: u64,
 ) -> Result<u64, AlgoError> {
-    let g = net.graph();
-    if colors.len() != g.num_vertices() {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("{} colors for {} vertices", colors.len(), g.num_vertices()),
-        });
-    }
-    if target < num::to_u64(g.max_degree()) + 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("target {} below Δ + 1 = {}", target, g.max_degree() + 1),
-        });
-    }
-    let t = target;
-    let mut m = palette.max(1);
-    let mut buf = net.make_buffer();
-    let mut set = PaletteSet::new();
-    // Halving phases: blocks of size 2t reduce to t colors each, all
-    // blocks in parallel (they occupy disjoint vertex sets).
-    while m > 2 * t {
-        let block_of = |c: Color| u64::from(c) / (2 * t);
-        for step in 0..t {
-            let top_local = 2 * t - 1 - step;
-            net.broadcast_into(colors, &mut buf)?;
-            #[allow(clippy::needless_range_loop)] // v also names the buffer row
-            for v in 0..colors.len() {
-                let local = u64::from(colors[v]) % (2 * t);
-                if local == top_local {
-                    let b = block_of(colors[v]);
-                    // Only same-block neighbors constrain the local mex.
-                    set.reset(t);
-                    for &c in buf.row(VertexId::new(v)) {
-                        if block_of(c) == b {
-                            set.insert(u64::from(c) % (2 * t));
-                        }
-                    }
-                    let free = set
-                        .mex()
-                        // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
-                        .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
-                    // Stay in the original block encoding during the
-                    // phase so neighbors keep classifying us correctly.
-                    colors[v] = (b * 2 * t + free) as Color;
-                }
-            }
-        }
-        // All local colors are now < t; renumber blocks densely.
-        let blocks = m.div_ceil(2 * t);
-        for c in colors.iter_mut() {
-            let b = u64::from(*c) / (2 * t);
-            let local = u64::from(*c) % (2 * t);
-            debug_assert!(local < t, "halving phase left a local color ≥ t");
-            *c = (b * t + local) as Color;
-        }
-        m = blocks * t;
-    }
-    if m <= t {
-        return Ok(m.max(1));
-    }
-    basic_reduction_rounds(net, &mut buf, colors, m, t)?;
-    Ok(t)
+    let agents = vertex_agents(net, colors, target)?;
+    let mut stats = NetworkStats::default();
+    let reached = kw_pass(&agents, colors, palette, target, &mut stats);
+    net.absorb_sequential(stats);
+    Ok(reached)
 }
 
 /// Reduces a proper **edge** coloring to palette `target` one top class
 /// per round. Each top class is a matching, so its edges recolor
 /// simultaneously; both endpoints broadcast their incident colors each
-/// round, and the lower endpoint (deterministically) computes the mex.
+/// round (LOCAL messages are unbounded), charged at the ledger cost of a
+/// `Vec<Color>` broadcast, and the lower endpoint computes the mex.
 ///
 /// # Errors
 ///
@@ -206,72 +245,11 @@ pub fn edge_palette_trim<V: GraphView>(
             reason: format!("target {target} below 2Δ − 1 = {needed}"),
         });
     }
-    if palette <= target {
-        return Ok(palette.max(1));
-    }
-    // Incident-color table in one flat CSR-style buffer: slot
-    // `inc_off[v] + p` holds the color of the edge on `v`'s port `p`.
-    // Built once, patched incrementally after each round's recoloring —
-    // no per-vertex `Vec`s and no per-round rebuild.
-    let nv = g.num_vertices();
-    let mut inc_off: Vec<usize> = Vec::with_capacity(nv + 1);
-    let mut acc = 0usize;
-    inc_off.push(0);
-    for v in 0..nv {
-        acc += g.degree(VertexId::new(v));
-        inc_off.push(acc);
-    }
-    let mut inc: Vec<Color> = vec![0; acc];
-    for (v, &start) in inc_off.iter().enumerate().take(nv) {
-        let mut slot = start;
-        g.for_each_incident_edge(VertexId::new(v), |e| {
-            inc[slot] = colors[e.index()];
-            slot += 1;
-        });
-    }
-    // Each round every vertex still broadcasts its incident-color list
-    // (LOCAL messages are unbounded); the exchange is realized by
-    // reading the flat table directly, charged at exactly the ledger
-    // cost of the `Vec<Color>`-message broadcast it replaces.
-    let round_cost = net.broadcast_cost::<Vec<Color>>();
-    let mut set = PaletteSet::new();
-    let mut updates: Vec<(EdgeId, Color)> = Vec::new();
-    for top in (target..palette).rev() {
-        net.absorb_sequential(round_cost);
-        updates.clear();
-        for e in (0..g.num_edges()).map(EdgeId::new) {
-            if u64::from(colors[e.index()]) != top {
-                continue;
-            }
-            let [u, v] = g.endpoints(e);
-            // The lower endpoint u decides: it knows its own incident
-            // colors locally and the other endpoint's from the inbox
-            // (v's row of the table — updates are deferred below, so
-            // live reads equal the round's snapshot). Top-class edges
-            // form a matching, so decisions are independent.
-            set.reset(target);
-            for &c in &inc[inc_off[u.index()]..inc_off[u.index() + 1]] {
-                set.insert(u64::from(c));
-            }
-            for &c in &inc[inc_off[v.index()]..inc_off[v.index() + 1]] {
-                set.insert(u64::from(c));
-            }
-            let free = set
-                .mex()
-                // lint: allow(panic, "2Δ − 2 incident edges cannot block 2Δ − 1 colors")
-                .expect("2Δ − 2 incident edges cannot block 2Δ − 1 colors");
-            updates.push((e, free as Color));
-        }
-        for &(e, c) in &updates {
-            colors[e.index()] = c;
-            let [u, v] = g.endpoints(e);
-            let pu = net.port_of(u, e)?;
-            let pv = net.port_of(v, e)?;
-            inc[inc_off[u.index()] + pu] = c;
-            inc[inc_off[v.index()] + pv] = c;
-        }
-    }
-    Ok(target)
+    let agents = EdgeAgents::new(g, net.broadcast_cost::<Vec<Color>>());
+    let mut stats = NetworkStats::default();
+    let reached = basic_pass(&agents, colors, palette, target, &mut stats);
+    net.absorb_sequential(stats);
+    Ok(reached)
 }
 
 #[cfg(test)]

@@ -141,7 +141,8 @@ pub fn star_partition_edge_coloring<G: GraphView + Sync>(
 /// [`star_partition_edge_coloring`] with the **top-level connector spilled
 /// to disk**: the one construction of the star pipeline that is
 /// proportional to the input (the stage-one connector has exactly `m`
-/// edges) is streamed through [`ShardedCsrBuilder`] into `scratch_dir`
+/// edges) is streamed through
+/// [`ShardedCsrBuilder`](decolor_graph::storage::ShardedCsrBuilder) into `scratch_dir`
 /// and colored off the mmap CSR, so no in-RAM graph proportional to the
 /// input is ever materialized — the entry point the mmap backend uses.
 /// Recursion-level connectors are geometrically smaller (≤ m/(2t−1) edges

@@ -14,7 +14,7 @@ use crate::subgraph::GraphView;
 /// in the paper (the largest palettes are O(Δ²)).
 pub type Color = u32;
 
-/// A (candidate) vertex coloring of a [`Graph`].
+/// A (candidate) vertex coloring of a [`Graph`](crate::Graph).
 ///
 /// Stores one color per vertex plus the *palette size* (an exclusive upper
 /// bound on colors, i.e. all colors are `< palette`). The palette is the
@@ -34,7 +34,7 @@ pub struct VertexColoring {
     palette: u64,
 }
 
-/// A (candidate) edge coloring of a [`Graph`]; see [`VertexColoring`] for
+/// A (candidate) edge coloring of a [`Graph`](crate::Graph); see [`VertexColoring`] for
 /// the palette conventions.
 ///
 /// ```rust

@@ -393,7 +393,7 @@ const PAIRING_SHARD: u64 = 1 << 15;
 
 /// Random `d`-regular graph via the pairing (configuration) model.
 ///
-/// The stub shuffle is a keyed [`FeistelPerm`] evaluated point-wise, so
+/// The stub shuffle is a keyed Feistel permutation evaluated point-wise, so
 /// the bulk pairing runs as **parallel seeded shards** (fixed shard
 /// layout ⇒ output independent of the worker-pool size): shard `s` pairs
 /// permuted stubs `2i` and `2i + 1` for its pair range. A sequential

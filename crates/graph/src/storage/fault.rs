@@ -28,7 +28,7 @@ pub enum FaultKind {
     /// The operation does not happen at all (crash between steps).
     Kill,
     /// A seeded prefix of the payload is written, then the write fails
-    /// (torn write). For non-write points this degrades to [`Kill`].
+    /// (torn write). For non-write points this degrades to [`Kill`](FaultKind::Kill).
     ShortWrite,
     /// The write fails without touching the file (out of disk space).
     Enospc,

@@ -92,7 +92,8 @@ pub(crate) fn write_durable_faulty(
     fsync_dir(parent)
 }
 
-/// [`write_durable_faulty`] without fault injection — the public helper
+/// Writes `bytes` to `path` durably: a staged tmp file, fsynced, renamed
+/// into place, then the directory fsynced. This is the public helper
 /// `decolor-core` uses for its round checkpoints.
 ///
 /// # Errors

@@ -41,7 +41,7 @@
 //! and CRC32 for every data file plus a self-checksum — is written
 //! **last**, so its presence marks a complete store. [`ShardedCsr::open`]
 //! validates the manifest and every file length (a cheap O(#files) pass)
-//! and surfaces [`GraphError::Corrupt`](crate::GraphError::Corrupt)
+//! and surfaces [`GraphError::Corrupt`]
 //! instead of mmapping garbage; [`ShardedCsr::verify`] recomputes every
 //! checksum. With [`BuildOptions::journal_every`] set, the builder
 //! additionally journals its durable edge count + prefix CRC so an

@@ -1,5 +1,5 @@
-//! The rule engine: scans [`Lexed`](crate::lexer::Lexed) code lines and
-//! the bracket-matched [`TokenStream`](crate::tokens::TokenStream) for
+//! The rule engine: scans [`Lexed`] code lines and
+//! the bracket-matched [`TokenStream`] for
 //! invariant violations, honoring `// lint: allow(<family>, "<reason>")`
 //! annotations.
 //!

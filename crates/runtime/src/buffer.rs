@@ -51,18 +51,13 @@ pub struct RoundBuffer<M> {
     /// `Option` discriminant is paid — for `M = u64` this halves the
     /// arena.
     slots: Vec<M>,
-    /// Edge-space output of `exchange_on_edges_into`, sized lazily to `m`.
-    per_edge: Vec<Option<(M, M)>>,
-    /// Edges filled in `per_edge` by the previous call, so a subset-
-    /// activation round clears O(|subset|), not O(m).
-    touched_edges: Vec<usize>,
     /// Number of edges of the graph this buffer was built for.
     num_edges: usize,
 }
 
 impl<M: Clone + Default> RoundBuffer<M> {
-    /// Builds an empty buffer shaped for the topology `g` — a [`Graph`]
-    /// (`decolor_graph::Graph`) or any borrowed subgraph view (O(n + m),
+    /// Builds an empty buffer shaped for the topology `g` — a
+    /// [`Graph`](decolor_graph::Graph) or any borrowed subgraph view (O(n + m),
     /// done once). Slots are default-initialized (never readable before
     /// a round writes them).
     pub fn new<V: GraphView>(g: &V) -> Self {
@@ -80,8 +75,6 @@ impl<M: Clone + Default> RoundBuffer<M> {
             len: vec![0; n],
             ports: vec![0; acc],
             slots,
-            per_edge: Vec::new(),
-            touched_edges: Vec::new(),
             num_edges: g.num_edges(),
         }
     }
@@ -152,52 +145,17 @@ impl<M> RoundBuffer<M> {
         &self.slots[self.offsets[v.index()] + i]
     }
 
-    /// The per-edge value pairs produced by the most recent
-    /// [`Network::exchange_on_edges_into`](crate::Network::exchange_on_edges_into):
-    /// `per_edge[e] = Some((value from lower endpoint, value from higher
-    /// endpoint))` for activated edges, `None` elsewhere.
-    #[inline]
-    pub fn per_edge(&self) -> &[Option<(M, M)>] {
-        &self.per_edge
-    }
-
-    /// Resets the per-round state (message counts and activated edges).
-    /// Refilling entry points call this themselves; it is only needed when
-    /// a stale buffer must not be read again.
+    /// Resets the per-round message counts. Refilling entry points call
+    /// this themselves; it is only needed when a stale buffer must not be
+    /// read again.
     pub fn clear(&mut self) {
         self.len.fill(0);
-        self.clear_edges();
     }
 
     /// Starts a new round: zeroes every per-vertex message count.
     #[inline]
     pub(crate) fn begin_round(&mut self) {
         self.len.fill(0);
-    }
-
-    /// Clears only the edges activated by the previous edge-space round.
-    pub(crate) fn clear_edges(&mut self) {
-        for e in self.touched_edges.drain(..) {
-            self.per_edge[e] = None;
-        }
-    }
-
-    /// Lazily sizes the edge-space output, then clears the previous
-    /// activation set (O(|previous subset|), not O(m)).
-    pub(crate) fn begin_edge_round(&mut self) {
-        if self.per_edge.len() != self.num_edges {
-            self.per_edge.resize_with(self.num_edges, || None);
-            self.touched_edges.clear();
-        } else {
-            self.clear_edges();
-        }
-    }
-
-    /// Records the pair for edge `e` (index form) and marks it activated.
-    #[inline]
-    pub(crate) fn set_edge_pair(&mut self, e: usize, pair: (M, M)) {
-        self.per_edge[e] = Some(pair);
-        self.touched_edges.push(e);
     }
 
     /// Appends a message for vertex `u` with receiving-port tag `port`,
@@ -265,13 +223,6 @@ impl<M> RoundBuffer<M> {
             })
             .collect()
     }
-
-    /// Moves the edge-space output out of the buffer (compatibility
-    /// wrapper path; the buffer stays usable afterwards).
-    pub(crate) fn take_per_edge(&mut self) -> Vec<Option<(M, M)>> {
-        self.touched_edges.clear();
-        std::mem::take(&mut self.per_edge)
-    }
 }
 
 #[cfg(test)]
@@ -315,16 +266,5 @@ mod tests {
                 vertex: VertexId::new(1)
             })
         );
-    }
-
-    #[test]
-    fn edge_rounds_clear_only_touched_entries() {
-        let g = builder_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let mut buf = RoundBuffer::new(&g);
-        buf.begin_edge_round();
-        buf.set_edge_pair(0, (7u32, 8u32));
-        assert_eq!(buf.per_edge()[0], Some((7, 8)));
-        buf.begin_edge_round();
-        assert_eq!(buf.per_edge(), &[None, None]);
     }
 }

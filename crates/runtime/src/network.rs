@@ -381,86 +381,6 @@ impl<'g, V: GraphView> Network<'g, V> {
         Ok(())
     }
 
-    /// One round in which both endpoints of each edge in `edges` (a
-    /// subset; each edge at most once) send their value across that edge,
-    /// delivered into a reusable [`RoundBuffer`]: afterwards
-    /// `buf.per_edge()[e] = Some((value from lower endpoint, value from
-    /// higher endpoint))` for edges in the subset, `None` elsewhere.
-    ///
-    /// Useful for algorithms that activate a subset of edges per round
-    /// (Lemma 5.1's label classes). Unlike the [`Network::exchange_on_edges`]
-    /// wrapper, consecutive rounds on the same buffer cost
-    /// O(|previous subset| + |subset|) — the per-edge scratch is cleared
-    /// by activation list, not rebuilt at O(m).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShapeMismatch`] if `values` does not have one entry
-    /// per vertex, [`RuntimeError::EdgeOutOfRange`] for a bad edge id, and
-    /// [`RuntimeError::ForeignBuffer`] for a buffer of the wrong shape.
-    pub fn exchange_on_edges_into<M: Clone>(
-        &mut self,
-        values: &[M],
-        edges: &[EdgeId],
-        buf: &mut RoundBuffer<M>,
-    ) -> Result<(), RuntimeError> {
-        if values.len() != self.graph.num_vertices() {
-            return Err(RuntimeError::ShapeMismatch {
-                what: "values",
-                expected: self.graph.num_vertices(),
-                got: values.len(),
-            });
-        }
-        if !buf.fits(self.graph) {
-            return Err(RuntimeError::ForeignBuffer);
-        }
-        // Validate the whole subset before touching the buffer, so an
-        // error never leaves a half-delivered round readable.
-        for &e in edges {
-            if e.index() >= self.graph.num_edges() {
-                return Err(RuntimeError::EdgeOutOfRange {
-                    edge: e.index(),
-                    num_edges: self.graph.num_edges(),
-                });
-            }
-        }
-        buf.begin_edge_round();
-        for &e in edges {
-            // The message each endpoint receives across `e` is exactly the
-            // other endpoint's value; deliver it directly.
-            let [lo, hi] = self.graph.endpoints(e);
-            buf.set_edge_pair(
-                e.index(),
-                (values[lo.index()].clone(), values[hi.index()].clone()),
-            );
-        }
-        let messages = 2 * num::to_u64(edges.len());
-        self.stats = self.stats.then(round_cost::<M>(messages));
-        Ok(())
-    }
-
-    /// One round in which both endpoints of each edge in `edges` learn the
-    /// value attached by the other side. Returns `per_edge[e] = (value
-    /// from lower endpoint, value from higher endpoint)` for edges in the
-    /// subset, `None` elsewhere.
-    ///
-    /// Compatibility wrapper over [`Network::exchange_on_edges_into`];
-    /// subset-activation loops should hold a [`RoundBuffer`] and call the
-    /// `_into` variant to avoid the O(m) output vector per round.
-    ///
-    /// # Errors
-    ///
-    /// As [`Network::exchange_on_edges_into`].
-    pub fn exchange_on_edges<M: Clone + Default>(
-        &mut self,
-        values: &[M],
-        edges: &[EdgeId],
-    ) -> Result<Vec<Option<(M, M)>>, RuntimeError> {
-        let mut buf = RoundBuffer::new(self.graph);
-        self.exchange_on_edges_into(values, edges, &mut buf)?;
-        Ok(buf.take_per_edge())
-    }
-
     /// What one [`Network::broadcast_into`] of `M` values adds to the
     /// ledger: one round and one `size_of::<M>()`-byte message per
     /// (vertex, port) pair. Pipelines that realize a broadcast by reading
@@ -604,30 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_on_edges_pairs_values() {
-        let g = p3();
-        let mut net = Network::new(&g);
-        let vals = vec![7u32, 8, 9];
-        let per_edge = net.exchange_on_edges(&vals, &[EdgeId::new(1)]).unwrap();
-        assert_eq!(per_edge[0], None);
-        assert_eq!(per_edge[1], Some((8, 9))); // lower endpoint 1, higher 2
-        assert_eq!(net.stats().rounds, 1);
-    }
-
-    #[test]
-    fn exchange_on_edges_rejects_bad_edge() {
-        let g = p3();
-        let mut net = Network::new(&g);
-        assert_eq!(
-            net.exchange_on_edges(&[1u8, 2, 3], &[EdgeId::new(7)]),
-            Err(RuntimeError::EdgeOutOfRange {
-                edge: 7,
-                num_edges: 2
-            })
-        );
-    }
-
-    #[test]
     fn local_rounds_are_charged() {
         let g = p3();
         let mut net = Network::new(&g);
@@ -715,23 +611,6 @@ mod tests {
             assert_eq!(flat, legacy[v.index()]);
         }
         assert_eq!(net.stats(), legacy_stats);
-    }
-
-    #[test]
-    fn exchange_on_edges_into_clears_previous_subset() {
-        let g = p3();
-        let mut net = Network::new(&g);
-        let mut buf = net.make_buffer();
-        net.exchange_on_edges_into(&[7u32, 8, 9], &[EdgeId::new(0)], &mut buf)
-            .unwrap();
-        assert_eq!(buf.per_edge()[0], Some((7, 8)));
-        assert_eq!(buf.per_edge()[1], None);
-        net.exchange_on_edges_into(&[7u32, 8, 9], &[EdgeId::new(1)], &mut buf)
-            .unwrap();
-        assert_eq!(buf.per_edge()[0], None, "stale activation must clear");
-        assert_eq!(buf.per_edge()[1], Some((8, 9)));
-        assert_eq!(net.stats().rounds, 2);
-        assert_eq!(net.stats().messages, 4);
     }
 
     #[test]

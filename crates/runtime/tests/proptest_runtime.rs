@@ -150,36 +150,6 @@ proptest! {
         prop_assert_eq!(net2.stats(), expected_stats);
     }
 
-    /// `exchange_on_edges_into` reproduces the legacy per-edge pairing
-    /// (value from lower endpoint first) without leaking activations
-    /// between rounds, at legacy statistics.
-    #[test]
-    fn exchange_on_edges_into_matches_legacy_path(seed in 0u64..500) {
-        let g = generators::gnm(24, 70, seed).unwrap();
-        let values: Vec<u64> = (0..24).map(|v| v * 17 + 3).collect();
-        let mut net = Network::new(&g);
-        let mut buf = net.make_buffer();
-        for round in 0..3u64 {
-            let subset: Vec<decolor_graph::EdgeId> = g
-                .edges()
-                .filter(|e| (e.index() as u64 + seed + round).is_multiple_of(3))
-                .collect();
-            net.reset_stats();
-            net.exchange_on_edges_into(&values, &subset, &mut buf).unwrap();
-            let mut in_subset = vec![false; g.num_edges()];
-            for e in &subset {
-                in_subset[e.index()] = true;
-            }
-            for (e, [lo, hi]) in g.edge_list() {
-                let expected = in_subset[e.index()]
-                    .then(|| (values[lo.index()], values[hi.index()]));
-                prop_assert_eq!(buf.per_edge()[e.index()], expected, "edge {} differs", e);
-            }
-            prop_assert_eq!(net.stats().rounds, 1);
-            prop_assert_eq!(net.stats().messages, 2 * subset.len() as u64);
-        }
-    }
-
     /// Shuffled IDs are permutations; restriction preserves distinctness.
     #[test]
     fn id_assignment_permutation(n in 1usize..200, seed in 0u64..1000) {
