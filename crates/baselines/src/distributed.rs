@@ -6,13 +6,13 @@
 //!   [`edge_space`](decolor_core::edge_space): each edge is an agent
 //!   exchanging colors over its ≤ 2Δ − 2 incident edges) — the decision
 //!   sequence of the line-graph pipeline without ever materializing L(G),
-//!   which is what lets Tables 1–2 sweep Δ ≥ 128. Per DESIGN.md §3, the
-//!   measured rounds have the substituted subroutine's shape; the color
-//!   count (2Δ − 1) is exact.
+//!   which is what lets Tables 1–2 sweep Δ ≥ 128. The measured rounds
+//!   have the shape of the substituted black-box subroutine
+//!   ([`decolor_core::delta_plus_one`]); the color count (2Δ − 1) is
+//!   exact.
 //! * [`two_delta_minus_one_via_line_graph`] — the original L(G)
-//!   materialization, kept as the reference implementation (the
-//!   equivalence of the two is asserted in tests here and in
-//!   `decolor-core`).
+//!   materialization, kept as the reference implementation (the unit
+//!   tests here assert the two agree).
 //! * [`no_connector_edge_coloring`] — the "don't use connectors at all"
 //!   comparator for Table 1: colors edge space directly with
 //!   Δ_L + 1 = 2Δ − 1 colors; this is what the table's baselines

@@ -1,6 +1,5 @@
-//! Criterion bench: design-choice ablations called out in DESIGN.md —
-//! fixed vs per-level/adaptive t schedules and the Theorem 5.2 intra-set
-//! depth.
+//! Criterion bench: design-choice ablations — fixed vs per-level/adaptive
+//! t schedules and the Theorem 5.2 intra-set depth.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use decolor_bench::{arboricity_workload, regular_workload};

@@ -8,8 +8,7 @@
 //! The report is written to stdout so the wrapper script
 //! (`scripts/experiments-report.sh`) can place it; records accumulate
 //! across runs, so re-running after a change shows both measurements
-//! side by side (rows measured through a `*_reference` path are tagged
-//! `[reference]` in their workload string by the emitting bin).
+//! side by side.
 
 use std::collections::BTreeMap;
 

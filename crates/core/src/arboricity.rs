@@ -21,36 +21,25 @@
 //! Lemma 5.1 merges all simulate rounds on the view), so no per-class
 //! spanning subgraph, port table, or network is materialized. Theorem
 //! 5.3's class step and every Theorem 5.4 level end in the shared ⟨ϕ, ψ⟩
-//! class product (`product::color_classes`). The
-//! pre-view implementations are kept as [`theorem52_reference`],
-//! [`theorem53_reference`], and [`theorem54_reference`]; the equivalence
-//! tests pin colorings, palettes, and [`NetworkStats`] bit-identical
-//! between the paths.
+//! class product (`product::color_classes`). The golden sweep rows
+//! (`crates/core/tests/golden.rs`) pin colorings, palettes and
+//! [`NetworkStats`] of all three theorems over 32 seeded forests.
 
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::orientation::Orientation;
-use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, SpanningEdgeSubgraph};
-use decolor_graph::{EdgeId, Graph, VertexId};
+use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
+use decolor_graph::{EdgeId, VertexId};
 use decolor_runtime::{Network, NetworkStats};
-use rayon::prelude::*;
 
-use crate::connectors::orientation::{
-    bipartite_orientation_connector_on, orientation_connector, VirtualKind,
-};
+use crate::connectors::orientation::{bipartite_orientation_connector_on, orientation_connector};
 use crate::crossing_merge::{color_crossing_edges, one_sided_edge_coloring};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
 use crate::h_partition::h_partition;
 use crate::product::color_classes;
-use crate::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_on, StarPartitionParams,
-};
+use crate::star_partition::{star_partition_edge_coloring_on, StarPartitionParams};
 use crate::util::integer_root_ceil;
 use decolor_graph::num;
-
-/// Child outcome of a parallel class recursion in the materializing
-/// reference path (subgraph, colors, palette, stats).
-type ClassOutcome = (SpanningEdgeSubgraph, Vec<Color>, u64, NetworkStats);
 
 /// The paper's â = ⌈q·a⌉ degree bound for the H-partition, clamped to
 /// ≥ 1, for a speed parameter `q` that is finite and ≥ 2.
@@ -71,12 +60,6 @@ fn a_hat(q: f64, a: usize) -> Result<usize, AlgoError> {
         }
     })?;
     Ok(d.max(1))
-}
-
-/// [`a_hat`] without its checks, saturating at `usize::MAX` — the form
-/// the materializing reference paths use.
-fn qa_ceil(q: f64, a: usize) -> usize {
-    num::f64_to_usize((q * num::approx_f64(a.max(1))).ceil()).map_or(usize::MAX, |d| d.max(1))
 }
 
 /// Result of the Section 5 edge colorings.
@@ -250,98 +233,6 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     Ok(ArboricityColoring { coloring, stats })
 }
 
-/// The **materializing reference path** of [`theorem52`]: the intra-H-set
-/// edges are copied into a [`SpanningEdgeSubgraph`] before the star
-/// partition (the pre-view implementation). Kept for the equivalence
-/// tests.
-///
-/// # Errors
-///
-/// As [`theorem52`].
-pub fn theorem52_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    if g.num_edges() == 0 {
-        return empty_coloring();
-    }
-    if q < 2.0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("q = {q} must be ≥ 2 (+ε)"),
-        });
-    }
-    let d = qa_ceil(q, a);
-    let delta = num::to_u64(g.max_degree());
-    let hp = h_partition(g, d)?;
-    let mut stats = hp.stats;
-
-    let same: Vec<EdgeId> = g
-        .edge_list()
-        .filter(|&(_, [u, v])| hp.index[u.index()] == hp.index[v.index()])
-        .map(|(e, _)| e)
-        .collect();
-    let mut edge_colors: Vec<Option<Color>> = vec![None; g.num_edges()];
-    let mut intra_palette = 1u64;
-    if !same.is_empty() {
-        let sub = SpanningEdgeSubgraph::new(g, &same);
-        debug_assert!(sub.graph().max_degree() <= d);
-        let star = star_partition_edge_coloring(
-            sub.graph(),
-            &StarPartitionParams {
-                subroutine: cfg,
-                ..StarPartitionParams::for_levels(sub.graph(), 1)
-            },
-        )?;
-        intra_palette = star.coloring.palette();
-        for (local, &e) in same.iter().enumerate() {
-            edge_colors[e.index()] = Some(star.coloring.color(EdgeId::new(local)));
-        }
-        stats = stats.then(star.stats);
-    }
-
-    let palette = intra_palette.max(delta + num::to_u64(d));
-    let mut net = Network::new(g);
-    if hp.num_sets >= 2 {
-        for i in (0..hp.num_sets - 1).rev() {
-            let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
-            let crossing: Vec<EdgeId> = g
-                .edge_list()
-                .filter(|&(_, [u, v])| {
-                    let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
-                    hu.min(hv) == i && hu != hv
-                })
-                .map(|(e, _)| e)
-                .collect();
-            if crossing.is_empty() {
-                continue;
-            }
-            color_crossing_edges(&mut net, &in_a, &mut edge_colors, &crossing, palette)?;
-        }
-    }
-    stats = stats.then(net.stats());
-
-    let colors: Vec<Color> = edge_colors
-        .into_iter()
-        .map(|c| {
-            c.ok_or_else(|| AlgoError::InvariantViolated {
-                reason: "edge left uncolored".into(),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
-}
-
 /// **Theorem 5.3**: for `a = o(Δ)`, a (Δ + O(√(Δa)) + O(a))-edge-coloring
 /// — i.e. Δ + o(Δ) — in O(√a log n)-shape rounds, via the shared
 /// orientation connector with √-sized groups. Color classes recurse on
@@ -357,44 +248,8 @@ pub fn theorem53<G: GraphView + Sync>(
     q: f64,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
-    let Some((orient, phi, stats)) = theorem53_head(g, a, q, cfg)? else {
-        return empty_coloring();
-    };
-    combine_classes_on(g, &orient, &phi.coloring, q, cfg, stats)
-}
-
-/// The **materializing reference path** of [`theorem53`]: every color
-/// class is copied into a [`SpanningEdgeSubgraph`] (plus a restricted
-/// [`Orientation`]) before the per-class Theorem 5.2. Kept for the
-/// equivalence tests.
-///
-/// # Errors
-///
-/// As [`theorem53`].
-pub fn theorem53_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    let Some((orient, phi, stats)) = theorem53_head(g, a, q, cfg)? else {
-        return empty_coloring();
-    };
-    combine_classes_reference(g, &orient, &phi.coloring, q, cfg, stats)
-}
-
-/// Shared head of both Theorem 5.3 paths: H-partition, shared orientation
-/// connector, Theorem 5.2 on the connector. Returns `None` for edgeless
-/// inputs.
-type Theorem53Head = Option<(Orientation, ArboricityColoring, NetworkStats)>;
-fn theorem53_head<G: GraphView + Sync>(
-    g: &G,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<Theorem53Head, AlgoError> {
     if g.num_edges() == 0 {
-        return Ok(None);
+        return empty_coloring();
     }
     let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
@@ -408,13 +263,12 @@ fn theorem53_head<G: GraphView + Sync>(
     stats.rounds += 1; // local construction
     let a_conn = conn.orientation.max_out_degree(&conn.graph).max(1);
     let phi = theorem52(&conn.graph, a_conn, q, cfg)?;
-    let phi_stats = phi.stats;
-    Ok(Some((orient, phi, stats.then(phi_stats))))
+    combine_classes_on(g, &orient, &phi.coloring, q, cfg, stats.then(phi.stats))
 }
 
-/// Maximum out-degree of the edges of `g` oriented by `arcs` (edge, head)
-/// — what the reference paths read off `Orientation::max_out_degree` of a
-/// restricted orientation, computed here without materializing either.
+/// Maximum out-degree of the edges of `g` oriented by `arcs` (edge, head):
+/// `Orientation::max_out_degree` of the restricted orientation, computed
+/// without materializing the restriction or its subgraph.
 fn max_out_degree<G: GraphView>(g: &G, arcs: impl Iterator<Item = (EdgeId, VertexId)>) -> usize {
     let mut out_deg = vec![0u32; g.num_vertices()];
     for (e, head) in arcs {
@@ -448,75 +302,6 @@ fn combine_classes_on<G: GraphView + Sync>(
         ))
     })?;
     let stats = stats.then(children);
-    let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
-}
-
-/// The materializing counterpart of [`combine_classes_on`], kept for the
-/// reference paths.
-fn combine_classes_reference(
-    g: &Graph,
-    orient: &Orientation,
-    phi: &EdgeColoring,
-    q: f64,
-    cfg: SubroutineConfig,
-    mut stats: NetworkStats,
-) -> Result<ArboricityColoring, AlgoError> {
-    let classes = phi.classes();
-    let outcomes: Vec<Result<Option<(SpanningEdgeSubgraph, ArboricityColoring)>, AlgoError>> =
-        classes
-            .par_iter()
-            .map(|class| {
-                if class.is_empty() {
-                    return Ok(None);
-                }
-                let sub = SpanningEdgeSubgraph::new(g, class);
-                let heads: Vec<VertexId> = class.iter().map(|&e| orient.head(e)).collect();
-                let sub_orient = Orientation::new(sub.graph(), heads).map_err(|e| {
-                    AlgoError::InvariantViolated {
-                        reason: e.to_string(),
-                    }
-                })?;
-                let a_sub = sub_orient.max_out_degree(sub.graph()).max(1);
-                let psi = theorem52_reference(sub.graph(), a_sub, q, cfg)?;
-                Ok(Some((sub, psi)))
-            })
-            .collect();
-    let mut children = Vec::new();
-    for o in outcomes {
-        if let Some(c) = o? {
-            children.push(c);
-        }
-    }
-    let inner = children
-        .iter()
-        .map(|(_, c)| c.coloring.palette())
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (sub, psi) in &children {
-        for local in 0..sub.graph().num_edges() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            let combined = u64::from(phi.color(parent)) * inner
-                + u64::from(psi.coloring.color(EdgeId::new(local)));
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|(_, c)| c.stats),
-    ));
     let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
         AlgoError::InvariantViolated {
             reason: e.to_string(),
@@ -599,59 +384,6 @@ pub fn theorem54<G: GraphView + Sync>(
     })
 }
 
-/// The **materializing reference path** of [`theorem54`]: every connector
-/// level copies each color class into a [`SpanningEdgeSubgraph`] with a
-/// restricted [`Orientation`]. Kept for the equivalence tests.
-///
-/// # Errors
-///
-/// As [`theorem54`].
-pub fn theorem54_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    x: usize,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    if x == 0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "x must be ≥ 1".into(),
-        });
-    }
-    if g.num_edges() == 0 {
-        return empty_coloring();
-    }
-    let d = qa_ceil(q, a);
-    let delta = num::to_u64(g.max_degree());
-    let hp = h_partition(g, d)?;
-    let orient = hp.orientation(g);
-    let stats = hp.stats;
-    if x == 1 {
-        let t52 = theorem52_reference(g, a, q, cfg)?;
-        return Ok(ArboricityColoring {
-            coloring: t52.coloring,
-            stats: stats.then(t52.stats),
-        });
-    }
-    let x32 = num::to_u32(x)?;
-    let s_in = (num::to_usize(integer_root_ceil(delta, x32))? + 1).max(2);
-    let s_out = (num::to_usize(integer_root_ceil(num::to_u64(d), x32))? + 1).max(2);
-    let (colors, palette, level_stats) = t54_level(g, &orient, s_in, s_out, x, q, cfg)?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring {
-        coloring,
-        stats: stats.then(level_stats),
-    })
-}
-
 /// Level-invariant parameters of the Theorem 5.4 recursion.
 #[derive(Clone, Copy)]
 struct T54Ctx {
@@ -702,83 +434,6 @@ fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
         t54_level_on(root, &child, &child_heads, ctx, levels - 1)
     })?;
     Ok((out, palette_conn * inner, stats.then(children)))
-}
-
-/// One Theorem 5.4 level of the **materializing reference path**.
-fn t54_level(
-    g: &Graph,
-    orient: &Orientation,
-    s_in: usize,
-    s_out: usize,
-    levels: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 {
-        return Ok((vec![], 1, NetworkStats::default()));
-    }
-    if levels == 1 {
-        let a_cur = orient.max_out_degree(g).max(1);
-        let t52 = theorem52_reference(g, a_cur, q, cfg)?;
-        return Ok((
-            t52.coloring.as_slice().to_vec(),
-            t52.coloring.palette(),
-            t52.stats,
-        ));
-    }
-    let conn = orientation_connector(g, orient, s_in, s_out, true)?;
-    let in_a: Vec<bool> = conn
-        .kind
-        .iter()
-        .map(|k| matches!(k, VirtualKind::Out(_)))
-        .collect();
-    let palette_conn = num::to_u64(s_in + s_out - 1);
-    let (phi, phi_stats) = one_sided_edge_coloring(&conn.graph, &in_a, palette_conn)?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-
-    let classes = phi.classes();
-    let outcomes: Vec<Result<Option<ClassOutcome>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let sub = SpanningEdgeSubgraph::new(g, class);
-            let heads: Vec<VertexId> = class.iter().map(|&e| orient.head(e)).collect();
-            let sub_orient =
-                Orientation::new(sub.graph(), heads).map_err(|e| AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                })?;
-            let (c, p, s) = t54_level(sub.graph(), &sub_orient, s_in, s_out, levels - 1, q, cfg)?;
-            Ok(Some((sub, c, p, s)))
-        })
-        .collect();
-    let mut children = Vec::new();
-    for o in outcomes {
-        if let Some(c) = o? {
-            children.push(c);
-        }
-    }
-    let inner = children.iter().map(|&(_, _, p, _)| p).max().unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (sub, colors, _, _) in &children {
-        for (local, &c) in colors.iter().enumerate() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            let combined = u64::from(phi.color(parent)) * inner + u64::from(c);
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|&(_, _, _, s)| s),
-    ));
-    Ok((out, palette_conn * inner, stats))
 }
 
 /// Parameters chosen by [`corollary55`], reported for the bench harness.
@@ -843,7 +498,7 @@ pub fn corollary55<G: GraphView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decolor_graph::generators;
+    use decolor_graph::{generators, Graph};
 
     fn workload(n: usize, a: usize, cap: usize, seed: u64) -> Graph {
         generators::forest_union(n, a, cap, seed).unwrap()
@@ -970,8 +625,8 @@ mod tests {
                 );
             }
         }
-        assert!(theorem52_reference(&g, 2, 1.0, SubroutineConfig::default()).is_err());
-        assert!(theorem54_reference(&g, 2, 2.5, 0, SubroutineConfig::default()).is_err());
+        assert!(theorem52(&g, 2, 1.0, cfg).is_err());
+        assert!(theorem54(&g, 2, 2.5, 0, cfg).is_err());
     }
 
     #[test]
@@ -985,7 +640,7 @@ mod tests {
             .unwrap()
             .coloring
             .is_empty());
-        assert!(theorem53_reference(&g, 1, 2.5, SubroutineConfig::default())
+        assert!(theorem54(&g, 1, 2.5, 2, SubroutineConfig::default())
             .unwrap()
             .coloring
             .is_empty());

@@ -100,9 +100,10 @@ pub fn clique_connector_for(
 /// from the class's subset view and its restricted cover without ever
 /// materializing the induced subgraph. `local_cover` must be the root
 /// cover restricted to the view
-/// ([`CliqueCover::restrict_to_subset`]); restriction composes, so the
-/// result is identical to the materializing path's
-/// `cover.restrict(&sub)` + [`clique_connector`].
+/// ([`CliqueCover::restrict_to_subset`]); restriction composes
+/// (`restriction_composes` in decolor-graph's proptest_graph suite), so
+/// the result is identical to `cover.restrict(&sub)` + [`clique_connector`]
+/// on the materialized induced subgraph.
 ///
 /// # Errors
 ///

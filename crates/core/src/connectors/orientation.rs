@@ -174,10 +174,11 @@ pub fn orientation_connector<V: GraphView>(
 ///
 /// Returns the connector graph plus the `A`-side indicator consumed by
 /// [`one_sided_edge_coloring`](crate::crossing_merge::one_sided_edge_coloring)
-/// (`true` = out-virtual, matching the reference path's
-/// `VirtualKind::Out`). Dropping the reference path's isolated virtual
-/// vertices changes no coloring decision and no ledger entry (they have
-/// degree 0), which the equivalence tests pin.
+/// (`true` = out-virtual, matching [`VirtualKind::Out`] of
+/// [`orientation_connector`]`(.., true)`). Dropping that connector's
+/// isolated virtual vertices changes no coloring decision and no ledger
+/// entry (they have degree 0), which the unit test
+/// `view_connector_matches_materialized_bipartite_connector` pins.
 ///
 /// # Errors
 ///
@@ -203,8 +204,8 @@ pub fn bipartite_orientation_connector_on<V: GraphView>(
     }
     let n = view.num_vertices();
     // Slot of each active edge among its head's in-edges / its tail's
-    // out-edges, in incidence (= port) order — exactly the reference
-    // construction's enumeration.
+    // out-edges, in incidence (= port) order — exactly
+    // `orientation_connector`'s enumeration.
     let mut in_slot = vec![0u32; k];
     let mut out_slot = vec![0u32; k];
     let mut in_count = vec![0u32; n];
@@ -224,8 +225,8 @@ pub fn bipartite_orientation_connector_on<V: GraphView>(
             }
         });
     }
-    // Compact virtual-vertex bases (in-groups first per vertex, like the
-    // reference; `u32::MAX` marks absent sides).
+    // Compact virtual-vertex bases (in-groups first per vertex, like
+    // `orientation_connector`; `u32::MAX` marks absent sides).
     let mut in_base = vec![u32::MAX; n];
     let mut out_base = vec![u32::MAX; n];
     let mut in_a = Vec::new();
@@ -335,7 +336,9 @@ impl OrientationConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossing_merge::one_sided_edge_coloring;
     use decolor_graph::generators;
+    use decolor_graph::subgraph::{EdgeSubgraphView, SpanningEdgeSubgraph};
 
     fn setup(seed: u64) -> (Graph, Orientation) {
         let g = generators::forest_union(200, 3, 6, seed).unwrap();
@@ -421,6 +424,40 @@ mod tests {
             let head = o.head(e);
             let conn_head = conn.orientation.head(e);
             assert_eq!(conn.owner[conn_head.index()], head);
+        }
+    }
+
+    #[test]
+    fn view_connector_matches_materialized_bipartite_connector() {
+        // The compact view connector drops the isolated virtual vertices
+        // of `orientation_connector(.., true)` on the materialized class;
+        // the Theorem 5.4 one-sided coloring must not notice: same colors,
+        // same ledger.
+        let (g, o) = setup(6);
+        let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 != 0).collect();
+        let heads: Vec<VertexId> = class.iter().map(|&e| o.head(e)).collect();
+        let sub = SpanningEdgeSubgraph::new(&g, &class);
+        let sub_orient = Orientation::new(sub.graph(), heads.clone()).unwrap();
+        let view = EdgeSubgraphView::new(&g, class).unwrap();
+        for (s_in, s_out) in [(2usize, 1usize), (3, 2), (5, 3), (8, 4)] {
+            let palette = (s_in + s_out - 1) as u64;
+            let reference =
+                orientation_connector(sub.graph(), &sub_orient, s_in, s_out, true).unwrap();
+            let ref_in_a: Vec<bool> = reference
+                .kind
+                .iter()
+                .map(|k| matches!(k, VirtualKind::Out(_)))
+                .collect();
+            let (want, want_stats) =
+                one_sided_edge_coloring(&reference.graph, &ref_in_a, palette).unwrap();
+            let (compact, in_a) =
+                bipartite_orientation_connector_on(&view, &heads, s_in, s_out).unwrap();
+            assert!(compact.num_vertices() < reference.graph.num_vertices());
+            let (got, got_stats) = one_sided_edge_coloring(&compact, &in_a, palette).unwrap();
+            let case = format!("s_in = {s_in}, s_out = {s_out}");
+            assert_eq!(got.as_slice(), want.as_slice(), "{case}: colors diverge");
+            assert_eq!(got.palette(), want.palette(), "{case}");
+            assert_eq!(got_stats, want_stats, "{case}: ledgers diverge");
         }
     }
 }

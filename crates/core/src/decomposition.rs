@@ -17,27 +17,19 @@
 
 use decolor_graph::cliques::CliqueCover;
 use decolor_graph::coloring::{Color, VertexColoring};
-use decolor_graph::subgraph::{
-    EdgeSubgraphView, GraphView, InducedSubgraph, SpanningEdgeSubgraph, VertexSubsetView,
-};
+use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, VertexSubsetView};
 use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
-use rayon::prelude::*;
 
 use crate::cd_coloring::restrict_seed;
 use crate::connectors::clique::clique_connector_for;
-use crate::connectors::edge::{edge_connector, edge_connector_graph_on};
+use crate::connectors::edge::edge_connector_graph_on;
 use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
 use crate::edge_space::edge_coloring_direct;
 use crate::error::AlgoError;
 use crate::linial;
 use crate::product::{color_classes, Colored};
 use decolor_graph::num;
-
-/// Child outcome of a vertex-partition recursion.
-type VertexChild = (InducedSubgraph, Vec<u64>, NetworkStats);
-/// Child outcome of an edge-partition recursion.
-type EdgeChild = (SpanningEdgeSubgraph, Vec<u64>, NetworkStats);
 
 /// A ((t·D)^x, S/tˣ + 2)-clique-decomposition (Theorem 2.4).
 #[derive(Clone, Debug)]
@@ -158,56 +150,11 @@ pub fn clique_decomposition(
     })
 }
 
-/// The **materializing reference path** of [`clique_decomposition`]:
-/// identical decisions, but each color class is copied into a fresh
-/// [`InducedSubgraph`] per level. Kept for the view-equivalence tests.
-///
-/// # Errors
-///
-/// As [`clique_decomposition`].
-pub fn clique_decomposition_reference(
-    g: &Graph,
-    cover: &CliqueCover,
-    t: usize,
-    x: usize,
-    ids: &IdAssignment,
-) -> Result<CliqueDecomposition, AlgoError> {
-    if t < 2 || x < 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "need t ≥ 2, x ≥ 1".into(),
-        });
-    }
-    let diversity = cover.diversity().max(1);
-    let s = cover.max_clique_size();
-    let mut net = Network::new(g);
-    let base = linial::linial_coloring(&mut net, ids)?.coloring;
-    let base_stats = net.stats();
-
-    let (labels, stats) = decompose_level(g, cover, &base, diversity, t, x)?;
-    // Compact the labels.
-    let mut map = std::collections::BTreeMap::new();
-    let mut part = vec![0usize; g.num_vertices()];
-    for (v, &l) in labels.iter().enumerate() {
-        let next = map.len();
-        part[v] = *map.entry(l).or_insert(next);
-    }
-    let x32 = num::to_u32(x)?;
-    let gamma = num::to_u64(diversity * t);
-    let clique_bound = s / t.pow(x32).max(1) + 2;
-    Ok(CliqueDecomposition {
-        part,
-        num_parts: map.len(),
-        parts_bound: gamma.saturating_pow(x32),
-        clique_bound,
-        stats: base_stats.then(stats),
-    })
-}
-
 /// One level of Theorem 2.4 over a borrowed [`VertexSubsetView`] of the
 /// *root* graph: the clique connector is built from the restricted cover
 /// alone (its edges are derived from clique groups, never from the
 /// subgraph CSR), so no induced subgraph is materialized anywhere in the
-/// recursion. Decisions are bit-identical to [`decompose_level`].
+/// recursion.
 fn decompose_level_on(
     root: &Graph,
     cover: &CliqueCover,
@@ -221,8 +168,9 @@ fn decompose_level_on(
     if x == 0 || !view.has_induced_edge() {
         return Ok((vec![0; k], 1, NetworkStats::default()));
     }
-    // Restriction composes: filtering the root cover by the current
-    // subset equals the reference path's level-by-level restriction.
+    // Restriction composes: filtering the root cover by the current subset
+    // equals restricting it level by level (`restriction_composes` in
+    // decolor-graph's proptest_graph suite).
     let local_cover = cover.restrict_to_subset(view);
     let conn = clique_connector_for(k, &local_cover, t)?;
     let gamma = num::to_u64(diversity) * (num::to_u64(t) - 1) + 1;
@@ -244,75 +192,6 @@ fn decompose_level_on(
         decompose_level_on(root, cover, base, &child, diversity, t, x - 1)
     })?;
     Ok(label_count(labels, stats.then(children)))
-}
-
-/// One level of the **materializing reference path** for Theorem 2.4.
-fn decompose_level(
-    g: &Graph,
-    cover: &CliqueCover,
-    base: &VertexColoring,
-    diversity: usize,
-    t: usize,
-    x: usize,
-) -> Result<(Vec<u64>, NetworkStats), AlgoError> {
-    let n = g.num_vertices();
-    if g.num_edges() == 0 || x == 0 {
-        return Ok((vec![0; n], NetworkStats::default()));
-    }
-    let conn = crate::connectors::clique::clique_connector(g, cover, t)?;
-    let gamma = num::to_u64(diversity) * (num::to_u64(t) - 1) + 1;
-    let (phi, phi_stats) = vertex_coloring_with_target(
-        &conn.graph,
-        Seed::Coloring(base),
-        gamma,
-        SubroutineConfig::default(),
-    )?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-    let classes = phi.classes();
-    let results: Vec<Result<Option<VertexChild>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let sub = InducedSubgraph::new(g, class);
-            let sub_cover = cover.restrict(&sub);
-            let sub_base_colors: Vec<u32> = sub
-                .parent_vertices()
-                .iter()
-                .map(|&v| base.color(v))
-                .collect();
-            let sub_base = VertexColoring::new(sub_base_colors, base.palette()).map_err(|e| {
-                AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                }
-            })?;
-            let (labels, s) =
-                decompose_level(sub.graph(), &sub_cover, &sub_base, diversity, t, x - 1)?;
-            Ok(Some((sub, labels, s)))
-        })
-        .collect();
-    let mut out = vec![0u64; n];
-    let mut children = Vec::new();
-    for r in results {
-        if let Some(c) = r? {
-            children.push(c);
-        }
-    }
-    let width = (num::to_u64(diversity) * num::to_u64(t)).saturating_pow(num::to_u32(x)? - 1);
-    for (sub, labels, _) in &children {
-        for (local, &parent) in sub.parent_vertices().iter().enumerate() {
-            out[parent.index()] = u64::from(phi.color(parent)) * width + labels[local];
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|&(_, _, s)| s),
-    ));
-    Ok((out, stats))
 }
 
 /// A (p, q)-star-partition (§4): an edge partition into ≤ `p` classes with
@@ -381,34 +260,6 @@ pub fn star_partition(g: &Graph, t: usize, x: usize) -> Result<StarPartition, Al
         });
     }
     let (labels, _, stats) = star_level_on(g, g, t, x)?;
-    let labels = labels.into_iter().map(u64::from).collect();
-    finish_star_partition(g, t, x, labels, stats)
-}
-
-/// The **materializing reference path** of [`star_partition`]: identical
-/// decisions via per-class [`SpanningEdgeSubgraph`] copies. Kept for the
-/// view-equivalence tests.
-///
-/// # Errors
-///
-/// As [`star_partition`].
-pub fn star_partition_reference(g: &Graph, t: usize, x: usize) -> Result<StarPartition, AlgoError> {
-    if t < 2 || x < 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "need t ≥ 2, x ≥ 1".into(),
-        });
-    }
-    let (labels, stats) = star_level(g, t, x)?;
-    finish_star_partition(g, t, x, labels, stats)
-}
-
-fn finish_star_partition(
-    g: &Graph,
-    t: usize,
-    x: usize,
-    labels: Vec<u64>,
-    stats: NetworkStats,
-) -> Result<StarPartition, AlgoError> {
     let mut map = std::collections::BTreeMap::new();
     let mut class = vec![0usize; g.num_edges()];
     for (e, &l) in labels.iter().enumerate() {
@@ -429,8 +280,8 @@ fn finish_star_partition(
     })
 }
 
-/// One §4 star-partition level over a borrowed [`GraphView`] — the hot
-/// path; decisions are bit-identical to [`star_level`].
+/// One §4 star-partition level over a borrowed [`GraphView`]: classes
+/// recurse as [`EdgeSubgraphView`]s of the root, never as copies.
 fn star_level_on<V: GraphView + Sync>(
     root: &Graph,
     view: &V,
@@ -463,51 +314,6 @@ fn star_level_on<V: GraphView + Sync>(
 fn label_count(labels: Vec<Color>, stats: NetworkStats) -> Colored {
     let count = labels.iter().max().map_or(1, |&l| u64::from(l) + 1);
     (labels, count, stats)
-}
-
-/// One §4 star-partition level of the **materializing reference path**.
-fn star_level(g: &Graph, t: usize, x: usize) -> Result<(Vec<u64>, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 || x == 0 {
-        return Ok((vec![0; g.num_edges()], NetworkStats::default()));
-    }
-    let conn = edge_connector(g, t)?;
-    let target = 2 * num::to_u64(t) - 1;
-    let (phi, phi_stats) = edge_coloring_direct(&conn.graph, target, SubroutineConfig::default())?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-    let classes = phi.classes();
-    let results: Vec<Result<Option<EdgeChild>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let sub = SpanningEdgeSubgraph::new(g, class);
-            let (labels, s) = star_level(sub.graph(), t, x - 1)?;
-            Ok(Some((sub, labels, s)))
-        })
-        .collect();
-    let mut out = vec![0u64; g.num_edges()];
-    let mut children = Vec::new();
-    for r in results {
-        if let Some(c) = r? {
-            children.push(c);
-        }
-    }
-    let width = (2 * num::to_u64(t) - 1).saturating_pow(num::to_u32(x)? - 1);
-    for (sub, labels, _) in &children {
-        for (local, &l) in labels.iter().enumerate() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            out[parent.index()] = u64::from(phi.color(parent)) * width + l;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|&(_, _, s)| s),
-    ));
-    Ok((out, stats))
 }
 
 #[cfg(test)]

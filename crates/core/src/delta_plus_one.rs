@@ -7,7 +7,7 @@
 //! substitution is interface-faithful (deterministic, LOCAL, any proper
 //! input coloring → proper `target`-coloring for any `target ≥ Δ + 1`);
 //! only the round complexity differs (O(Δ log Δ + log* n) instead of
-//! FHK's Õ(√Δ) + log* n). See DESIGN.md §3.
+//! FHK's Õ(√Δ) + log* n).
 //!
 //! §3's optimization — running Linial once and letting recursive calls
 //! inherit a proper coloring instead of IDs, so `log* n` is paid once —

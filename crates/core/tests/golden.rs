@@ -11,6 +11,12 @@
 //! Kuhn–Wattenhofer reduction, and one star partition whose final palette
 //! trim runs.
 //!
+//! Last come the **sweep rows**: each class recursion (star partition
+//! coloring and labels, CD-Coloring with and without the §3 trim,
+//! Theorems 5.2–5.4, the Theorem 2.4 clique decomposition) on 32 seeded
+//! graphs per row, folded into one CRC per row, plus the degenerate
+//! shapes and the adaptive-t ablation.
+//!
 //! Each run is folded into one CRC32 over the coloring, the palette and
 //! the full `NetworkStats` (rounds, messages, payload bytes) and checked
 //! against `golden.txt` at pool widths 1 and 4, so a changed decision or
@@ -23,15 +29,19 @@
 //! ```
 
 use decolor_core::algorithms::Algorithm;
+use decolor_core::cd_coloring::{cd_coloring, CdParams};
+use decolor_core::decomposition::{clique_decomposition, star_partition};
 use decolor_core::delta_plus_one::{
     vertex_coloring_with_target, ReductionStrategy, Seed, SubroutineConfig,
 };
 use decolor_core::edge_space::edge_coloring_direct;
 use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
 use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
+use decolor_graph::cliques::{cover_from_all_maximal_cliques, CliqueCover};
 use decolor_graph::coloring::VertexColoring;
+use decolor_graph::line_graph::LineGraph;
 use decolor_graph::storage::Crc32;
-use decolor_graph::{generators, Graph};
+use decolor_graph::{generators, Graph, GraphBuilder};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 
 const TABLE: &str = include_str!("golden.txt");
@@ -209,6 +219,214 @@ fn trim_line() -> String {
     )
 }
 
+/// The seeds every sweep row folds into its one CRC.
+const SEEDS: std::ops::Range<u64> = 0..32;
+
+fn seeded<T>(make: impl Fn(u64) -> T) -> Vec<T> {
+    SEEDS.map(make).collect()
+}
+
+/// Folds one run into `crc`: its labels (colors, class or part indices),
+/// then `words` (palettes, counts, bounds) and the full ledger.
+fn fold(crc: &mut Crc32, labels: impl Iterator<Item = u64>, words: &[u64], stats: NetworkStats) {
+    let ledger = [stats.rounds, stats.messages, stats.payload_bytes];
+    for word in labels.chain(words.iter().copied()).chain(ledger) {
+        crc.update(&word.to_le_bytes());
+    }
+}
+
+fn colors(c: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    c.iter().map(|&c| u64::from(c))
+}
+
+fn indices(l: &[usize]) -> impl Iterator<Item = u64> + '_ {
+    l.iter().map(|&l| l as u64)
+}
+
+/// One sweep line: `sweep:<row> <inputs> crc=…`, the CRC folding
+/// `run(i, …)` for every input index `i` in order.
+fn sweep_line(row: &str, inputs: &str, runs: usize, run: impl Fn(usize, &mut Crc32)) -> String {
+    let mut crc = Crc32::new();
+    for i in 0..runs {
+        run(i, &mut crc);
+    }
+    format!("sweep:{row} {inputs} crc={:08x}", crc.finish())
+}
+
+/// A star-partition edge coloring folded with both of its palettes.
+fn fold_star(crc: &mut Crc32, g: &Graph, params: &StarPartitionParams) {
+    let r = star_partition_edge_coloring(g, params).unwrap();
+    assert!(r.coloring.is_proper(g), "star: improper coloring");
+    let c = &r.coloring;
+    fold(
+        crc,
+        colors(c.as_slice()),
+        &[c.palette(), r.untrimmed_palette],
+        r.stats,
+    );
+}
+
+fn fold_cd(crc: &mut Crc32, g: &Graph, cover: &CliqueCover, params: &CdParams, ids: &IdAssignment) {
+    let r = cd_coloring(g, cover, params, ids).unwrap();
+    assert!(r.coloring.is_proper(g), "cd: improper coloring");
+    let c = &r.coloring;
+    fold(
+        crc,
+        colors(c.as_slice()),
+        &[c.palette(), r.palette_bound],
+        r.stats,
+    );
+}
+
+/// The **sweep rows**: every class recursion (star partition coloring and
+/// labels, CD-Coloring, Theorems 5.2–5.4, the clique decomposition) run on
+/// 32 seeded graphs per row, plus odd shapes and the adaptive-t ablation.
+fn sweep_lines() -> Vec<String> {
+    let n = SEEDS.end as usize;
+    let mut lines = Vec::new();
+    for (name, graphs) in [
+        (
+            "gnm(90,270)",
+            seeded(|s| generators::gnm(90, 270, s).unwrap()),
+        ),
+        (
+            "regular(96,12)",
+            seeded(|s| generators::random_regular(96, 12, s).unwrap()),
+        ),
+        (
+            "ba(80,3)",
+            seeded(|s| generators::barabasi_albert(80, 3, s).unwrap()),
+        ),
+    ] {
+        let inputs = format!("{name}:seeds=0..{n}");
+        for x in 1..=3 {
+            lines.push(sweep_line(&format!("star:x={x}"), &inputs, n, |s, crc| {
+                fold_star(
+                    crc,
+                    &graphs[s],
+                    &StarPartitionParams::for_levels(&graphs[s], x),
+                );
+            }));
+        }
+        for (t, x) in [(4, 1), (2, 2), (2, 3)] {
+            lines.push(sweep_line(
+                &format!("partition:t={t},x={x}"),
+                &inputs,
+                n,
+                |s, crc| {
+                    let p = star_partition(&graphs[s], t, x).unwrap();
+                    p.verify(&graphs[s]).unwrap();
+                    let words = [p.num_classes as u64, p.star_bound as u64];
+                    fold(crc, indices(&p.class), &words, p.stats);
+                },
+            ));
+        }
+    }
+
+    let line_graphs = seeded(|s| LineGraph::new(&generators::random_regular(72, 9, s).unwrap()));
+    let inputs = format!("line(regular(72,9)):seeds=0..{n}");
+    for x in 1..=2 {
+        for per_level_t in [false, true] {
+            let row = format!("cd:x={x},per_level_t={per_level_t}");
+            lines.push(sweep_line(&row, &inputs, n, |s, crc| {
+                let lg = &line_graphs[s];
+                let params = CdParams {
+                    per_level_t,
+                    ..CdParams::for_levels(lg.cover.max_clique_size(), x)
+                };
+                let ids = IdAssignment::shuffled(lg.graph.num_vertices(), s as u64);
+                fold_cd(crc, &lg.graph, &lg.cover, &params, &ids);
+            }));
+        }
+    }
+    let graphs = seeded(|s| generators::gnm(48, 160, s).unwrap());
+    let inputs = format!("gnm(48,160):seeds=0..{n}");
+    lines.push(sweep_line("cd:trim,bron-kerbosch", &inputs, n, |s, crc| {
+        let g = &graphs[s];
+        let cover = cover_from_all_maximal_cliques(g).unwrap();
+        let params = CdParams {
+            trim_to: Some(g.max_degree() as u64 + 3),
+            ..CdParams::for_levels(cover.max_clique_size().max(4), 1)
+        };
+        fold_cd(
+            crc,
+            g,
+            &cover,
+            &params,
+            &IdAssignment::sequential(g.num_vertices()),
+        );
+    }));
+
+    let graphs = seeded(|s| generators::forest_union(220, 2, 12, s).unwrap());
+    let inputs = format!("forest(220,2,12):seeds=0..{n}");
+    for spec in [
+        "t52:a=2,q=2.5",
+        "t53:a=2,q=2.5",
+        "t54:a=2,q=2.5,x=1",
+        "t54:a=2,q=2.5,x=2",
+        "t54:a=2,q=2.5,x=3",
+    ] {
+        let algo: Algorithm = spec.parse().unwrap();
+        lines.push(sweep_line(spec, &inputs, n, |s, crc| {
+            let (c, stats) = algo.run(&graphs[s], None).unwrap();
+            assert!(c.is_proper(&graphs[s]), "{spec}: improper coloring");
+            fold(crc, colors(c.as_slice()), &[c.palette()], stats);
+        }));
+    }
+
+    let line_graphs = seeded(|s| LineGraph::new(&generators::random_regular(64, 8, s).unwrap()));
+    let inputs = format!("line(regular(64,8)):seeds=0..{n}");
+    for (t, x) in [(3, 1), (2, 2)] {
+        lines.push(sweep_line(
+            &format!("decomposition:t={t},x={x}"),
+            &inputs,
+            n,
+            |s, crc| {
+                let lg = &line_graphs[s];
+                let ids = IdAssignment::shuffled(lg.graph.num_vertices(), s as u64);
+                let d = clique_decomposition(&lg.graph, &lg.cover, t, x, &ids).unwrap();
+                d.verify(&lg.graph, &lg.cover).unwrap();
+                let words = [d.num_parts as u64, d.clique_bound as u64];
+                fold(crc, indices(&d.part), &words, d.stats);
+            },
+        ));
+    }
+
+    for (name, g) in [
+        ("path(17)", generators::path(17).unwrap()),
+        ("star(30)", generators::star(30).unwrap()),
+        ("grid(6,7)", generators::grid(6, 7).unwrap()),
+        ("edgeless(5)", GraphBuilder::new(5).build()),
+    ] {
+        lines.push(sweep_line(
+            "star:x=1+partition:t=2,x=2",
+            name,
+            1,
+            |_, crc| {
+                fold_star(crc, &g, &StarPartitionParams::for_levels(&g, 1));
+                if g.num_edges() > 0 {
+                    let p = star_partition(&g, 2, 2).unwrap();
+                    fold(crc, indices(&p.class), &[], p.stats);
+                }
+            },
+        ));
+    }
+    let g = generators::barabasi_albert(150, 4, 9).unwrap();
+    lines.push(sweep_line(
+        "star:x=2,adaptive_t",
+        "ba(150,4,9)",
+        1,
+        |_, crc| {
+            let params = StarPartitionParams {
+                adaptive_t: true,
+                ..StarPartitionParams::for_levels(&g, 2)
+            };
+            fold_star(crc, &g, &params);
+        },
+    ));
+    lines
+}
+
 fn table_at(threads: usize) -> Vec<String> {
     let graphs = graphs();
     rayon::with_num_threads(threads, || {
@@ -225,6 +443,7 @@ fn table_at(threads: usize) -> Vec<String> {
             lines.extend(kernel_lines(name, g));
         }
         lines.push(trim_line());
+        lines.extend(sweep_lines());
         lines
     })
 }
@@ -232,6 +451,10 @@ fn table_at(threads: usize) -> Vec<String> {
 #[test]
 fn every_algorithm_matches_golden_digests() {
     let single = table_at(1);
+    let wide = table_at(4);
+    for (got, want) in wide.iter().zip(&single) {
+        assert_eq!(got, want, "pool widths 1 and 4 disagree");
+    }
     if std::env::var_os("DECOLOR_BLESS").is_some() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.txt");
         std::fs::write(&path, single.join("\n") + "\n").unwrap();
@@ -239,9 +462,7 @@ fn every_algorithm_matches_golden_digests() {
     }
     let golden: Vec<&str> = TABLE.lines().collect();
     assert_eq!(golden.len(), single.len(), "golden table is missing rows");
-    for (threads, lines) in [(1, single), (4, table_at(4))] {
-        for (got, want) in lines.iter().zip(&golden) {
-            assert_eq!(got, want, "output drift at pool width {threads}");
-        }
+    for (got, want) in single.iter().zip(&golden) {
+        assert_eq!(got, want, "output drift");
     }
 }

@@ -11,12 +11,14 @@
 //!   graph with stable vertex and edge identifiers ([`VertexId`],
 //!   [`EdgeId`]), built through [`GraphBuilder`].
 //! * Subgraph representations with back-mappings to the parent graph:
-//!   materializing ([`subgraph::InducedSubgraph`],
-//!   [`subgraph::SpanningEdgeSubgraph`]) and borrowed activation-mask
-//!   views served off the parent CSR ([`subgraph::GraphView`] — the
-//!   topology trait the LOCAL simulator is generic over —
-//!   [`subgraph::EdgeSubgraphView`], [`subgraph::VertexSubsetView`],
-//!   [`subgraph::InducedSubgraphView`]).
+//!   borrowed activation-mask views served off the parent CSR
+//!   ([`subgraph::GraphView`] — the topology trait the LOCAL simulator
+//!   is generic over — [`subgraph::EdgeSubgraphView`],
+//!   [`subgraph::VertexSubsetView`], [`subgraph::InducedSubgraphView`]),
+//!   which every algorithm recursion runs on, and the materializing
+//!   copies ([`subgraph::InducedSubgraph`],
+//!   [`subgraph::SpanningEdgeSubgraph`]) the view tests compare them
+//!   against.
 //! * Coloring types with validation ([`coloring::VertexColoring`],
 //!   [`coloring::EdgeColoring`]).
 //! * Clique covers and the paper's *diversity* measure

@@ -19,8 +19,10 @@
 //! Local identifiers agree between the two representations whenever the
 //! activation list is ascending (which color classes are): local edge `i`
 //! of a view is edge `i` of the materialized subgraph, so algorithms
-//! produce bit-identical results on both — the equivalence tests in
-//! `decolor-core` pin exactly this.
+//! produce bit-identical results on both. The `*_view_matches_*` unit
+//! tests below and `decolor-runtime`'s `topology_equivalence` suite pin
+//! exactly this, with the materializing types as the oracle. The
+//! algorithms in `decolor-core` recurse on views only.
 
 use crate::error::GraphError;
 use crate::graph::Graph;

@@ -1,8 +1,9 @@
 //! Property-based tests of the graph substrate.
 
 use decolor_graph::coloring::{EdgeColoring, VertexColoring};
+use decolor_graph::line_graph::LineGraph;
 use decolor_graph::orientation::Orientation;
-use decolor_graph::subgraph::{InducedSubgraph, SpanningEdgeSubgraph};
+use decolor_graph::subgraph::{InducedSubgraph, SpanningEdgeSubgraph, VertexSubsetView};
 use decolor_graph::{generators, properties, EdgeId, VertexId};
 use proptest::prelude::*;
 
@@ -44,6 +45,30 @@ proptest! {
             .filter(|&(_, [u, v])| u.index() < keep && v.index() < keep)
             .count();
         prop_assert_eq!(inside, sub.graph().num_edges());
+    }
+
+    /// Cover restriction composes: restricting a line graph's cover
+    /// straight to a subset view of the root equals restricting it level
+    /// by level through two nested induced subgraphs, the way a class
+    /// recursion descends. CD-Coloring and the clique decomposition rely
+    /// on this to restrict the root cover once per class.
+    #[test]
+    fn restriction_composes(seed in 0u64..500, salt in 1u64..97) {
+        let lg = LineGraph::new(&generators::random_regular(24, 6, seed).unwrap());
+        let hash = |v: &VertexId| (v.index() as u64).wrapping_mul(salt + 2 * seed) % 7;
+        let outer: Vec<VertexId> = lg.graph.vertices().filter(|v| hash(v) < 5).collect();
+        let inner: Vec<VertexId> = outer.iter().copied().filter(|v| hash(v) < 3).collect();
+
+        let outer_sub = InducedSubgraph::new(&lg.graph, &outer);
+        let inner_local: Vec<VertexId> =
+            inner.iter().map(|&v| outer_sub.from_parent_vertex(v).unwrap()).collect();
+        let inner_sub = InducedSubgraph::new(outer_sub.graph(), &inner_local);
+        let stepwise = lg.cover.restrict(&outer_sub).restrict(&inner_sub);
+
+        let view = VertexSubsetView::new(&lg.graph, inner).unwrap();
+        let direct = lg.cover.restrict_to_subset(&view);
+        prop_assert_eq!(direct.cliques(), stepwise.cliques());
+        prop_assert_eq!(direct.diversity(), stepwise.diversity());
     }
 
     /// Spanning edge subgraphs are exactly the requested edges.
