@@ -225,20 +225,33 @@ impl StarPartition {
                 ),
             });
         }
-        for c in 0..self.num_classes {
-            let edges: Vec<EdgeId> = g.edges().filter(|e| self.class[e.index()] == c).collect();
-            let sub = EdgeSubgraphView::new(g, edges)?;
-            if sub.max_degree() > self.star_bound {
-                return Err(AlgoError::InvariantViolated {
-                    reason: format!(
-                        "class {c} has star size {} > bound {}",
-                        sub.max_degree(),
-                        self.star_bound
-                    ),
-                });
+        // One pass over the incidence lists: count each vertex's degree
+        // per class, then fold the counts into the class maxima, zeroing
+        // them for the next vertex.
+        let mut star = vec![0usize; self.num_classes];
+        let mut count = vec![0usize; self.num_classes];
+        for v in g.vertices() {
+            for e in g.incident_edges(v) {
+                if let Some(k) = count.get_mut(self.class[e.index()]) {
+                    *k += 1;
+                }
+            }
+            for e in g.incident_edges(v) {
+                let c = self.class[e.index()];
+                if let Some(k) = count.get_mut(c) {
+                    star[c] = star[c].max(std::mem::take(k));
+                }
             }
         }
-        Ok(())
+        match star.iter().position(|&size| size > self.star_bound) {
+            Some(c) => Err(AlgoError::InvariantViolated {
+                reason: format!(
+                    "class {c} has star size {} > bound {}",
+                    star[c], self.star_bound
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -343,6 +356,27 @@ mod tests {
             let sp = star_partition(&g, t, x).unwrap();
             sp.verify(&g).unwrap();
         }
+    }
+
+    #[test]
+    fn star_partition_verify_names_the_first_oversized_class() {
+        use decolor_graph::subgraph::SpanningEdgeSubgraph;
+        let g = generators::random_regular(128, 16, 2).unwrap();
+        let mut sp = star_partition(&g, 4, 1).unwrap();
+        // Oracle: each class's star size off its materialized subgraph.
+        let sizes: Vec<usize> = (0..sp.num_classes)
+            .map(|c| {
+                let edges: Vec<EdgeId> = g.edges().filter(|e| sp.class[e.index()] == c).collect();
+                SpanningEdgeSubgraph::new(&g, &edges).graph().max_degree()
+            })
+            .collect();
+        let max = *sizes.iter().max().unwrap();
+        assert!(max <= sp.star_bound);
+        sp.star_bound = max - 1;
+        let first = sizes.iter().position(|&s| s == max).unwrap();
+        let err = sp.verify(&g).unwrap_err().to_string();
+        let want = format!("class {first} has star size {max} > bound {}", max - 1);
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

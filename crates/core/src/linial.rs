@@ -88,12 +88,26 @@ pub(crate) fn choose_parameters(m: u64, delta: u64) -> (u64, u32) {
 /// Evaluates the polynomial with base-`q` digit coefficients of `c` at
 /// point `a`, over GF(q).
 ///
+/// At `a = 0` only the constant digit survives, so the point almost every
+/// α-search ends at costs one `%`; every other point runs
+/// [`eval_digits`].
+#[inline]
+pub(crate) fn eval_poly(c: u64, q: u64, a: u64) -> u64 {
+    if a == 0 {
+        c % q
+    } else {
+        eval_digits(c, q, a)
+    }
+}
+
+/// The digit loop behind [`eval_poly`].
+///
 /// Allocation-free (this sits in the innermost loop of both Linial
 /// realizations): digits are consumed least-significant-first with a
 /// running power of `a`, which is the same sum `Σ digit_i a^i mod q` as
 /// Horner's rule. `(c % q) * pw < q²` fits u64 for every `q` the
 /// parameter chooser can produce.
-pub(crate) fn eval_poly(mut c: u64, q: u64, a: u64) -> u64 {
+fn eval_digits(mut c: u64, q: u64, a: u64) -> u64 {
     let mut acc = 0u64;
     let mut pw = 1 % q;
     while c > 0 {
@@ -767,6 +781,31 @@ mod tests {
             "expected Corrupt, got {err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn point_zero_fast_path_matches_digit_loop() {
+        // Deterministic splitmix-style stream over the moduli the
+        // parameter chooser produces (primes, palettes up to u32 ids),
+        // plus c = 0 and single-digit c < q.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for trial in 0..2000u64 {
+            let q = super::super::util::next_prime(2 + next() % 5000);
+            let c = match trial % 4 {
+                0 => 0,
+                1 => next() % q,
+                2 => next() % (q * q * q),
+                _ => next() % (1 << 40),
+            };
+            assert_eq!(eval_poly(c, q, 0), eval_digits(c, q, 0), "c = {c}, q = {q}");
+        }
     }
 
     #[test]

@@ -267,10 +267,10 @@ fn finish<V: GraphView>(
 
 /// One connector stage over a borrowed [`GraphView`] (or the direct base
 /// case for `x == 0`): the hot path. Color classes recurse as
-/// [`EdgeSubgraphView`]s of the *root* graph — activation bitsets over the
-/// root CSR — so no per-class graph, port table, or line graph is ever
-/// materialized; the only allocations are O(m/64 + n) words of view
-/// index per class.
+/// [`EdgeSubgraphView`]s of the *root* graph — an activation bitset over
+/// the root's edges plus the class's own compact incidence — so no
+/// per-class `Graph` or line graph is ever materialized; each class view
+/// costs O(n + m_class) words plus m/64 bitset words.
 ///
 /// `spill`: scratch directory for the stage's connector. `Some` only at
 /// the top level of the spilled entry point — the stage-one connector is

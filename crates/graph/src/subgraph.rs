@@ -9,12 +9,13 @@
 //!   copy the subgraph into a fresh [`Graph`] plus mappings. Simple, but a
 //!   recursion that re-materializes every color class at every level pays
 //!   O(n + m) per class — the scaling ceiling of the composite pipelines.
-//! * **Borrowed** — [`EdgeSubgraphView`] / [`VertexSubsetView`] answer
-//!   degree/incidence/endpoint queries straight off the *parent* CSR
-//!   through an activation bitset with O(1) rank (local-id) lookups,
-//!   allocating O(m/64 + n) words instead of copying the graph. The
-//!   [`GraphView`] trait lets algorithms run unchanged on either a whole
-//!   [`Graph`] or a view.
+//! * **Borrowed** — [`EdgeSubgraphView`] / [`InducedSubgraphView`] /
+//!   [`VertexSubsetView`] borrow the *parent* topology: an activation
+//!   bitset with O(1) rank maps parent ids to local ids, and the graph
+//!   views keep a compact local incidence (one slot per active port)
+//!   filtered once from the parent's ports — O(m/64 + n + m_sub) words
+//!   instead of a graph copy. The [`GraphView`] trait lets algorithms
+//!   run unchanged on either a whole [`Graph`] or a view.
 //!
 //! Local identifiers agree between the two representations whenever the
 //! activation list is ascending (which color classes are): local edge `i`
@@ -281,6 +282,62 @@ impl RankedBits {
     }
 }
 
+/// The compact local incidence both borrowed graph views carry: a CSR
+/// of `(neighbor, local edge)` slots, one per active port, in the
+/// parent's port order — the same layout as [`Graph::incidence`].
+///
+/// Color-class views are iterated dozens of times (every Linial and
+/// reduction round reads every agent's neighbors), so the parent ports
+/// are filtered once, here, instead of on every call.
+#[derive(Clone, Debug)]
+struct LocalIncidence {
+    /// Row `v` is `adj[offsets[v]..offsets[v + 1]]`; length = vertex
+    /// count + 1.
+    offsets: Vec<u32>,
+    adj: Vec<(VertexId, EdgeId)>,
+    max_degree: usize,
+}
+
+impl LocalIncidence {
+    /// Lays out one row per entry of `degree`, then has `fill(v, row)`
+    /// write every slot of each nonempty row.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Overflow`] if the total slot count does not fit the
+    /// u32 offsets.
+    fn build(
+        degree: &[u32],
+        mut fill: impl FnMut(usize, &mut [(VertexId, EdgeId)]),
+    ) -> Result<Self, GraphError> {
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        let mut acc = 0usize;
+        offsets.push(0);
+        for &d in degree {
+            acc += num::usize_from(d);
+            offsets.push(num::to_u32(acc)?);
+        }
+        let mut adj = vec![(VertexId::new(0), EdgeId::new(0)); acc];
+        for (v, bounds) in offsets.windows(2).enumerate() {
+            let row = num::usize_from(bounds[0])..num::usize_from(bounds[1]);
+            if !row.is_empty() {
+                fill(v, &mut adj[row]);
+            }
+        }
+        Ok(LocalIncidence {
+            offsets,
+            adj,
+            max_degree: num::usize_from(degree.iter().copied().max().unwrap_or(0)),
+        })
+    }
+
+    #[inline]
+    fn row(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
+        &self.adj
+            [num::usize_from(self.offsets[v.index()])..num::usize_from(self.offsets[v.index() + 1])]
+    }
+}
+
 /// Read-only graph interface served either by a whole [`Graph`] or by a
 /// borrowed subgraph view, so recursive algorithms can run on color
 /// classes without materializing them.
@@ -408,13 +465,16 @@ impl GraphView for Graph {
 }
 
 /// Borrowed spanning subgraph: the parent's vertex set with an **active
-/// edge subset**, served off the parent CSR without copying it.
+/// edge subset**, served off the parent topology without copying it.
 ///
 /// The allocation-light counterpart of [`SpanningEdgeSubgraph`]: instead
 /// of a fresh `Graph` it keeps the sorted active-edge list, an activation
-/// bitset with rank (O(1) parent→local id), and the active degree table.
-/// Local edge `i` is `edges[i]`, exactly the materialized subgraph's
-/// numbering, so results are interchangeable between the representations.
+/// bitset with rank (O(1) parent→local id), and a compact local incidence
+/// (one `(neighbor, local edge)` slot per active port, in parent port
+/// order) — O(n + m_class) words, with no endpoint table or builder
+/// validation pass. Local edge `i` is `edges[i]`, exactly the materialized
+/// subgraph's numbering, so results are interchangeable between the
+/// representations.
 ///
 /// Generic over the **parent topology** `P` (default [`Graph`]): the
 /// recursive pipelines also borrow views of an out-of-core
@@ -427,6 +487,7 @@ impl GraphView for Graph {
 /// let v = EdgeSubgraphView::new(&g, vec![EdgeId::new(0), EdgeId::new(2)]).unwrap();
 /// assert_eq!(v.num_edges(), 2);
 /// assert_eq!(v.degree(VertexId::new(1)), 1); // only (0,1) is active at 1
+/// assert_eq!(v.port(VertexId::new(2), 0), Some((VertexId::new(3), EdgeId::new(1))));
 /// assert_eq!(v.to_parent_edge(EdgeId::new(1)), EdgeId::new(2));
 /// assert_eq!(v.local_of(EdgeId::new(2)), Some(EdgeId::new(1)));
 /// ```
@@ -436,14 +497,17 @@ pub struct EdgeSubgraphView<'g, P: GraphView = Graph> {
     /// Active edges, ascending parent ids; position = local id.
     edges: Vec<EdgeId>,
     bits: RankedBits,
-    /// Active degree per parent vertex.
-    degree: Vec<u32>,
-    max_degree: usize,
+    /// Active ports per parent vertex.
+    incidence: LocalIncidence,
 }
 
 impl<'g, P: GraphView> EdgeSubgraphView<'g, P> {
     /// Builds the view for `edges` (must be ascending, distinct, and in
     /// range for `parent`).
+    ///
+    /// One pass over the active edges counts degrees; one scan of the
+    /// parent ports of each vertex with an active edge fills the local
+    /// incidence.
     ///
     /// # Errors
     ///
@@ -477,13 +541,21 @@ impl<'g, P: GraphView> EdgeSubgraphView<'g, P> {
             degree[u.index()] += 1;
             degree[v.index()] += 1;
         }
-        let max_degree = num::usize_from(degree.iter().copied().max().unwrap_or(0));
+        let incidence = LocalIncidence::build(&degree, |v, row| {
+            let mut cursor = 0;
+            parent.for_each_port(VertexId::new(v), |u, e| {
+                if bits.contains(e.index()) {
+                    row[cursor] = (u, EdgeId::new(bits.rank(e.index())));
+                    cursor += 1;
+                }
+            });
+            debug_assert_eq!(cursor, row.len());
+        })?;
         Ok(EdgeSubgraphView {
             parent,
             edges,
             bits,
-            degree,
-            max_degree,
+            incidence,
         })
     }
 
@@ -538,12 +610,12 @@ impl<P: GraphView> GraphView for EdgeSubgraphView<'_, P> {
 
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
-        num::usize_from(self.degree[v.index()])
+        self.incidence.row(v).len()
     }
 
     #[inline]
     fn max_degree(&self) -> usize {
-        self.max_degree
+        self.incidence.max_degree
     }
 
     #[inline]
@@ -553,48 +625,21 @@ impl<P: GraphView> GraphView for EdgeSubgraphView<'_, P> {
 
     #[inline]
     fn for_each_incident_edge(&self, v: VertexId, mut f: impl FnMut(EdgeId)) {
-        if self.degree[v.index()] == 0 {
-            return;
+        for &(_, e) in self.incidence.row(v) {
+            f(e);
         }
-        self.parent.for_each_port(v, |_, e| {
-            if self.contains(e) {
-                f(EdgeId::new(self.bits.rank(e.index())));
-            }
-        });
     }
 
     #[inline]
     fn for_each_port(&self, v: VertexId, mut f: impl FnMut(VertexId, EdgeId)) {
-        if self.degree[v.index()] == 0 {
-            return;
+        for &(u, e) in self.incidence.row(v) {
+            f(u, e);
         }
-        self.parent.for_each_port(v, |u, e| {
-            if self.contains(e) {
-                f(u, EdgeId::new(self.bits.rank(e.index())));
-            }
-        });
     }
 
+    #[inline]
     fn port(&self, v: VertexId, p: usize) -> Option<(VertexId, EdgeId)> {
-        // Early-exit scan over the parent's indexed ports (O(1) each on
-        // `Graph`/`ShardedCsr` parents): one rank for the hit only, and
-        // the walk stops at the requested port instead of draining the
-        // whole incidence run through a closure.
-        if p >= num::usize_from(self.degree[v.index()]) {
-            return None;
-        }
-        let mut active = 0usize;
-        for i in 0.. {
-            let (u, e) = self.parent.port(v, i)?;
-            if self.contains(e) {
-                if active == p {
-                    return Some((u, EdgeId::new(self.bits.rank(e.index()))));
-                }
-                active += 1;
-            }
-        }
-        // lint: allow(panic, "p < active degree guarantees a hit: the caller bounds p by the view's active degree of v, and the loop visits exactly that many active ports")
-        unreachable!("p < active degree guarantees a hit")
+        self.incidence.row(v).get(p).copied()
     }
 }
 
@@ -731,25 +776,21 @@ impl<'g, P: GraphView> VertexSubsetView<'g, P> {
 /// the materialized induced subgraph, so algorithms generic over
 /// [`GraphView`] produce bit-identical results on either representation.
 ///
-/// Unlike the filter-on-the-fly [`EdgeSubgraphView`], this view carries a
-/// **compact local incidence** (one `(neighbor, edge)` slot per induced
-/// half-edge), because its consumers — the vertex-coloring pipeline's
-/// Linial + reduction rounds — iterate every vertex's incidence dozens of
-/// times; paying the parent-incidence filtering per round would cost more
-/// than the whole recursion saves. Construction is one
-/// O(Σ_{v ∈ subset} deg_parent(v)) scan; no `Graph` (endpoint table +
-/// builder validation pass), port table, or network state is built.
+/// Like [`EdgeSubgraphView`], it carries a **compact local incidence**
+/// (one `(neighbor, edge)` slot per induced half-edge, written once by
+/// the private CSR both views share), because its consumers — the
+/// vertex-coloring pipeline's Linial + reduction rounds — iterate every
+/// vertex's incidence dozens of times; paying the parent-incidence
+/// filtering per round would cost more than the whole recursion saves.
+/// Construction is two O(Σ_{v ∈ subset} deg_parent(v)) scans; no `Graph`
+/// (endpoint table + builder validation pass) or network state is built.
 #[derive(Clone, Debug)]
 pub struct InducedSubgraphView<'g, P: GraphView = Graph> {
     subset: VertexSubsetView<'g, P>,
     /// Induced parent edges, ascending; position = local edge id.
     edges: Vec<EdgeId>,
-    /// Compact local incidence, CSR-indexed by `offsets`: entry
-    /// `(local neighbor, local edge)` in incidence (= port) order.
-    adj: Vec<(VertexId, EdgeId)>,
-    /// Offsets into `adj`; length `subset.num_vertices() + 1`.
-    offsets: Vec<u32>,
-    max_degree: usize,
+    /// Induced ports per local vertex, in local ids.
+    incidence: LocalIncidence,
 }
 
 impl<'g, P: GraphView> InducedSubgraphView<'g, P> {
@@ -760,14 +801,8 @@ impl<'g, P: GraphView> InducedSubgraphView<'g, P> {
     ///
     /// [`GraphError::ValidationFailed`] as [`VertexSubsetView::new`].
     pub fn new(parent: &'g P, vertices: Vec<VertexId>) -> Result<Self, GraphError> {
-        Ok(Self::from_subset(VertexSubsetView::new(parent, vertices)?))
-    }
-
-    /// Builds the induced view over an existing subset view.
-    pub fn from_subset(subset: VertexSubsetView<'g, P>) -> Self {
-        let parent = subset.parent();
-        let k = subset.num_vertices();
-        let mut degree = vec![0u32; k];
+        let subset = VertexSubsetView::new(parent, vertices)?;
+        let mut degree = vec![0u32; subset.num_vertices()];
         let mut edges = Vec::new();
         for (local, &v) in subset.parent_vertices().iter().enumerate() {
             parent.for_each_port(v, |u, e| {
@@ -784,22 +819,13 @@ impl<'g, P: GraphView> InducedSubgraphView<'g, P> {
         edges.sort_unstable();
         let edge_bits =
             RankedBits::from_sorted(edges.iter().map(|e| e.index()), parent.num_edges());
-        let max_degree = num::usize_from(degree.iter().copied().max().unwrap_or(0));
-        let mut offsets = Vec::with_capacity(k + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
         // Second pass: the compact local incidence, in the parent's
         // incidence order (= ascending local edge id per vertex).
-        let mut adj = vec![(VertexId::new(0), EdgeId::new(0)); num::usize_from(acc)];
-        let mut cursor = 0usize;
-        for &v in subset.parent_vertices() {
-            parent.for_each_port(v, |u, e| {
+        let incidence = LocalIncidence::build(&degree, |local, row| {
+            let mut cursor = 0;
+            parent.for_each_port(subset.to_parent_vertex(VertexId::new(local)), |u, e| {
                 if edge_bits.contains(e.index()) {
-                    adj[cursor] = (
+                    row[cursor] = (
                         subset
                             .local_of(u)
                             // lint: allow(panic, "induced edge endpoints are in the subset")
@@ -809,15 +835,13 @@ impl<'g, P: GraphView> InducedSubgraphView<'g, P> {
                     cursor += 1;
                 }
             });
-        }
-        debug_assert_eq!(cursor, num::usize_from(acc));
-        InducedSubgraphView {
+            debug_assert_eq!(cursor, row.len());
+        })?;
+        Ok(InducedSubgraphView {
             subset,
             edges,
-            adj,
-            offsets,
-            max_degree,
-        }
+            incidence,
+        })
     }
 
     /// The vertex subset this induced view is built over.
@@ -848,8 +872,7 @@ impl<'g, P: GraphView> InducedSubgraphView<'g, P> {
     /// port order — same layout as [`Graph::incidence`].
     #[inline]
     pub fn incidence(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adj
-            [num::usize_from(self.offsets[v.index()])..num::usize_from(self.offsets[v.index() + 1])]
+        self.incidence.row(v)
     }
 }
 
@@ -878,12 +901,12 @@ impl<P: GraphView> GraphView for InducedSubgraphView<'_, P> {
 
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
-        num::usize_from(self.offsets[v.index() + 1] - self.offsets[v.index()])
+        self.incidence.row(v).len()
     }
 
     #[inline]
     fn max_degree(&self) -> usize {
-        self.max_degree
+        self.incidence.max_degree
     }
 
     #[inline]
@@ -978,6 +1001,31 @@ mod tests {
         assert_eq!(out, vec![6, 0, 5]);
     }
 
+    /// Asserts that `view` serves exactly the degrees, incidence and port
+    /// table of the materialized subgraph `mat`.
+    fn assert_ports_match(view: &impl GraphView, mat: &Graph) {
+        assert_eq!(view.num_vertices(), mat.num_vertices());
+        assert_eq!(view.num_edges(), mat.num_edges());
+        assert_eq!(view.max_degree(), mat.max_degree());
+        for v in mat.vertices() {
+            assert_eq!(view.degree(v), mat.degree(v), "degree of {v}");
+            let mut inc = Vec::new();
+            view.for_each_incident_edge(v, |e| inc.push(e));
+            assert_eq!(
+                inc,
+                mat.incident_edges(v).collect::<Vec<_>>(),
+                "incidence of {v}"
+            );
+            let mut ports = Vec::new();
+            view.for_each_port(v, |u, e| ports.push((u, e)));
+            assert_eq!(ports, mat.incidence(v).to_vec(), "ports of {v}");
+            for (p, &pair) in mat.incidence(v).iter().enumerate() {
+                assert_eq!(view.port(v, p), Some(pair), "port {p} of {v}");
+            }
+            assert_eq!(view.port(v, mat.degree(v)), None, "past the ports of {v}");
+        }
+    }
+
     #[test]
     fn edge_view_matches_materialized_subgraph() {
         let g = crate::generators::gnm(40, 120, 3).unwrap();
@@ -985,17 +1033,15 @@ mod tests {
         let subset: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 == 0).collect();
         let sub = SpanningEdgeSubgraph::new(&g, &subset);
         let view = EdgeSubgraphView::new(&g, subset.clone()).unwrap();
-
-        assert_eq!(view.num_edges(), sub.graph().num_edges());
-        assert_eq!(GraphView::num_vertices(&view), sub.graph().num_vertices());
-        assert_eq!(GraphView::max_degree(&view), sub.graph().max_degree());
-        for v in g.vertices() {
-            assert_eq!(GraphView::degree(&view, v), sub.graph().degree(v));
-            let mut view_inc = Vec::new();
-            view.for_each_incident_edge(v, |e| view_inc.push(e));
-            let sub_inc: Vec<EdgeId> = sub.graph().incident_edges(v).collect();
-            assert_eq!(view_inc, sub_inc, "incidence of {v} differs");
-        }
+        assert!(
+            g.vertices()
+                .any(|v| sub.graph().degree(v) == 0 && g.degree(v) > 0),
+            "the class leaves some vertex isolated"
+        );
+        assert_ports_match(&view, sub.graph());
+        // The empty view: every vertex isolated, port 0 absent.
+        let empty = EdgeSubgraphView::new(&g, vec![]).unwrap();
+        assert_ports_match(&empty, SpanningEdgeSubgraph::new(&g, &[]).graph());
         for local in 0..view.num_edges() {
             let e = EdgeId::new(local);
             assert_eq!(view.to_parent_edge(e), sub.to_parent_edge(e));
@@ -1020,14 +1066,7 @@ mod tests {
     #[test]
     fn full_edge_view_is_the_graph() {
         let g = crate::generators::gnm(25, 70, 5).unwrap();
-        let view = EdgeSubgraphView::full(&g);
-        assert_eq!(view.num_edges(), g.num_edges());
-        assert_eq!(GraphView::max_degree(&view), g.max_degree());
-        for v in g.vertices() {
-            let mut inc = Vec::new();
-            view.for_each_incident_edge(v, |e| inc.push(e));
-            assert_eq!(inc, g.incident_edges(v).collect::<Vec<_>>());
-        }
+        assert_ports_match(&EdgeSubgraphView::full(&g), &g);
     }
 
     #[test]
@@ -1085,20 +1124,7 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &subset);
         let view = InducedSubgraphView::new(&g, subset).unwrap();
         let mat = sub.graph();
-
-        assert_eq!(GraphView::num_vertices(&view), mat.num_vertices());
-        assert_eq!(GraphView::num_edges(&view), mat.num_edges());
-        assert_eq!(GraphView::max_degree(&view), mat.max_degree());
-        for v in mat.vertices() {
-            assert_eq!(GraphView::degree(&view, v), mat.degree(v));
-            let mut ports = Vec::new();
-            view.for_each_port(v, |u, e| ports.push((u, e)));
-            assert_eq!(ports, mat.incidence(v).to_vec(), "incidence of {v}");
-            for (p, &pair) in mat.incidence(v).iter().enumerate() {
-                assert_eq!(GraphView::port(&view, v, p), Some(pair));
-            }
-            assert_eq!(GraphView::port(&view, v, mat.degree(v)), None);
-        }
+        assert_ports_match(&view, mat);
         for e in mat.edges() {
             assert_eq!(GraphView::endpoints(&view, e), mat.endpoints(e));
             assert_eq!(view.to_parent_edge(e), sub.to_parent_edge(e));

@@ -11,20 +11,32 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("decolor-parity-{}-{tag}", std::process::id()))
 }
 
-/// Asserts the sharded store serves exactly `g`'s CSR: offsets (via
-/// degrees), adjacency slots (incidence order included), and endpoints.
-fn assert_csr_identical(sc: &ShardedCsr, g: &Graph) {
+/// Asserts the topology `sc` (a sharded store or a view) serves exactly
+/// `g`'s CSR: degrees, adjacency slots (incidence order included), the
+/// port table, and endpoints.
+fn assert_csr_identical(sc: &impl GraphView, g: &Graph) {
     assert_eq!(sc.num_vertices(), g.num_vertices());
     assert_eq!(sc.num_edges(), g.num_edges());
-    assert_eq!(GraphView::max_degree(sc), g.max_degree());
+    assert_eq!(sc.max_degree(), g.max_degree());
     for v in g.vertices() {
-        assert_eq!(GraphView::degree(sc, v), g.degree(v), "degree of {v}");
+        assert_eq!(sc.degree(v), g.degree(v), "degree of {v}");
+        let mut edges = Vec::new();
+        sc.for_each_incident_edge(v, |e| edges.push(e));
+        assert_eq!(
+            edges,
+            g.incident_edges(v).collect::<Vec<_>>(),
+            "incident edges of {v}"
+        );
         let mut ports = Vec::new();
         sc.for_each_port(v, |u, e| ports.push((u, e)));
         assert_eq!(ports, g.incidence(v).to_vec(), "incidence run of {v}");
+        for (p, &pair) in g.incidence(v).iter().enumerate() {
+            assert_eq!(sc.port(v, p), Some(pair), "port {p} of {v}");
+        }
+        assert_eq!(sc.port(v, g.degree(v)), None, "past the ports of {v}");
     }
     for (e, ep) in g.edge_list() {
-        assert_eq!(GraphView::endpoints(sc, e), ep, "endpoints of {e}");
+        assert_eq!(sc.endpoints(e), ep, "endpoints of {e}");
     }
 }
 
@@ -142,22 +154,22 @@ fn spilled_graph_round_trips_through_open() {
 fn views_borrow_a_sharded_parent() {
     // The genericized views must answer identically over a ShardedCsr
     // parent and over the in-memory parent.
-    use decolor_graph::subgraph::{EdgeSubgraphView, InducedSubgraphView};
+    use decolor_graph::subgraph::{EdgeSubgraphView, InducedSubgraphView, SpanningEdgeSubgraph};
     let g = generators::gnm(80, 300, 5).unwrap();
     let dir = scratch("views");
     let sc = ShardedCsr::from_graph(&dir, &g).unwrap();
 
-    let subset: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 == 0).collect();
-    let ram = EdgeSubgraphView::new(&g, subset.clone()).unwrap();
-    let mmap = EdgeSubgraphView::new(&sc, subset).unwrap();
-    assert_eq!(ram.num_edges(), mmap.num_edges());
-    assert_eq!(GraphView::max_degree(&ram), GraphView::max_degree(&mmap));
-    for v in g.vertices() {
-        let mut a = Vec::new();
-        ram.for_each_port(v, |u, e| a.push((u, e)));
-        let mut b = Vec::new();
-        mmap.for_each_port(v, |u, e| b.push((u, e)));
-        assert_eq!(a, b, "edge-view ports of {v}");
+    // A color-class shape, which leaves some vertices isolated, and the
+    // empty view; the materialized subgraph is the oracle for both parents.
+    let every_third: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 == 0).collect();
+    for subset in [every_third, vec![]] {
+        let oracle = SpanningEdgeSubgraph::new(&g, &subset);
+        assert!(g.vertices().any(|v| oracle.graph().degree(v) == 0));
+        assert_csr_identical(
+            &EdgeSubgraphView::new(&g, subset.clone()).unwrap(),
+            oracle.graph(),
+        );
+        assert_csr_identical(&EdgeSubgraphView::new(&sc, subset).unwrap(), oracle.graph());
     }
 
     let vertices: Vec<VertexId> = g.vertices().filter(|v| v.index() % 2 == 0).collect();
