@@ -1,12 +1,16 @@
 //! Criterion bench: the subroutine stack (ablation A1) — Linial and the
-//! two reduction strategies standing in for \[17\].
+//! two reduction strategies standing in for \[17\] — and the input and
+//! output checks every edge-coloring entry point runs, at the size of the
+//! repository benchmark's `star-regular16` input.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use decolor_core::delta_plus_one::{
     delta_plus_one_coloring, ReductionStrategy, Seed, SubroutineConfig,
 };
 use decolor_core::linial::linial_coloring;
-use decolor_graph::generators;
+use decolor_graph::coloring::EdgeColoring;
+use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
+use decolor_graph::{generators, EdgeId};
 use decolor_runtime::{IdAssignment, Network};
 
 fn bench_subroutines(c: &mut Criterion) {
@@ -52,5 +56,34 @@ fn bench_subroutines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_subroutines);
+/// The simple-graph precondition and the properness check on
+/// `random_regular(16384, 16)` (m = 131,072), over the whole graph and
+/// over one color-class view.
+fn bench_checks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("subroutines");
+    group.sample_size(10);
+    let g = generators::random_regular(16_384, 16, 5).unwrap();
+    let coloring = decolor_baselines::greedy::greedy_edge_coloring(&g);
+    group.bench_function("has_parallel_edges_star", |b| {
+        b.iter(|| g.has_parallel_edges());
+    });
+    group.bench_function("edge_coloring_validate_star", |b| {
+        b.iter(|| coloring.validate(&g).unwrap());
+    });
+    let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 7 == 0).collect();
+    let view = EdgeSubgraphView::new(&g, class).unwrap();
+    let on_view = EdgeColoring::new(
+        (0..view.num_edges())
+            .map(|e| coloring.color(view.to_parent_edge(EdgeId::new(e))))
+            .collect(),
+        coloring.palette(),
+    )
+    .unwrap();
+    group.bench_function("edge_coloring_first_violation_class_view", |b| {
+        b.iter(|| on_view.first_violation(&view));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_subroutines, bench_checks);
 criterion_main!(benches);

@@ -7,6 +7,13 @@
 //! O(1) rounds). The connector `G′ = (V, E′)` keeps exactly the edges
 //! joining two vertices of the same group of the same clique.
 //!
+//! The construction is flat: the candidate pairs of every group are
+//! listed in clique order, a pair shared by two cliques keeps only its
+//! first occurrence (a counting sort by lower endpoint plus a per-vertex
+//! stamp, O(n + pairs)), and the survivors become the edges in that order.
+//! The groups themselves are not stored: clique `q`'s groups are
+//! `sorted(cover.clique(q)).chunks(t)`.
+//!
 //! **Lemma 2.1**: Δ(G′) ≤ D·(t − 1) — verified by
 //! [`CliqueConnector::verify_degree_bound`] and the test suite.
 
@@ -16,14 +23,11 @@ use decolor_graph::{Graph, GraphBuilder, VertexId};
 
 use crate::error::AlgoError;
 
-/// A clique connector: the graph `G′` plus the grouping that produced it.
+/// A clique connector: the graph `G′` and the group size that produced it.
 #[derive(Clone, Debug)]
 pub struct CliqueConnector {
     /// The connector graph `G′` (same vertex set as the source).
     pub graph: Graph,
-    /// For each clique of the cover, its vertex groups (each of size ≤ t,
-    /// only the last may be smaller).
-    pub groups: Vec<Vec<Vec<VertexId>>>,
     /// The group-size parameter.
     pub t: usize,
 }
@@ -66,32 +70,66 @@ pub fn clique_connector_for(
             reason: format!("connector parameter t = {t} must be at least 2"),
         });
     }
-    let mut groups = Vec::with_capacity(cover.num_cliques());
-    let mut b = GraphBuilder::new(num_vertices);
-    for q in 0..cover.num_cliques() {
-        // Deterministic split in ascending vertex order ("the master is
-        // responsible for the computation in its clique").
-        let mut members = cover.clique(q).to_vec();
+    // Deterministic split in ascending vertex order ("the master is
+    // responsible for the computation in its clique").
+    let mut pairs: Vec<[VertexId; 2]> = Vec::new();
+    let mut members: Vec<VertexId> = Vec::new();
+    for clique in cover.cliques() {
+        members.clear();
+        members.extend_from_slice(clique);
         members.sort_unstable();
-        let mut clique_groups = Vec::with_capacity(members.len().div_ceil(t));
         for chunk in members.chunks(t) {
             for (i, &u) in chunk.iter().enumerate() {
-                for &v in &chunk[i + 1..] {
-                    // The same pair may share several groups across
-                    // cliques; E′ is a set, so dedup.
-                    // lint: allow(result, "the dedup builder's inserted/duplicate bool is deliberately ignored; errors still propagate via ?")
-                    let _ = b.add_edge_dedup(u.index(), v.index())?;
-                }
+                pairs.extend(chunk[i + 1..].iter().map(|&v| [u, v]));
             }
-            clique_groups.push(chunk.to_vec());
         }
-        groups.push(clique_groups);
+    }
+    // The same pair may share several groups across cliques; E′ is a set.
+    // Sized for both vertex spaces, so a member beyond `num_vertices`
+    // reaches the builder's range error.
+    let keep = first_occurrences(num_vertices.max(cover.num_vertices()), &pairs);
+    let mut b = GraphBuilder::new_multi(num_vertices).with_edge_capacity(pairs.len());
+    for ([u, v], keep) in pairs.into_iter().zip(keep) {
+        if keep {
+            b.add_edge(u.index(), v.index())?;
+        }
     }
     Ok(CliqueConnector {
         graph: b.build(),
-        groups,
         t,
     })
+}
+
+/// Marks the first occurrence of each `[lo, hi]` pair (`lo < hi`, both
+/// below `n`) in list order. A stable counting sort buckets the pairs by
+/// `lo`; inside a bucket, list order is kept, and a stamp per `hi`
+/// (`stamp[hi] = lo + 1`) flags every later copy. O(n + pairs), no tree.
+fn first_occurrences(n: usize, pairs: &[[VertexId; 2]]) -> Vec<bool> {
+    let mut start = vec![0usize; n + 1];
+    for [lo, _] in pairs {
+        start[lo.index() + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut by_lo = vec![0usize; pairs.len()];
+    for (i, [lo, _]) in pairs.iter().enumerate() {
+        by_lo[start[lo.index()]] = i;
+        start[lo.index()] += 1;
+    }
+    // Buckets are contiguous and keep list order, so the first copy of a
+    // pair is the first one the sweep meets; other buckets' stamps differ.
+    let mut stamp = vec![0usize; n];
+    let mut keep = vec![false; pairs.len()];
+    for &i in &by_lo {
+        let [lo, hi] = pairs[i];
+        let mark = &mut stamp[hi.index()];
+        if *mark != lo.index() + 1 {
+            *mark = lo.index() + 1;
+            keep[i] = true;
+        }
+    }
+    keep
 }
 
 /// [`clique_connector`] over a borrowed
@@ -149,6 +187,68 @@ mod tests {
         raw.iter().map(|&v| VertexId::new(v)).collect()
     }
 
+    /// Clique `q`'s groups, as the master forms them.
+    fn groups(cover: &CliqueCover, q: usize, t: usize) -> Vec<Vec<VertexId>> {
+        let mut members = cover.clique(q).to_vec();
+        members.sort_unstable();
+        members.chunks(t).map(<[VertexId]>::to_vec).collect()
+    }
+
+    /// The tree-based construction the flat dedup replaced: every group
+    /// pair through a simple builder, duplicates dropped on insertion.
+    fn btree_oracle(n: usize, cover: &CliqueCover, t: usize) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        for q in 0..cover.num_cliques() {
+            for chunk in groups(cover, q, t) {
+                for (i, &u) in chunk.iter().enumerate() {
+                    for &v in &chunk[i + 1..] {
+                        let _ = b.add_edge_dedup(u.index(), v.index()).unwrap();
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Group pairs before the dedup (with repeats across cliques).
+    fn candidate_pairs(cover: &CliqueCover, t: usize) -> usize {
+        (0..cover.num_cliques())
+            .flat_map(|q| groups(cover, q, t))
+            .map(|g| g.len() * (g.len() - 1) / 2)
+            .sum()
+    }
+
+    fn assert_matches_oracle(g: &Graph, cover: &CliqueCover, t: usize) {
+        let conn = clique_connector(g, cover, t).unwrap();
+        let oracle = btree_oracle(g.num_vertices(), cover, t);
+        assert!(
+            conn.graph.edge_list().eq(oracle.edge_list()),
+            "edge ids, endpoints or order differ at t = {t}"
+        );
+        assert_eq!(conn.graph, oracle);
+    }
+
+    #[test]
+    fn dedup_matches_the_btree_oracle_on_shared_pairs() {
+        let mut shared = 0;
+        for seed in 0..12u64 {
+            let g = generators::gnm(30, 150, seed).unwrap();
+            let cover = cover_from_all_maximal_cliques(&g).unwrap();
+            for t in [2usize, 3, 4, 7] {
+                assert_matches_oracle(&g, &cover, t);
+                let conn = clique_connector(&g, &cover, t).unwrap();
+                shared += candidate_pairs(&cover, t) - conn.graph.num_edges();
+            }
+        }
+        // The covers really do repeat pairs, so the dedup is exercised.
+        assert!(shared > 100, "only {shared} repeated pairs");
+        let g = builder_from_edges(4, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]).unwrap();
+        let cover = CliqueCover::new(&g, vec![ids(&[0, 1, 2]), ids(&[0, 1, 3])]).unwrap();
+        for t in [2usize, 3] {
+            assert_matches_oracle(&g, &cover, t);
+        }
+    }
+
     #[test]
     fn figure1_instance_two_cliques_sharing_a_vertex() {
         // Figure 1 of the paper: two cliques Q, R sharing a vertex, t = 4.
@@ -172,9 +272,8 @@ mod tests {
         // C(4,2) + C(3,2) = 6 + 3 = 9 edges per clique, shared vertex in
         // both first groups, no duplicated edges between cliques.
         assert_eq!(conn.graph.num_edges(), 18);
-        assert_eq!(conn.groups[0].len(), 2);
-        assert_eq!(conn.groups[0][0].len(), 4);
-        assert_eq!(conn.groups[0][1].len(), 3);
+        let sizes: Vec<usize> = groups(&cover, 0, 4).iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 3]);
     }
 
     #[test]
@@ -203,14 +302,14 @@ mod tests {
         let g = generators::complete(11).unwrap();
         let cover = cover_from_all_maximal_cliques(&g).unwrap();
         let conn = clique_connector(&g, &cover, 3).unwrap();
-        for clique_groups in &conn.groups {
-            for (i, grp) in clique_groups.iter().enumerate() {
-                assert!(grp.len() <= 3);
-                if i + 1 < clique_groups.len() {
-                    assert_eq!(grp.len(), 3, "only the last group may be short");
-                }
-            }
-        }
+        // Each vertex is joined to exactly the rest of its group, and only
+        // the last group (ascending order) is short.
+        let degrees: Vec<usize> = conn
+            .graph
+            .vertices()
+            .map(|v| conn.graph.degree(v))
+            .collect();
+        assert_eq!(degrees, [2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1]);
         // K11 with t=3: groups 3/3/3/2 -> 3·C(3,2) + C(2,2)... = 3·3 + 1 = 10 edges.
         assert_eq!(conn.graph.num_edges(), 10);
     }

@@ -63,30 +63,35 @@ impl CliqueDecomposition {
                 ),
             });
         }
-        for p in 0..self.num_parts {
-            let members: Vec<VertexId> =
-                g.vertices().filter(|v| self.part[v.index()] == p).collect();
-            if members.is_empty() {
-                continue;
+        // One pass over the cliques: count each clique's members per part
+        // (its clique in the part's restricted cover), then fold the counts
+        // into the part maxima, zeroing them for the next clique. Lemma
+        // 2.3(ii) needs no check: a member keeps every clique through it,
+        // so a part's diversity never exceeds the cover's.
+        let part_of = |v: &VertexId| (v.index() < g.num_vertices()).then(|| self.part[v.index()]);
+        let mut largest = vec![0usize; self.num_parts];
+        let mut count = vec![0usize; self.num_parts];
+        for clique in cover.cliques() {
+            for p in clique.iter().filter_map(part_of) {
+                if let Some(k) = count.get_mut(p) {
+                    *k += 1;
+                }
             }
-            let sub = VertexSubsetView::new(g, members)?;
-            let restricted = cover.restrict_to_subset(&sub);
-            if restricted.max_clique_size() > self.clique_bound {
-                return Err(AlgoError::InvariantViolated {
-                    reason: format!(
-                        "part {p} has clique size {} > S/tˣ + 2 = {}",
-                        restricted.max_clique_size(),
-                        self.clique_bound
-                    ),
-                });
-            }
-            if restricted.diversity() > cover.diversity() {
-                return Err(AlgoError::InvariantViolated {
-                    reason: "Lemma 2.3(ii) violated: diversity increased".into(),
-                });
+            for p in clique.iter().filter_map(part_of) {
+                if let Some(k) = count.get_mut(p) {
+                    largest[p] = largest[p].max(std::mem::take(k));
+                }
             }
         }
-        Ok(())
+        match largest.iter().position(|&size| size > self.clique_bound) {
+            Some(p) => Err(AlgoError::InvariantViolated {
+                reason: format!(
+                    "part {p} has clique size {} > S/tˣ + 2 = {}",
+                    largest[p], self.clique_bound
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -377,6 +382,47 @@ mod tests {
         let err = sp.verify(&g).unwrap_err().to_string();
         let want = format!("class {first} has star size {max} > bound {}", max - 1);
         assert!(err.contains(&want), "{err}");
+    }
+
+    #[test]
+    fn clique_decomposition_verify_names_the_first_oversized_part() {
+        use decolor_graph::subgraph::InducedSubgraph;
+        // Skewed degrees, so the parts' clique sizes differ.
+        let g = generators::gnm(60, 240, 3).unwrap();
+        let lg = LineGraph::new(&g);
+        let ids = IdAssignment::sequential(lg.graph.num_vertices());
+        let mut dec = clique_decomposition(&lg.graph, &lg.cover, 3, 1, &ids).unwrap();
+        // Oracle: each part's clique size off its materialized induced
+        // subgraph and restricted cover.
+        let sizes: Vec<usize> = (0..dec.num_parts)
+            .map(|p| {
+                let members: Vec<VertexId> = lg
+                    .graph
+                    .vertices()
+                    .filter(|v| dec.part[v.index()] == p)
+                    .collect();
+                let sub = InducedSubgraph::new(&lg.graph, &members);
+                lg.cover.restrict(&sub).max_clique_size()
+            })
+            .collect();
+        let max = *sizes.iter().max().unwrap();
+        assert!(max <= dec.clique_bound);
+        assert!(
+            sizes.iter().any(|&s| s < max),
+            "parts of equal size: {sizes:?}"
+        );
+        for bound in 0..max {
+            dec.clique_bound = bound;
+            let first = sizes.iter().position(|&s| s > bound).unwrap();
+            let err = dec.verify(&lg.graph, &lg.cover).unwrap_err().to_string();
+            let want = format!(
+                "part {first} has clique size {} > S/tˣ + 2 = {bound}",
+                sizes[first]
+            );
+            assert!(err.contains(&want), "{err}");
+        }
+        dec.clique_bound = max;
+        dec.verify(&lg.graph, &lg.cover).unwrap();
     }
 
     #[test]

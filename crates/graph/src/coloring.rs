@@ -323,22 +323,21 @@ impl EdgeColoring {
         self.first_violation(g).is_none()
     }
 
-    /// Returns a pair of conflicting incident edges, if any.
+    /// Returns a pair of conflicting incident edges, if any: at the
+    /// lowest vertex with a repeated color, the first edge (in port order)
+    /// whose color an earlier edge there already has, after that earlier
+    /// edge.
+    ///
+    /// One pass over the incidence rows with one reused hash table of the
+    /// row's colors, so memory is O(Δ) whatever the palette.
     pub fn first_violation<G: GraphView>(&self, g: &G) -> Option<(EdgeId, EdgeId)> {
-        // Scan each vertex's incidence list for repeated colors.
-        let mut seen: std::collections::BTreeMap<Color, EdgeId> = std::collections::BTreeMap::new();
-        let mut hit = None;
+        let mut seen = RowColors::default();
         for v in (0..g.num_vertices()).map(VertexId::new) {
-            seen.clear();
+            seen.arm(v, g.degree(v));
+            let mut hit = None;
             g.for_each_incident_edge(v, |e| {
-                if hit.is_some() {
-                    return;
-                }
-                let c = self.colors[e.index()];
-                if let Some(&prev) = seen.get(&c) {
-                    hit = Some((prev, e));
-                } else {
-                    seen.insert(c, e);
+                if hit.is_none() {
+                    hit = seen.insert(self.colors[e.index()], e).map(|prev| (prev, e));
                 }
             });
             if hit.is_some() {
@@ -435,6 +434,54 @@ impl EdgeColoring {
     }
 }
 
+/// The colors seen so far at one vertex, for
+/// [`EdgeColoring::first_violation`]: an open-addressing table keyed by a
+/// multiplicative hash of the color, with linear probing. Each slot is
+/// tagged with the vertex that wrote it, so moving to the next vertex
+/// clears the table without touching it. The table is a power of two of
+/// at least twice the largest degree armed so far, so it is at most half
+/// full, a probe is short, and memory is O(Δ) however large the colors.
+#[derive(Default)]
+struct RowColors {
+    /// `(vertex that wrote the slot, color, first edge with that color)`.
+    slots: Vec<(Option<VertexId>, Color, EdgeId)>,
+    /// `32 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    row: Option<VertexId>,
+}
+
+impl RowColors {
+    /// Starts vertex `v`'s row, growing the table if `degree` needs it.
+    fn arm(&mut self, v: VertexId, degree: usize) {
+        if 2 * degree > self.slots.len() {
+            let size = (2 * degree).next_power_of_two();
+            self.slots = vec![(None, 0, EdgeId::new(0)); size];
+            // `2 ≤ size ≤ 2m ≤ 2^33`; past 2^32 slots the hash's 32 bits
+            // index the table's low part, which still has room.
+            self.shift = 32u32.saturating_sub(size.trailing_zeros());
+        }
+        self.row = Some(v);
+    }
+
+    /// Records `c` at edge `e`, or returns the earlier edge of this row
+    /// that already has color `c`.
+    fn insert(&mut self, c: Color, e: EdgeId) -> Option<EdgeId> {
+        let mask = self.slots.len() - 1;
+        let mut i = num::usize_from(c.wrapping_mul(0x9E37_79B9) >> self.shift);
+        loop {
+            let slot = &mut self.slots[i & mask];
+            if slot.0 != self.row {
+                *slot = (self.row, c, e);
+                return None;
+            }
+            if slot.1 == c {
+                return Some(slot.2);
+            }
+            i += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,5 +575,102 @@ mod tests {
         assert_eq!(c.distinct_colors(), 0);
         assert_eq!(c.max_color(), None);
         assert!(c.is_empty());
+    }
+
+    /// The `BTreeMap` scan that `first_violation` replaced: per vertex, the
+    /// first edge of each color, and the first repeat in port order.
+    fn btree_first_violation(c: &EdgeColoring, g: &impl GraphView) -> Option<(EdgeId, EdgeId)> {
+        for v in (0..g.num_vertices()).map(VertexId::new) {
+            let mut seen = std::collections::BTreeMap::new();
+            let mut hit = None;
+            g.for_each_incident_edge(v, |e| {
+                let color = c.color(e);
+                match seen.get(&color) {
+                    Some(&prev) if hit.is_none() => hit = Some((prev, e)),
+                    Some(_) => {}
+                    None => {
+                        seen.insert(color, e);
+                    }
+                }
+            });
+            if hit.is_some() {
+                return hit;
+            }
+        }
+        None
+    }
+
+    /// A greedy proper coloring over random colors from the whole `u32`
+    /// range, then (for most seeds) a few edges recolored to the color of
+    /// an edge next to them, so the first clash lands anywhere.
+    fn seeded_coloring(g: &impl GraphView, seed: u64) -> EdgeColoring {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pool: Vec<Color> = (0..2 * g.max_degree() + 1).map(|_| rng.gen()).collect();
+        let m = g.num_edges();
+        let mut colors: Vec<Option<Color>> = vec![None; m];
+        for e in (0..m).map(EdgeId::new) {
+            let mut used = Vec::new();
+            for v in g.endpoints(e) {
+                g.for_each_incident_edge(v, |f| used.extend(colors[f.index()]));
+            }
+            colors[e.index()] = pool.iter().copied().find(|c| !used.contains(c));
+        }
+        let mut colors: Vec<Color> = colors.into_iter().map(Option::unwrap).collect();
+        for _ in 0..seed % 4 {
+            let e = EdgeId::new(rng.gen_range(0..m));
+            let v = g.endpoints(e)[rng.gen_range(0..2usize)];
+            let mut around = Vec::new();
+            g.for_each_incident_edge(v, |f| around.push(f));
+            colors[e.index()] = colors[around[rng.gen_range(0..around.len())].index()];
+        }
+        EdgeColoring::new(colors, 1 << 32).unwrap()
+    }
+
+    #[test]
+    fn first_violation_matches_a_btree_oracle() {
+        let g = crate::generators::gnm(120, 700, 3).unwrap();
+        let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 3 != 0).collect();
+        let view = crate::subgraph::EdgeSubgraphView::new(&g, class).unwrap();
+        let mut clash_vertices = std::collections::BTreeSet::new();
+        let mut proper = 0;
+        for seed in 0..200u64 {
+            let on_graph = seeded_coloring(&g, seed);
+            let want = btree_first_violation(&on_graph, &g);
+            assert_eq!(on_graph.first_violation(&g), want, "graph, seed {seed}");
+            match want {
+                Some((e, _)) => {
+                    clash_vertices.insert(g.endpoints(e));
+                }
+                None => proper += 1,
+            }
+            let on_view = seeded_coloring(&view, seed);
+            let want = btree_first_violation(&on_view, &view);
+            assert_eq!(on_view.first_violation(&view), want, "view, seed {seed}");
+            assert_eq!(on_view.is_proper(&view), want.is_none());
+        }
+        // Proper and improper cases both occur, with clashes spread out.
+        assert!(proper >= 40, "{proper} proper colorings");
+        assert!(
+            clash_vertices.len() >= 50,
+            "{} clash sites",
+            clash_vertices.len()
+        );
+    }
+
+    #[test]
+    fn first_violation_reports_the_first_repeat_at_the_lowest_vertex() {
+        // Star at vertex 0 with colors 7, 9, 7, 9: the repeat of 7 comes
+        // first, paired with the first edge of color 7.
+        let g = builder_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
+        let c = EdgeColoring::new(vec![7, 9, 7, 9], 10).unwrap();
+        assert_eq!(
+            c.first_violation(&g),
+            Some((EdgeId::new(0), EdgeId::new(2)))
+        );
+        // Colors equal modulo every table size still differ.
+        let c = EdgeColoring::new(vec![0, 1 << 31, 1 << 30, 3 << 30], 1 << 32).unwrap();
+        assert_eq!(c.first_violation(&g), None);
     }
 }

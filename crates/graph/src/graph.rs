@@ -302,11 +302,10 @@ impl Graph {
         self.neighbors(a).any(|w| w == b)
     }
 
-    /// Returns `true` if the graph contains at least one parallel edge.
+    /// Returns `true` if the graph contains at least one parallel edge
+    /// ([`GraphView::has_parallel_edges`](crate::subgraph::GraphView::has_parallel_edges)).
     pub fn has_parallel_edges(&self) -> bool {
-        // lint: allow(determinism, "membership-only duplicate probe over the O(m) endpoint scan; never iterated, so hash order cannot reach the result")
-        let mut seen = std::collections::HashSet::with_capacity(self.num_edges());
-        self.endpoints.iter().any(|&[u, v]| !seen.insert((u, v)))
+        crate::subgraph::GraphView::has_parallel_edges(self)
     }
 
     /// Number of edges in the line graph of this graph, i.e.

@@ -398,13 +398,28 @@ pub trait GraphView {
     }
 
     /// Whether the topology contains a parallel edge (same endpoint pair
-    /// twice). The default scans the endpoint list with a hash set;
-    /// [`Graph`] overrides it with its own implementation. Used by entry
-    /// points whose constructions require a simple input.
+    /// twice). Used by entry points whose constructions require a simple
+    /// input.
+    ///
+    /// One pass over the incidence rows with a per-vertex stamp: row `v`
+    /// marks each neighbor `u` with `v`, so meeting a mark already equal
+    /// to `v` means a second edge to `u`. Stamps start at the vertex's own
+    /// id, which no row writes (self-loops are not representable). O(n)
+    /// words and O(n + m) time, for every implementor.
     fn has_parallel_edges(&self) -> bool {
-        // lint: allow(determinism, "membership-only duplicate probe over the O(m) endpoint scan; never iterated, so hash order cannot reach the result")
-        let mut seen = std::collections::HashSet::with_capacity(self.num_edges());
-        (0..self.num_edges()).any(|e| !seen.insert(self.endpoints(EdgeId::new(e))))
+        let mut stamp: Vec<VertexId> = (0..self.num_vertices()).map(VertexId::new).collect();
+        let mut parallel = false;
+        for v in (0..self.num_vertices()).map(VertexId::new) {
+            self.for_each_port(v, |u, _| {
+                let mark = &mut stamp[u.index()];
+                parallel |= *mark == v;
+                *mark = v;
+            });
+            if parallel {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -456,11 +471,6 @@ impl GraphView for Graph {
     #[inline]
     fn port(&self, v: VertexId, p: usize) -> Option<(VertexId, EdgeId)> {
         self.incidence(v).get(p).copied()
-    }
-
-    #[inline]
-    fn has_parallel_edges(&self) -> bool {
-        Graph::has_parallel_edges(self)
     }
 }
 

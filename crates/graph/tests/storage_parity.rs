@@ -183,3 +183,44 @@ fn views_borrow_a_sharded_parent() {
     drop(mmap);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn has_parallel_edges_on_every_topology() {
+    use decolor_graph::subgraph::EdgeSubgraphView;
+    use decolor_graph::GraphBuilder;
+    // A multigraph whose only parallel pair is edges 2 and 5 = {1, 3},
+    // listed with opposite orientations.
+    let mut b = GraphBuilder::new_multi(6);
+    for (u, v) in [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (3, 1), (0, 5)] {
+        b.add_edge(u, v).unwrap();
+    }
+    let multi = b.build();
+    let simple = generators::gnm(40, 120, 9).unwrap();
+    assert!(multi.has_parallel_edges());
+    assert!(GraphView::has_parallel_edges(&multi));
+    assert!(!simple.has_parallel_edges());
+    assert!(!GraphBuilder::new_multi(3).build().has_parallel_edges());
+
+    // Views: keeping both copies is parallel, keeping one is not.
+    let ids = |raw: &[usize]| raw.iter().map(|&e| EdgeId::new(e)).collect::<Vec<_>>();
+    let both = EdgeSubgraphView::new(&multi, ids(&[2, 4, 5])).unwrap();
+    let one = EdgeSubgraphView::new(&multi, ids(&[0, 1, 2, 3, 4, 6])).unwrap();
+    assert!(both.has_parallel_edges());
+    assert!(!one.has_parallel_edges());
+    assert!(!EdgeSubgraphView::full(&simple).has_parallel_edges());
+
+    for (tag, g, want) in [("multi", &multi, true), ("simple", &simple, false)] {
+        let dir = scratch(&format!("parallel-{tag}"));
+        let sc = ShardedCsr::from_graph(&dir, g).unwrap();
+        assert_eq!(sc.has_parallel_edges(), want, "{tag} store");
+        assert_eq!(
+            EdgeSubgraphView::new(&sc, ids(&[2, 4, 5]))
+                .unwrap()
+                .has_parallel_edges(),
+            want,
+            "{tag} store view"
+        );
+        drop(sc);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
