@@ -1,10 +1,13 @@
 //! Criterion bench for Section 5: the Δ + o(Δ) colorings on
-//! bounded-arboricity workloads.
+//! bounded-arboricity workloads, and the H-partition and Theorem 5.2 at
+//! the size of the repository benchmark's `t52-powerlaw` input.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use decolor_bench::arboricity_workload;
 use decolor_core::arboricity::{theorem52, theorem53, theorem54};
 use decolor_core::delta_plus_one::SubroutineConfig;
+use decolor_core::h_partition::h_partition;
+use decolor_graph::generators;
 
 fn bench_section5(c: &mut Criterion) {
     let mut group = c.benchmark_group("section5");
@@ -25,5 +28,21 @@ fn bench_section5(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_section5);
+/// Theorem 5.2 on `barabasi_albert(32768, 2, 1)` (a = 2, q = 2.5, so the
+/// peeling threshold is d = 5): the H-partition alone, and the whole call
+/// with its crossing stages.
+fn bench_t52_powerlaw(c: &mut Criterion) {
+    let mut group = c.benchmark_group("section5_arboricity");
+    group.sample_size(10);
+    let g = generators::barabasi_albert(32_768, 2, 1).unwrap();
+    group.bench_function("h_partition_ba", |b| {
+        b.iter(|| h_partition(&g, 5).unwrap());
+    });
+    group.bench_function("theorem52_ba", |b| {
+        b.iter(|| theorem52(&g, 2, 2.5, SubroutineConfig::default()).unwrap());
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_section5, bench_t52_powerlaw);
 criterion_main!(benches);

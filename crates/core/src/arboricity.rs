@@ -32,7 +32,7 @@ use decolor_graph::{EdgeId, VertexId};
 use decolor_runtime::{Network, NetworkStats};
 
 use crate::connectors::orientation::{bipartite_orientation_connector_on, orientation_connector};
-use crate::crossing_merge::{color_crossing_edges, one_sided_edge_coloring};
+use crate::crossing_merge::{one_sided_edge_coloring, CrossingStages};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
 use crate::h_partition::h_partition;
@@ -122,9 +122,11 @@ pub fn theorem52<G: GraphView + Sync>(
 /// borrowed color-class [`EdgeSubgraphView`] inside the Theorem 5.3/5.4
 /// recursions). Colors are in the view's local edge ids. Every round —
 /// the H-partition peeling, the intra star partition, the Lemma 5.1
-/// merges — is simulated on the view itself through the topology-generic
-/// [`Network`], so decisions **and** [`NetworkStats`] are bit-identical
-/// to the materializing path.
+/// merges — is simulated on the view itself, so decisions **and**
+/// [`NetworkStats`] are bit-identical to the materializing path. Past
+/// the H-partition and the intra coloring, the call is one pass that
+/// buckets the crossing edges by stage and one `CrossingStages` run
+/// over all stages, O(n + m) plus the stages' own label rounds.
 ///
 /// `intra_levels` applies the proof's remark: "this step can be computed
 /// much faster in the expense of increasing the constant of the number of
@@ -156,16 +158,38 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     let hp = h_partition(view, d)?;
     let mut stats = hp.stats;
 
+    // Intra-set edges in id order, and crossing edges bucketed by their
+    // stage i = min(h(u), h(v)) with one counting sort (a count pass and
+    // a fill pass), so each stage's edges stay in ascending id order.
+    let sets = |e: EdgeId| {
+        let [u, v] = view.endpoints(e);
+        (hp.index[u.index()], hp.index[v.index()])
+    };
+    let mut same = Vec::new();
+    let mut stage_start = vec![0usize; hp.num_sets + 1];
+    for e in (0..view.num_edges()).map(EdgeId::new) {
+        match sets(e) {
+            (hu, hv) if hu == hv => same.push(e),
+            (hu, hv) => stage_start[hu.min(hv) + 1] += 1,
+        }
+    }
+    for i in 0..hp.num_sets {
+        stage_start[i + 1] += stage_start[i];
+    }
+    let mut crossing = vec![EdgeId::new(0); stage_start[hp.num_sets]];
+    let mut fill = stage_start.clone();
+    for e in (0..view.num_edges()).map(EdgeId::new) {
+        let (hu, hv) = sets(e);
+        if hu != hv {
+            let slot = &mut fill[hu.min(hv)];
+            crossing[*slot] = e;
+            *slot += 1;
+        }
+    }
+
     // Intra-set edges: the union of the vertex-disjoint G(H_i) has degree
     // ≤ d; one star-partition stage colors it with ≤ 4d + 1 colors. The
     // class rides a borrowed view of the root — never a spanning copy.
-    let same: Vec<EdgeId> = (0..view.num_edges())
-        .map(EdgeId::new)
-        .filter(|&e| {
-            let [u, v] = view.endpoints(e);
-            hp.index[u.index()] == hp.index[v.index()]
-        })
-        .collect();
     let mut edge_colors: Vec<Option<Color>> = vec![None; view.num_edges()];
     let mut intra_palette = 1u64;
     if !same.is_empty() {
@@ -191,24 +215,16 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     }
 
     // Crossing stages, H_ℓ first ("we go over the sets from H_ℓ back to
-    // H_1"): stage i colors the edges between H_i and the later sets.
+    // H_1"): stage i colors the edges between H_i and the later sets,
+    // with A = H_i. All stages run through one `CrossingStages`, which carries the
+    // incident-color table from the intra coloring on.
     let palette = intra_palette.max(delta + num::to_u64(d));
     let mut net = Network::new(view);
-    if hp.num_sets >= 2 {
-        for i in (0..hp.num_sets - 1).rev() {
-            let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
-            let crossing: Vec<EdgeId> = (0..view.num_edges())
-                .map(EdgeId::new)
-                .filter(|&e| {
-                    let [u, v] = view.endpoints(e);
-                    let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
-                    hu.min(hv) == i && hu != hv
-                })
-                .collect();
-            if crossing.is_empty() {
-                continue;
-            }
-            color_crossing_edges(&mut net, &in_a, &mut edge_colors, &crossing, palette)?;
+    if !crossing.is_empty() {
+        let mut stages = CrossingStages::new(&mut net, &mut edge_colors, palette)?;
+        for i in (0..hp.num_sets).rev() {
+            let edges = &crossing[stage_start[i]..stage_start[i + 1]];
+            stages.stage(edges, |v| hp.index[v.index()] == i)?;
         }
     }
     stats = stats.then(net.stats());
@@ -498,6 +514,7 @@ pub fn corollary55<G: GraphView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossing_merge::color_crossing_edges;
     use decolor_graph::{generators, Graph};
 
     fn workload(n: usize, a: usize, cap: usize, seed: u64) -> Graph {
@@ -660,5 +677,91 @@ mod tests {
         let d = (2.5f64 * 3.0).ceil() as u64;
         assert!(fast.coloring.palette() <= (8 * d + 1).max(delta + d));
         assert!(theorem52_on(&g, &g, 3, 2.5, 0, cfg).is_err());
+    }
+
+    /// Theorem 5.2 as it ran before `CrossingStages`: the H-partition by
+    /// broadcast rounds, then per stage a fresh `in_a`, a filter over all
+    /// edges, and one [`color_crossing_edges`] call with its own table.
+    /// Test-only oracle for the bucketed, carried-table stage loop.
+    fn theorem52_by_stage_rescans<R: GraphView + Sync, V: GraphView + Sync>(
+        root: &R,
+        view: &V,
+        a: usize,
+        q: f64,
+    ) -> (Vec<Color>, u64, NetworkStats, usize) {
+        let d = a_hat(q, a).unwrap();
+        let delta = num::to_u64(view.max_degree());
+        let hp = crate::h_partition::h_partition_by_broadcast(view, d).unwrap();
+        let mut stats = hp.stats;
+        let same: Vec<EdgeId> = (0..view.num_edges())
+            .map(EdgeId::new)
+            .filter(|&e| {
+                let [u, v] = view.endpoints(e);
+                hp.index[u.index()] == hp.index[v.index()]
+            })
+            .collect();
+        let mut edge_colors: Vec<Option<Color>> = vec![None; view.num_edges()];
+        let mut intra_palette = 1u64;
+        if !same.is_empty() {
+            let parent: Vec<EdgeId> = same.iter().map(|&e| view.to_parent_edge(e)).collect();
+            let intra = EdgeSubgraphView::new(root, parent).unwrap();
+            let params = StarPartitionParams {
+                subroutine: SubroutineConfig::default(),
+                ..StarPartitionParams::for_max_degree(num::to_u64(GraphView::max_degree(&intra)), 1)
+            };
+            let star = star_partition_edge_coloring_on(root, &intra, &params).unwrap();
+            intra_palette = star.coloring.palette();
+            for (local, &e) in same.iter().enumerate() {
+                edge_colors[e.index()] = Some(star.coloring.color(EdgeId::new(local)));
+            }
+            stats = stats.then(star.stats);
+        }
+        let palette = intra_palette.max(delta + num::to_u64(d));
+        let mut net = Network::new(view);
+        let mut stages = 0;
+        for i in (0..hp.num_sets - 1).rev() {
+            let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
+            let crossing: Vec<EdgeId> = (0..view.num_edges())
+                .map(EdgeId::new)
+                .filter(|&e| {
+                    let [u, v] = view.endpoints(e);
+                    let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
+                    hu.min(hv) == i && hu != hv
+                })
+                .collect();
+            if crossing.is_empty() {
+                continue;
+            }
+            stages += 1;
+            color_crossing_edges(&mut net, &in_a, &mut edge_colors, &crossing, palette).unwrap();
+        }
+        let colors = edge_colors.into_iter().map(Option::unwrap).collect();
+        (colors, palette, stats.then(net.stats()), stages)
+    }
+
+    #[test]
+    fn carried_stages_match_the_per_stage_rescan_oracle() {
+        let cfg = SubroutineConfig::default();
+        for (a, q) in [(2usize, 2.5f64), (3, 3.0), (4, 2.5)] {
+            for seed in 0..2u64 {
+                let g = generators::barabasi_albert(1_500, a, seed).unwrap();
+                let res = theorem52(&g, a, q, cfg).unwrap();
+                let (colors, palette, stats, stages) = theorem52_by_stage_rescans(&g, &g, a, q);
+                assert!(stages >= 2, "a = {a} seed {seed}: only {stages} stage(s)");
+                assert_eq!(res.coloring.as_slice(), &colors[..], "a = {a} seed {seed}");
+                assert_eq!(res.coloring.palette(), palette, "a = {a} seed {seed}");
+                assert_eq!(res.stats, stats, "a = {a} seed {seed}");
+            }
+        }
+        // A color class of the root, as Theorem 5.3 recurses on it.
+        let g = generators::barabasi_albert(1_500, 4, 7).unwrap();
+        let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 5 != 2).collect();
+        let view = EdgeSubgraphView::new(&g, class).unwrap();
+        let res = theorem52_on(&g, &view, 4, 2.5, 1, cfg).unwrap();
+        let (colors, palette, stats, stages) = theorem52_by_stage_rescans(&g, &view, 4, 2.5);
+        assert!(stages >= 2, "view: only {stages} stage(s)");
+        assert_eq!(res.coloring.as_slice(), &colors[..], "view");
+        assert_eq!(res.coloring.palette(), palette, "view");
+        assert_eq!(res.stats, stats, "view");
     }
 }

@@ -13,6 +13,14 @@
 //! graph (every edge has exactly one `A`-endpoint, e.g. a bipartite
 //! orientation connector) with `deg_A + deg_B − 1` colors in `deg_A`
 //! rounds — the primitive Theorem 5.4 invokes at every level.
+//!
+//! Theorem 5.2 runs ℓ − 1 such merges back to back, one per H-set. All
+//! of them go through one crate-private stage runner, `CrossingStages`:
+//! it builds the table of every vertex's incident colors once, patches
+//! it as edges are colored, and resets its per-vertex label and group
+//! counters only at each stage's own endpoints, so a stage costs its
+//! own edges and label rounds rather than O(n + m).
+//! [`color_crossing_edges`] is its one-stage case.
 
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::subgraph::GraphView;
@@ -40,6 +48,8 @@ struct Active {
 ///
 /// Already-colored edges (`Some`) constrain the greedy choices; the
 /// routine never recolors them. Costs exactly `max(labels used)` rounds.
+/// This is the one-stage case of the stage runner Theorem 5.2 runs all
+/// its stages through; it builds the incident-color table afresh.
 ///
 /// # Errors
 ///
@@ -55,76 +65,196 @@ pub fn color_crossing_edges<V: GraphView + Sync>(
     crossing: &[EdgeId],
     palette: u64,
 ) -> Result<(), AlgoError> {
-    let g = net.graph();
-    if in_a.len() != g.num_vertices() || edge_colors.len() != g.num_edges() {
-        return Err(AlgoError::InvalidParameters {
-            reason: "in_a / edge_colors shape mismatch".into(),
-        });
+    if in_a.len() != net.graph().num_vertices() {
+        return Err(shape_mismatch());
     }
-    // Each A-vertex labels its crossing edges 1, 2, … (local, O(1)).
-    // Precolored crossing edges take a label too but never become active.
-    let mut listed = vec![false; g.num_edges()];
-    let mut next_label = vec![0usize; g.num_vertices()];
-    let mut max_label = 0usize;
-    let mut active: Vec<Active> = Vec::with_capacity(crossing.len());
-    for &e in crossing {
-        let (a, b) = sides(g, in_a, e)?;
-        if std::mem::replace(&mut listed[e.index()], true) {
-            return Err(AlgoError::InvalidParameters {
-                reason: format!("edge {e} is listed twice among the crossing edges"),
-            });
-        }
-        next_label[a.index()] += 1;
-        let label = next_label[a.index()];
-        max_label = max_label.max(label);
-        if edge_colors[e.index()].is_none() {
-            active.push(Active { label, b, a, e });
-        }
-    }
-    // Every label round's active edges, grouped by their B endpoint: one
-    // stable sort by (label, B) keeps `crossing` order inside each group.
-    // Active edges of one round are vertex-disjoint except at shared B
-    // endpoints (labels are distinct at each A-vertex, and A/B sides
-    // never mix), so the groups are **independent** and fan out on the
-    // worker pool — the LOCAL model's "every B-vertex decides
-    // simultaneously" — with decisions identical to the sequential sweep
-    // at any pool size.
-    active.sort_by_key(|x| (x.label, x.b));
+    CrossingStages::new(net, edge_colors, palette)?.stage(crossing, |v| in_a[v.index()])
+}
 
-    let mut incident = IncidentColors::new(g, edge_colors);
-    // In every round both endpoints of every edge exchange their current
-    // incident colors (LOCAL messages are unbounded). The deciding B
-    // endpoint reads the A endpoint's list straight from `incident`:
-    // the lists are patched only after the round's decisions, so a live
-    // read is the round's snapshot. The round is charged as the
-    // `Vec<Color>` broadcast it stands for.
-    let round_cost = net.broadcast_cost::<Vec<Color>>();
-    let workers = rayon::current_num_threads();
-    let mut pending = &active[..];
-    for round in 1..=max_label {
-        net.absorb_sequential(round_cost);
-        let (now, later) = pending.split_at(pending.partition_point(|x| x.label <= round));
-        pending = later;
-        let batches = batches(now, workers);
-        let chosen: Vec<Result<Vec<Color>, AlgoError>> = batches
-            .par_iter()
-            .map(|batch| decide(batch, &incident, palette))
-            .collect();
-        for (batch, colors) in batches.iter().zip(chosen) {
-            for (x, c) in batch.iter().zip(colors?) {
-                edge_colors[x.e.index()] = Some(c);
-                incident.push(x.a, c);
-                incident.push(x.b, c);
+/// The error for an `in_a` or `edge_colors` of the wrong length.
+fn shape_mismatch() -> AlgoError {
+    AlgoError::InvalidParameters {
+        reason: "in_a / edge_colors shape mismatch".into(),
+    }
+}
+
+/// Runs Lemma 5.1 stages one after another on one network and one edge
+/// coloring. The incident-color table is built once, from the coloring
+/// as the runner finds it, and patched as stages color edges, so a later
+/// stage reads the same per-vertex color multisets a fresh table would
+/// hold. The edge-listing flags and per-vertex label counters are
+/// allocated once and reset per stage only at the stage's own edges and
+/// endpoints. A stage therefore costs its own edges plus its label
+/// rounds, not O(n + m).
+pub(crate) struct CrossingStages<'a, 'g, V: GraphView> {
+    net: &'a mut Network<'g, V>,
+    /// Borrowed for the runner's whole life: nothing else may color an
+    /// edge while `incident` is carried.
+    edge_colors: &'a mut [Option<Color>],
+    incident: IncidentColors,
+    palette: u64,
+    /// The ledger charge of one label round.
+    round_cost: NetworkStats,
+    listed: Vec<bool>,
+    next_label: Vec<usize>,
+    /// Each B endpoint's group number in the current stage.
+    group: Vec<usize>,
+    active: Vec<Active>,
+    /// `active` ordered by B group, before the pass by label.
+    by_b: Vec<Active>,
+}
+
+impl<'a, 'g, V: GraphView + Sync> CrossingStages<'a, 'g, V> {
+    /// A stage runner over `net`'s topology, coloring into `edge_colors` with
+    /// `palette` colors.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgoError::InvalidParameters`] if `edge_colors` is not one entry
+    /// per edge.
+    pub(crate) fn new(
+        net: &'a mut Network<'g, V>,
+        edge_colors: &'a mut [Option<Color>],
+        palette: u64,
+    ) -> Result<Self, AlgoError> {
+        let g = net.graph();
+        if edge_colors.len() != g.num_edges() {
+            return Err(shape_mismatch());
+        }
+        // In every round both endpoints of every edge exchange their
+        // current incident colors (LOCAL messages are unbounded); the
+        // round is charged as the `Vec<Color>` broadcast it stands for.
+        let round_cost = net.broadcast_cost::<Vec<Color>>();
+        Ok(CrossingStages {
+            incident: IncidentColors::new(g, edge_colors),
+            listed: vec![false; g.num_edges()],
+            next_label: vec![0; g.num_vertices()],
+            group: vec![usize::MAX; g.num_vertices()],
+            active: Vec::new(),
+            by_b: Vec::new(),
+            net,
+            edge_colors,
+            palette,
+            round_cost,
+        })
+    }
+
+    /// One stage: colors the `crossing` edges, each of which must have
+    /// exactly one endpoint `v` with `in_a(v)`, in `max(labels used)`
+    /// rounds. Errors as [`color_crossing_edges`].
+    pub(crate) fn stage(
+        &mut self,
+        crossing: &[EdgeId],
+        in_a: impl Fn(VertexId) -> bool,
+    ) -> Result<(), AlgoError> {
+        let g = self.net.graph();
+        for &e in crossing {
+            self.listed[e.index()] = false;
+            for v in g.endpoints(e) {
+                self.next_label[v.index()] = 0;
+                self.group[v.index()] = usize::MAX;
             }
         }
+        // Each A-vertex labels its crossing edges 1, 2, … (local, O(1)).
+        // Precolored crossing edges take a label too but never become
+        // active.
+        let mut max_label = 0usize;
+        self.active.clear();
+        self.active.reserve(crossing.len());
+        for &e in crossing {
+            let (a, b) = sides(g, &in_a, e)?;
+            if std::mem::replace(&mut self.listed[e.index()], true) {
+                return Err(AlgoError::InvalidParameters {
+                    reason: format!("edge {e} is listed twice among the crossing edges"),
+                });
+            }
+            self.next_label[a.index()] += 1;
+            let label = self.next_label[a.index()];
+            max_label = max_label.max(label);
+            if self.edge_colors[e.index()].is_none() {
+                self.active.push(Active { label, b, a, e });
+            }
+        }
+        // Every label round's active edges, grouped by their B endpoint,
+        // with `crossing` order kept inside each group: two stable
+        // counting passes, by B (groups numbered in order of first
+        // appearance) and then by label, O(stage) in all. Active edges
+        // of one round are vertex-disjoint except at shared B endpoints
+        // (labels are distinct at each A-vertex, and A/B sides never
+        // mix), so the groups are **independent**: their order changes
+        // no decision, and they fan out on the worker pool — the LOCAL
+        // model's "every B-vertex decides simultaneously" — with
+        // decisions identical to the sequential sweep at any pool size.
+        let mut groups = 0usize;
+        for x in &self.active {
+            let group = &mut self.group[x.b.index()];
+            if *group == usize::MAX {
+                *group = groups;
+                groups += 1;
+            }
+        }
+        let group = &self.group;
+        counting_sort(&self.active, &mut self.by_b, groups, |x| group[x.b.index()]);
+        counting_sort(&self.by_b, &mut self.active, max_label + 1, |x| x.label);
+
+        // The deciding B endpoint reads the A endpoint's list straight
+        // from `incident`: the lists are patched only after the round's
+        // decisions, so a live read is the round's snapshot.
+        let workers = rayon::current_num_threads();
+        let mut pending = &self.active[..];
+        for round in 1..=max_label {
+            self.net.absorb_sequential(self.round_cost);
+            let (now, later) = pending.split_at(pending.partition_point(|x| x.label <= round));
+            pending = later;
+            let batches = batches(now, workers);
+            let incident = &self.incident;
+            let chosen: Vec<Result<Vec<Color>, AlgoError>> = batches
+                .par_iter()
+                .map(|batch| decide(batch, incident, self.palette))
+                .collect();
+            for (batch, colors) in batches.iter().zip(chosen) {
+                for (x, c) in batch.iter().zip(colors?) {
+                    self.edge_colors[x.e.index()] = Some(c);
+                    self.incident.push(x.a, c);
+                    self.incident.push(x.b, c);
+                }
+            }
+        }
+        Ok(())
     }
-    Ok(())
+}
+
+/// Stable counting sort of `src` into `dst` by `key(x) < keys`.
+fn counting_sort(
+    src: &[Active],
+    dst: &mut Vec<Active>,
+    keys: usize,
+    key: impl Fn(&Active) -> usize,
+) {
+    let mut next = vec![0usize; keys + 1];
+    for x in src {
+        next[key(x) + 1] += 1;
+    }
+    for k in 0..keys {
+        next[k + 1] += next[k];
+    }
+    dst.clear();
+    dst.extend_from_slice(src);
+    for x in src {
+        let slot = &mut next[key(x)];
+        dst[*slot] = *x;
+        *slot += 1;
+    }
 }
 
 /// The `(A, B)` endpoints of crossing edge `e`.
-fn sides<V: GraphView>(g: &V, in_a: &[bool], e: EdgeId) -> Result<(VertexId, VertexId), AlgoError> {
+fn sides<V: GraphView>(
+    g: &V,
+    in_a: impl Fn(VertexId) -> bool,
+    e: EdgeId,
+) -> Result<(VertexId, VertexId), AlgoError> {
     let [u, v] = g.endpoints(e);
-    match (in_a[u.index()], in_a[v.index()]) {
+    match (in_a(u), in_a(v)) {
         (true, false) => Ok((u, v)),
         (false, true) => Ok((v, u)),
         _ => Err(AlgoError::InvalidParameters {
@@ -137,9 +267,10 @@ fn sides<V: GraphView>(g: &V, in_a: &[bool], e: EdgeId) -> Result<(VertexId, Ver
 /// vertex `v`'s row is `colors[off[v]..off[v] + len[v]]`, inside the
 /// `deg(v)` slots reserved for it. The greedy mex consumes only the
 /// *multiset* of a row, so appending newly assigned colors (instead of
-/// keeping port order) leaves every decision identical. A row never
+/// keeping port order) leaves every decision identical — within a stage
+/// and across the stages of one [`CrossingStages`]. A row never
 /// overflows: each edge is colored once, since precolored edges never
-/// become active and `color_crossing_edges` rejects repeated edges.
+/// become active and a stage rejects repeated edges.
 struct IncidentColors {
     off: Vec<usize>,
     len: Vec<usize>,
@@ -435,5 +566,45 @@ mod tests {
         let mut net = Network::new(&g);
         color_crossing_edges(&mut net, &in_a, &mut colors, &[], 1).unwrap();
         assert_eq!(net.stats().rounds, 0);
+    }
+
+    #[test]
+    fn carried_stages_match_fresh_single_stage_calls() {
+        // Four stages with overlapping A sides, so vertices label edges
+        // in several stages and B endpoints recur; edges colored by an
+        // earlier stage come back precolored. The runner's carried table,
+        // flags, labels and groups must decide exactly as one fresh
+        // `color_crossing_edges` call per stage.
+        let g = generators::gnm(200, 900, 4).unwrap();
+        let palette = 2 * g.max_degree() as u64;
+        let sides: Vec<Vec<bool>> = (0..4usize)
+            .map(|k| (0..200usize).map(|v| (v * 7 + k * 3) % 5 < 2).collect())
+            .collect();
+        let crossing = |in_a: &[bool]| -> Vec<EdgeId> {
+            g.edge_list()
+                .filter(|(_, [u, v])| in_a[u.index()] != in_a[v.index()])
+                .map(|(e, _)| e)
+                .collect()
+        };
+        let mut seed_colors: Vec<Option<Color>> = vec![None; g.num_edges()];
+        for e in (0..g.num_edges()).step_by(9) {
+            seed_colors[e] = Some((e % 11) as Color);
+        }
+
+        let mut oracle = seed_colors.clone();
+        let mut oracle_net = Network::new(&g);
+        for in_a in &sides {
+            color_crossing_edges(&mut oracle_net, in_a, &mut oracle, &crossing(in_a), palette)
+                .unwrap();
+        }
+
+        let mut colors = seed_colors;
+        let mut net = Network::new(&g);
+        let mut stages = CrossingStages::new(&mut net, &mut colors, palette).unwrap();
+        for in_a in &sides {
+            stages.stage(&crossing(in_a), |v| in_a[v.index()]).unwrap();
+        }
+        assert_eq!(colors, oracle);
+        assert_eq!(net.stats(), oracle_net.stats());
     }
 }

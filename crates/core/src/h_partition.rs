@@ -15,7 +15,8 @@
 use decolor_graph::num;
 use decolor_graph::orientation::Orientation;
 use decolor_graph::subgraph::GraphView;
-use decolor_runtime::{Network, NetworkStats};
+use decolor_graph::VertexId;
+use decolor_runtime::NetworkStats;
 
 use crate::error::AlgoError;
 
@@ -34,13 +35,17 @@ pub struct HPartition {
 
 /// Computes an H-partition with degree bound `d` by parallel peeling.
 ///
-/// Each peeling phase costs one communication round, simulated on the
-/// **active vertex set only**
-/// ([`Network::broadcast_on_active_into`]): peeled vertices stay silent,
-/// so a level's messages cost Σ deg(active) instead of 2m, and the one
-/// flat [`decolor_runtime::RoundBuffer`] is reused across every level —
-/// no per-round allocation. A vertex's active degree is simply the number
-/// of messages it received.
+/// Each peeling level is one communication round in which every
+/// still-active vertex announces itself on all its ports; a vertex's
+/// active degree is the number of announcements it hears. The round is
+/// simulated by one **active-degree counter** per vertex instead of a
+/// message buffer: a level peels the active vertices whose counter, read
+/// at the start of the level, is ≤ d, then decrements the counters of
+/// their neighbours port by port (so a parallel edge counts once per
+/// copy). The ledger charges each level exactly what the announcement
+/// costs: one round and one 1-byte message per port of an active vertex,
+/// Σ_{v active} deg(v). Peeled vertices stay silent, so the whole
+/// partition costs O(n + m) work however many levels it takes.
 ///
 /// ```rust
 /// use decolor_core::h_partition::h_partition;
@@ -64,24 +69,30 @@ pub struct HPartition {
 /// when `d < 2·density`; pass `d ≥ ⌈(2 + ε)·a⌉`.
 pub fn h_partition<V: GraphView>(g: &V, d: usize) -> Result<HPartition, AlgoError> {
     let n = g.num_vertices();
-    let mut net = Network::new(g);
-    let mut buf = net.make_buffer::<u8>();
-    let presence = vec![1u8; n];
     let mut index = vec![usize::MAX; n];
-    let mut active: Vec<bool> = vec![true; n];
-    let mut active_list: Vec<decolor_graph::VertexId> =
-        (0..n).map(decolor_graph::VertexId::new).collect();
+    // `active_degree[v]`: ports of v whose other end is still active —
+    // the announcements v would hear this level.
+    let mut active_degree: Vec<usize> = (0..n).map(|v| g.degree(VertexId::new(v))).collect();
+    let mut active_list: Vec<VertexId> = (0..n).map(VertexId::new).collect();
+    // Σ_{v active} deg(v): the messages one announcement round delivers.
+    let mut active_ports: u64 = active_degree.iter().map(|&k| num::to_u64(k)).sum();
+    let mut stats = NetworkStats::default();
+    let mut peeled = Vec::new();
     let mut level = 0usize;
     while !active_list.is_empty() {
-        // One round: still-active vertices announce themselves; a
-        // vertex's active degree is its message count this round.
-        net.broadcast_on_active_into(&presence, &active_list, &mut buf)?;
-        let mut peeled = Vec::new();
-        for &v in &active_list {
-            if buf.received(v) <= d {
-                peeled.push(v.index());
-            }
-        }
+        stats = stats.then(NetworkStats {
+            rounds: 1,
+            messages: active_ports,
+            // One presence byte per message.
+            payload_bytes: active_ports,
+        });
+        peeled.clear();
+        peeled.extend(
+            active_list
+                .iter()
+                .copied()
+                .filter(|v| active_degree[v.index()] <= d),
+        );
         if peeled.is_empty() {
             return Err(AlgoError::InvalidParameters {
                 reason: format!(
@@ -92,17 +103,18 @@ pub fn h_partition<V: GraphView>(g: &V, d: usize) -> Result<HPartition, AlgoErro
             });
         }
         for &v in &peeled {
-            index[v] = level;
-            active[v] = false;
+            index[v.index()] = level;
+            active_ports -= num::to_u64(g.degree(v));
+            g.for_each_port(v, |u, _| active_degree[u.index()] -= 1);
         }
-        active_list.retain(|v| active[v.index()]);
+        active_list.retain(|v| index[v.index()] == usize::MAX);
         level += 1;
     }
     Ok(HPartition {
         index,
         num_sets: level,
         degree_bound: d,
-        stats: net.stats(),
+        stats,
     })
 }
 
@@ -115,7 +127,7 @@ impl HPartition {
     /// [`AlgoError::InvariantViolated`] naming the violating vertex.
     pub fn verify<V: GraphView>(&self, g: &V) -> Result<(), AlgoError> {
         for vi in 0..g.num_vertices() {
-            let v = decolor_graph::VertexId::new(vi);
+            let v = VertexId::new(vi);
             let i = self.index[v.index()];
             let mut later = 0usize;
             g.for_each_port(v, |u, _| {
@@ -144,10 +156,10 @@ impl HPartition {
     }
 
     /// Vertices of H-set `i` (0-based).
-    pub fn set(&self, i: usize) -> Vec<decolor_graph::VertexId> {
+    pub fn set(&self, i: usize) -> Vec<VertexId> {
         (0..self.index.len())
             .filter(|&v| self.index[v] == i)
-            .map(decolor_graph::VertexId::new)
+            .map(VertexId::new)
             .collect()
     }
 }
@@ -177,10 +189,53 @@ pub fn h_partition_for_arboricity<V: GraphView>(
     h_partition(g, d.max(1))
 }
 
+/// The peeling as one [`decolor_runtime::Network::broadcast_on_active_into`]
+/// round per level: every active vertex sends a presence byte through a
+/// [`decolor_runtime::RoundBuffer`], and its active degree is its message
+/// count. Test-only oracle for the counter peeling of [`h_partition`].
+#[cfg(test)]
+pub(crate) fn h_partition_by_broadcast<V: GraphView>(
+    g: &V,
+    d: usize,
+) -> Result<HPartition, AlgoError> {
+    let n = g.num_vertices();
+    let mut net = decolor_runtime::Network::new(g);
+    let mut buf = net.make_buffer::<u8>();
+    let presence = vec![1u8; n];
+    let mut index = vec![usize::MAX; n];
+    let mut active_list: Vec<VertexId> = (0..n).map(VertexId::new).collect();
+    let mut level = 0usize;
+    while !active_list.is_empty() {
+        net.broadcast_on_active_into(&presence, &active_list, &mut buf)?;
+        let peeled: Vec<VertexId> = active_list
+            .iter()
+            .copied()
+            .filter(|&v| buf.received(v) <= d)
+            .collect();
+        if peeled.is_empty() {
+            return Err(AlgoError::InvalidParameters {
+                reason: format!("H-partition stuck at level {level}: threshold d = {d}"),
+            });
+        }
+        for &v in &peeled {
+            index[v.index()] = level;
+        }
+        active_list.retain(|v| index[v.index()] == usize::MAX);
+        level += 1;
+    }
+    Ok(HPartition {
+        index,
+        num_sets: level,
+        degree_bound: d,
+        stats: net.stats(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decolor_graph::generators;
+    use decolor_graph::subgraph::EdgeSubgraphView;
+    use decolor_graph::{generators, EdgeId};
 
     #[test]
     fn partition_of_forest_union() {
@@ -246,5 +301,67 @@ mod tests {
         let g = decolor_graph::GraphBuilder::new(0).build();
         let hp = h_partition(&g, 1).unwrap();
         assert_eq!(hp.num_sets, 0);
+    }
+
+    /// The counter peeling against the broadcast oracle: same levels,
+    /// same set count, same ledger, on skewed, sparse, grid, multigraph
+    /// and class-view topologies, at the tight and a loose threshold.
+    #[test]
+    fn counter_peeling_matches_the_broadcast_oracle() {
+        fn check<V: GraphView>(name: &str, g: &V, d: usize) {
+            let hp = h_partition(g, d).unwrap();
+            let oracle = h_partition_by_broadcast(g, d).unwrap();
+            assert_eq!(hp.index, oracle.index, "{name} d = {d}: index");
+            assert_eq!(hp.num_sets, oracle.num_sets, "{name} d = {d}: sets");
+            assert_eq!(hp.stats, oracle.stats, "{name} d = {d}: stats");
+            hp.verify(g).unwrap();
+        }
+        for seed in 0..3u64 {
+            let ba2 = generators::barabasi_albert(2_000, 2, seed).unwrap();
+            let ba4 = generators::barabasi_albert(2_000, 4, seed).unwrap();
+            for d in [5, 9] {
+                check("ba(2)", &ba2, d);
+            }
+            for d in [10, 16] {
+                check("ba(4)", &ba4, d);
+            }
+            // The t53 class case: one color class of the root as a view.
+            let class: Vec<EdgeId> = ba4.edges().filter(|e| e.index() % 3 != 0).collect();
+            let view = EdgeSubgraphView::new(&ba4, class).unwrap();
+            check("ba(4) class view", &view, 8);
+        }
+        let forests = generators::forest_union(600, 3, 9, 4).unwrap();
+        check("forest_union", &forests, 8);
+        let grid = generators::grid(30, 40).unwrap();
+        check("grid", &grid, 5);
+        // Parallel edges: each copy is a port, so it counts once per copy.
+        // Every third edge of a sparse random graph is doubled; below the
+        // stall threshold both peelings must refuse.
+        let base = generators::gnm(150, 500, 3).unwrap();
+        let mut b = decolor_graph::GraphBuilder::new_multi(150);
+        for (e, [u, v]) in base.edge_list() {
+            for _ in 0..1 + usize::from(e.index() % 3 == 0) {
+                b.add_edge(u.index(), v.index()).unwrap();
+            }
+        }
+        let multi = b.build();
+        assert!(multi.has_parallel_edges());
+        for d in 1..=16 {
+            match h_partition_by_broadcast(&multi, d) {
+                Ok(_) => check("multigraph", &multi, d),
+                Err(_) => assert!(h_partition(&multi, d).is_err(), "multigraph d = {d}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stall_names_the_level_and_threshold() {
+        let g = generators::complete(6).unwrap();
+        let err = h_partition(&g, 2).unwrap_err().to_string();
+        assert!(
+            err.contains("stuck at level 0") && err.contains("d = 2"),
+            "{err}"
+        );
+        assert!(h_partition_by_broadcast(&g, 2).is_err());
     }
 }

@@ -40,43 +40,22 @@ pub struct LineGraph {
 }
 
 impl LineGraph {
-    /// Builds the line graph of `g` (which must be simple).
+    /// Builds the line graph of `g` (which must be simple), through
+    /// [`LineGraph::from_view`].
     ///
     /// # Panics
     ///
     /// Panics if `g` has parallel edges (line graphs of multigraphs need
     /// multi-cliques; none of the workloads produce them).
     pub fn new(g: &Graph) -> Self {
-        assert!(
-            !g.has_parallel_edges(),
-            "line graph requires a simple source graph"
-        );
-        let m = g.num_edges();
-        let mut b =
-            crate::builder::GraphBuilder::new(m).with_edge_capacity(g.line_graph_edge_count());
-        for v in g.vertices() {
-            let inc: Vec<EdgeId> = g.incident_edges(v).collect();
-            for (i, &e1) in inc.iter().enumerate() {
-                for &e2 in &inc[i + 1..] {
-                    // Distinct simple-graph edges share at most one vertex,
-                    // so each line edge is added exactly once.
-                    b.add_edge(e1.index(), e2.index())
-                        // lint: allow(panic, "line edges are unique for simple graphs")
-                        .expect("line edges are unique for simple graphs");
-                }
-            }
-        }
-        let graph = b.build();
-        let cover =
-            // lint: allow(panic, "canonical line cover is well-formed")
-            line_graph_cover(g).expect("canonical line cover is well-formed");
-        LineGraph { graph, cover }
+        // lint: allow(panic, "from_view fails only on a source graph with parallel edges")
+        Self::from_view(g).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`LineGraph::new`] for any [`GraphView`] topology — in particular
     /// an out-of-core [`ShardedCsr`](crate::storage::ShardedCsr) — built
     /// through the same [`line_graph_stream`] the spilled construction
-    /// uses, so the in-RAM graph is bit-identical to [`LineGraph::new`]'s
+    /// uses, so the in-RAM graph is bit-identical to the spilled one
     /// (same edge sequence; the sharded CSR build is pinned identical to
     /// the sequential one).
     ///
@@ -91,7 +70,7 @@ impl LineGraph {
         }
         let m = g.num_edges();
         // Line edges are unique for simple sources, so the multigraph
-        // builder can skip the per-edge dedup hashing.
+        // builder can skip the per-edge dedup.
         let mut b = crate::builder::GraphBuilder::new_multi(m)
             .with_edge_capacity(line_graph_edge_count_on(g));
         line_graph_stream(g, &mut b)?;
@@ -146,8 +125,8 @@ pub fn line_graph_edge_count_on<G: GraphView>(g: &G) -> usize {
 /// Streams the line-graph edge sequence of `g` into any [`EdgeSink`] —
 /// a [`GraphBuilder`](crate::GraphBuilder) for the in-RAM build or a
 /// [`ShardedCsrBuilder`](crate::storage::ShardedCsrBuilder) for the
-/// out-of-core one — in exactly [`LineGraph::new`]'s order (vertices
-/// ascending, incident-edge pairs in port order), so both backends build
+/// out-of-core one — in one fixed order (vertices ascending,
+/// incident-edge pairs in port order), so both backends build
 /// byte-identical structures. The sink must be sized for `g.num_edges()`
 /// vertices. The caller is responsible for `g` being simple.
 ///
@@ -251,14 +230,31 @@ mod tests {
 
     #[test]
     fn from_view_matches_new_bit_for_bit() {
+        // The pair loop through the deduplicating builder and the
+        // sequential CSR build: an independent construction to compare
+        // `new` (and `from_view`) against.
+        fn dedup_oracle(g: &Graph) -> Graph {
+            let mut b = crate::GraphBuilder::new(g.num_edges());
+            for v in g.vertices() {
+                let inc: Vec<EdgeId> = g.incident_edges(v).collect();
+                for (i, &e1) in inc.iter().enumerate() {
+                    for &e2 in &inc[i + 1..] {
+                        b.add_edge(e1.index(), e2.index()).unwrap();
+                    }
+                }
+            }
+            b.build()
+        }
         for seed in 0..4u64 {
             let g = generators::gnm(60, 180, seed).unwrap();
-            let reference = LineGraph::new(&g);
+            let reference = dedup_oracle(&g);
+            let built = LineGraph::new(&g);
             let streamed = LineGraph::from_view(&g).unwrap();
-            assert_eq!(streamed.graph, reference.graph, "seed {seed}");
+            assert_eq!(built.graph, reference, "seed {seed}");
+            assert_eq!(streamed.graph, reference, "seed {seed}");
             assert_eq!(
                 streamed.cover.diversity(),
-                reference.cover.diversity(),
+                built.cover.diversity(),
                 "seed {seed}"
             );
             streamed.cover.validate(&streamed.graph).unwrap();

@@ -318,8 +318,9 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// `buf.received(u)` counts `u`'s active neighbors.
     ///
     /// This is the LOCAL-faithful way to simulate a round on a subgraph
-    /// activated inside a larger network (H-partition peeling, per-class
-    /// phases of the recursive decompositions): inactive vertices stay
+    /// activated inside a larger network (per-class phases of the
+    /// recursive decompositions; the H-partition's counter peeling charges
+    /// each level exactly this round's cost): inactive vertices stay
     /// silent, so the message ledger charges `Σ deg(active)` instead of
     /// `2m`, while the round still costs 1.
     ///
