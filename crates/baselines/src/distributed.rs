@@ -6,17 +6,13 @@
 //!   [`edge_space`](decolor_core::edge_space): each edge is an agent
 //!   exchanging colors over its ≤ 2Δ − 2 incident edges) — the decision
 //!   sequence of the line-graph pipeline without ever materializing L(G),
-//!   which is what lets Tables 1–2 sweep Δ ≥ 128. The measured rounds
+//!   which is what lets Tables 1–2 sweep Δ ≥ 128. The charged rounds
 //!   have the shape of the substituted black-box subroutine
 //!   ([`decolor_core::delta_plus_one`]); the color count (2Δ − 1) is
 //!   exact.
 //! * [`two_delta_minus_one_via_line_graph`] — the original L(G)
 //!   materialization, kept as the reference implementation (the unit
 //!   tests here assert the two agree).
-//! * [`no_connector_edge_coloring`] — the "don't use connectors at all"
-//!   comparator for Table 1: colors edge space directly with
-//!   Δ_L + 1 = 2Δ − 1 colors; this is what the table's baselines
-//!   degenerate to when asked for fewer than 4Δ colors.
 
 use decolor_core::delta_plus_one::{edge_coloring_with_target, SubroutineConfig};
 use decolor_core::edge_space::edge_coloring_direct;
@@ -25,7 +21,7 @@ use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::{num, Graph};
 use decolor_runtime::NetworkStats;
 
-/// The classical distributed (2Δ − 1)-edge-coloring baseline, simulated
+/// The classical distributed (2Δ − 1)-edge-coloring baseline, run
 /// directly on edge endpoints.
 ///
 /// # Errors
@@ -51,16 +47,6 @@ pub fn two_delta_minus_one_via_line_graph(
     let delta = num::to_u64(g.max_degree());
     let target = if delta == 0 { 1 } else { 2 * delta - 1 };
     edge_coloring_with_target(g, target, SubroutineConfig::default())
-}
-
-/// Alias used by the table harness: coloring the line graph directly with
-/// its (Δ_L + 1)-coloring — no connectors involved.
-///
-/// # Errors
-///
-/// Propagates subroutine errors.
-pub fn no_connector_edge_coloring(g: &Graph) -> Result<(EdgeColoring, NetworkStats), AlgoError> {
-    two_delta_minus_one_edge_coloring(g)
 }
 
 #[cfg(test)]

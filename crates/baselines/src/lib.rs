@@ -10,14 +10,17 @@
 //!   Vizing's theorem: every simple graph is (Δ+1)-edge-colorable \[36\].
 //!   This is the "optimal colors, centralized" reference point.
 //! * [`distributed`] — the distributed (2Δ−1)-edge-coloring in the
-//!   Panconesi–Rizzi round-shape class \[33, 3, 17\], realized through the
-//!   line-graph pipeline, plus the "no connectors" comparator used by the
-//!   table harness.
+//!   Panconesi–Rizzi round-shape class \[33, 3, 17\], realized directly in
+//!   edge space and, as its reference, through the line graph.
+//! * [`randomized`] — a seeded Luby-style randomized (2Δ−1)-edge-coloring,
+//!   the randomized contrast to the paper's deterministic algorithms.
+//!
+//! The distributed baselines charge their rounds and messages to the same
+//! `decolor-runtime` cost ledger as the paper's algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cole_vishkin;
 pub mod distributed;
 pub mod greedy;
 pub mod misra_gries;

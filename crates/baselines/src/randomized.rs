@@ -79,20 +79,10 @@ pub fn randomized_edge_coloring(
                 .collect();
             proposal[e.index()] = free.choose(&mut rng).copied();
         }
-        // One round: endpoints exchange the proposals of their incident
-        // edges (the LOCAL broadcast carries the per-vertex lists).
-        let per_vertex: Vec<Vec<(u32, Color)>> = g
-            .vertices()
-            .map(|w| {
-                g.incident_edges(w)
-                    .filter_map(|f| {
-                        // lint: allow(cast, "edge ids fit u32 by the builder's id-width invariant")
-                        proposal[f.index()].map(|c| (f.index() as u32, c))
-                    })
-                    .collect()
-            })
-            .collect();
-        let _inbox = net.broadcast(&per_vertex)?;
+        // One round: every vertex broadcasts the `(edge, color)`
+        // proposals of its incident edges; the acceptance test below reads
+        // them from `proposal` in place.
+        net.absorb_sequential(net.broadcast_cost::<Vec<(u32, Color)>>());
         // Accept proposals unique among both endpoints' incident
         // proposals.
         let mut accepted: Vec<(usize, Color)> = Vec::new();
@@ -169,6 +159,27 @@ mod tests {
         let (_, tight) = randomized_edge_coloring(&g, 19, 4).unwrap();
         let (_, loose) = randomized_edge_coloring(&g, 40, 4).unwrap();
         assert!(loose.rounds <= tight.rounds + 2);
+    }
+
+    #[test]
+    fn ledger_charges_one_proposal_broadcast_per_round() {
+        let g = generators::gnm(60, 200, 5).unwrap();
+        let delta = g.max_degree() as u64;
+        let (_, stats) = randomized_edge_coloring(&g, 2 * delta - 1, 9).unwrap();
+        let two_m = 2 * g.num_edges() as u64;
+        assert_eq!(stats.messages, stats.rounds * two_m);
+        assert_eq!(
+            stats.payload_bytes,
+            stats.messages * std::mem::size_of::<Vec<(u32, Color)>>() as u64
+        );
+        assert_eq!(
+            stats,
+            NetworkStats {
+                rounds: 4,
+                messages: 1600,
+                payload_bytes: 38400,
+            }
+        );
     }
 
     #[test]

@@ -18,14 +18,8 @@ fn bench_subroutines(c: &mut Criterion) {
     group.sample_size(10);
     let g = generators::random_regular(512, 8, 13).unwrap();
     let ids = IdAssignment::shuffled(512, 1);
-    // One network for the whole loop: `Network::new` pays an O(n + m)
-    // port-table scan, which would otherwise dominate small iterations.
-    let mut net = Network::new(&g);
     group.bench_function("linial", |b| {
-        b.iter(|| {
-            net.reset_stats();
-            linial_coloring(&mut net, &ids).unwrap()
-        });
+        b.iter(|| linial_coloring(&mut Network::new(&g), &ids).unwrap());
     });
     group.bench_function("delta_plus_one_kw", |b| {
         b.iter(|| {

@@ -16,9 +16,9 @@
 //!   O(log n) rounds.
 //!
 //! All class recursions run on borrowed [`EdgeSubgraphView`]s of the root
-//! CSR through the topology-generic LOCAL simulator — Theorem 5.2 itself
-//! is view-generic ([`h_partition`], the intra star partition, and the
-//! Lemma 5.1 merges all simulate rounds on the view), so no per-class
+//! CSR through the topology-generic LOCAL cost ledger — Theorem 5.2
+//! itself is view-generic ([`h_partition`], the intra star partition, and
+//! the Lemma 5.1 merges all charge their rounds on the view), so no per-class
 //! spanning subgraph, port table, or network is materialized. Theorem
 //! 5.3's class step and every Theorem 5.4 level end in the shared ⟨ϕ, ψ⟩
 //! class product (`product::color_classes`). The golden sweep rows
@@ -122,7 +122,7 @@ pub fn theorem52<G: GraphView + Sync>(
 /// borrowed color-class [`EdgeSubgraphView`] inside the Theorem 5.3/5.4
 /// recursions). Colors are in the view's local edge ids. Every round —
 /// the H-partition peeling, the intra star partition, the Lemma 5.1
-/// merges — is simulated on the view itself, so decisions **and**
+/// merges — is computed and charged on the view itself, so decisions **and**
 /// [`NetworkStats`] are bit-identical to the materializing path. Past
 /// the H-partition and the intra coloring, the call is one pass that
 /// buckets the crossing edges by stage and one `CrossingStages` run
@@ -680,7 +680,7 @@ mod tests {
     }
 
     /// Theorem 5.2 as it ran before `CrossingStages`: the H-partition by
-    /// broadcast rounds, then per stage a fresh `in_a`, a filter over all
+    /// per-level rescans, then per stage a fresh `in_a`, a filter over all
     /// edges, and one [`color_crossing_edges`] call with its own table.
     /// Test-only oracle for the bucketed, carried-table stage loop.
     fn theorem52_by_stage_rescans<R: GraphView + Sync, V: GraphView + Sync>(

@@ -72,8 +72,8 @@ pub fn edge_connector(g: &Graph, t: usize) -> Result<EdgeConnector, AlgoError> {
     // most one endpoint, so connector edges are unique.
     let mut b = GraphBuilder::new(owner.len()).with_edge_capacity(g.num_edges());
     for (e, [u, v]) in g.edge_list() {
-        let pu = port_of(g, u, e);
-        let pv = port_of(g, v, e);
+        let pu = port_index(g, u, e);
+        let pv = port_index(g, v, e);
         let cu = virtuals_of[u.index()][pu / t];
         let cv = virtuals_of[v.index()][pv / t];
         b.add_edge(cu.index(), cv.index())
@@ -90,7 +90,7 @@ pub fn edge_connector(g: &Graph, t: usize) -> Result<EdgeConnector, AlgoError> {
     })
 }
 
-fn port_of(g: &Graph, v: VertexId, e: EdgeId) -> usize {
+fn port_index(g: &Graph, v: VertexId, e: EdgeId) -> usize {
     g.incidence(v)
         .iter()
         .position(|&(_, f)| f == e)

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use decolor_graph::GraphError;
-use decolor_runtime::RuntimeError;
 
 /// Errors produced by the coloring algorithms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,8 +22,6 @@ pub enum AlgoError {
     },
     /// An underlying graph operation failed.
     Graph(GraphError),
-    /// The LOCAL simulator rejected malformed traffic.
-    Runtime(RuntimeError),
 }
 
 impl AlgoError {
@@ -44,7 +41,6 @@ impl fmt::Display for AlgoError {
             AlgoError::InvalidParameters { reason } => write!(f, "invalid parameters: {reason}"),
             AlgoError::InvariantViolated { reason } => write!(f, "invariant violated: {reason}"),
             AlgoError::Graph(e) => write!(f, "graph error: {e}"),
-            AlgoError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
     }
 }
@@ -53,7 +49,6 @@ impl Error for AlgoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AlgoError::Graph(e) => Some(e),
-            AlgoError::Runtime(e) => Some(e),
             _ => None,
         }
     }
@@ -62,12 +57,6 @@ impl Error for AlgoError {
 impl From<GraphError> for AlgoError {
     fn from(e: GraphError) -> Self {
         AlgoError::Graph(e)
-    }
-}
-
-impl From<RuntimeError> for AlgoError {
-    fn from(e: RuntimeError) -> Self {
-        AlgoError::Runtime(e)
     }
 }
 

@@ -189,29 +189,41 @@ pub fn h_partition_for_arboricity<V: GraphView>(
     h_partition(g, d.max(1))
 }
 
-/// The peeling as one [`decolor_runtime::Network::broadcast_on_active_into`]
-/// round per level: every active vertex sends a presence byte through a
-/// [`decolor_runtime::RoundBuffer`], and its active degree is its message
-/// count. Test-only oracle for the counter peeling of [`h_partition`].
+/// The peeling as a plain per-level rescan: at each level every active
+/// vertex counts its active ports afresh (the presence bytes its active
+/// neighbours send it), and the level is charged one round and
+/// `Σ deg(active)` one-byte messages. Test-only oracle for the counter
+/// peeling of [`h_partition`].
 #[cfg(test)]
 pub(crate) fn h_partition_by_broadcast<V: GraphView>(
     g: &V,
     d: usize,
 ) -> Result<HPartition, AlgoError> {
     let n = g.num_vertices();
-    let mut net = decolor_runtime::Network::new(g);
-    let mut buf = net.make_buffer::<u8>();
-    let presence = vec![1u8; n];
+    let mut stats = NetworkStats::default();
     let mut index = vec![usize::MAX; n];
     let mut active_list: Vec<VertexId> = (0..n).map(VertexId::new).collect();
     let mut level = 0usize;
     while !active_list.is_empty() {
-        net.broadcast_on_active_into(&presence, &active_list, &mut buf)?;
-        let peeled: Vec<VertexId> = active_list
-            .iter()
-            .copied()
-            .filter(|&v| buf.received(v) <= d)
-            .collect();
+        let mut messages = 0u64;
+        let mut peeled = Vec::new();
+        for &v in &active_list {
+            messages += num::to_u64(g.degree(v));
+            let mut active_ports = 0usize;
+            g.for_each_port(v, |u, _| {
+                if index[u.index()] == usize::MAX {
+                    active_ports += 1;
+                }
+            });
+            if active_ports <= d {
+                peeled.push(v);
+            }
+        }
+        stats = stats.then(NetworkStats {
+            rounds: 1,
+            messages,
+            payload_bytes: messages,
+        });
         if peeled.is_empty() {
             return Err(AlgoError::InvalidParameters {
                 reason: format!("H-partition stuck at level {level}: threshold d = {d}"),
@@ -227,7 +239,7 @@ pub(crate) fn h_partition_by_broadcast<V: GraphView>(
         index,
         num_sets: level,
         degree_bound: d,
-        stats: net.stats(),
+        stats,
     })
 }
 
@@ -243,7 +255,7 @@ mod tests {
         let hp = h_partition_for_arboricity(&g, 3, 2.5).unwrap();
         hp.verify(&g).unwrap();
         assert!(hp.num_sets >= 1);
-        // Rounds = number of peeling levels.
+        // One round per peeling level.
         assert_eq!(hp.stats.rounds, hp.num_sets as u64);
     }
 

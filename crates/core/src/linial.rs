@@ -23,8 +23,8 @@
 //! live here; the edge agents live in [`crate::edge_space`]. A Linial
 //! round recolors every agent from the previous round's colors, chunk by
 //! chunk (on the worker pool for `Pooled` agents), so the output is the
-//! same at any pool width and equal to a broadcast simulated on a
-//! [`Network`].
+//! same at any pool width, and each round is charged the broadcast it
+//! stands for on a [`Network`].
 
 use std::ops::Range;
 
@@ -169,8 +169,8 @@ impl<A: Agents + Sync> Agents for Pooled<A> {
 }
 
 /// The vertices of a [`GraphView`] as agents; each round costs `round`,
-/// which the callers take from [`Network::broadcast_cost`] so the ledger
-/// matches a broadcast simulated on a [`Network`].
+/// which the callers take from [`Network::broadcast_cost`]: the cost of
+/// one broadcast round on a [`Network`].
 pub(crate) struct VertexAgents<'g, V> {
     g: &'g V,
     round: NetworkStats,
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn round_count_is_log_star_like() {
-        // Rounds should be tiny (≤ ~6) even for large sparse instances.
+        // The round count should be tiny (≤ ~6) even for large sparse instances.
         let g = generators::random_regular(2000, 4, 7).unwrap();
         let (res, stats) = run(&g, 9);
         assert!(res.coloring.is_proper(&g));

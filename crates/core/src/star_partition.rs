@@ -194,8 +194,8 @@ fn check_params<G: GraphView>(g: &G, params: &StarPartitionParams) -> Result<(),
 /// [`EdgeSubgraphView`] of `root` — the entry point the view-generic
 /// Theorem 5.2 uses for its intra-H-set edges, so no spanning subgraph is
 /// ever materialized. Colors are in the view's local edge ids. The final
-/// trim runs on a [`Network`] over the view itself (the LOCAL simulator
-/// is topology-generic), so decisions **and** [`NetworkStats`] are
+/// trim runs on a [`Network`] over the view itself (the LOCAL cost
+/// ledger is topology-generic), so decisions **and** [`NetworkStats`] are
 /// bit-identical to running [`star_partition_edge_coloring`] on the
 /// materialized subgraph.
 ///

@@ -3,7 +3,7 @@
 //! colorings, palettes, rounds, and full `NetworkStats` — at
 //! `DECOLOR_THREADS ∈ {1, 4}` (the `with_num_threads` hook stands in for
 //! the environment knob). The Linial rows additionally pin the chunked
-//! streaming realization against the `Network`-simulated one.
+//! streaming realization against the `Network` one.
 
 use decolor_core::algorithms::Algorithm;
 use decolor_core::cd_coloring::{cd_coloring, CdParams};
@@ -32,7 +32,7 @@ fn linial_mmap_and_chunked_match_ram_network() {
             let reference = linial_coloring(&mut net, &ids).unwrap();
             let ref_stats = net.stats();
 
-            // The Network simulator over the mmap backend.
+            // The Network ledger over the mmap backend.
             let mut net_sc = Network::new(&sc);
             let on_mmap = linial_coloring(&mut net_sc, &ids).unwrap();
             assert_eq!(

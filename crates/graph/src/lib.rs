@@ -12,8 +12,8 @@
 //!   [`EdgeId`]), built through [`GraphBuilder`].
 //! * Subgraph representations with back-mappings to the parent graph:
 //!   borrowed activation-mask views served off the parent CSR
-//!   ([`subgraph::GraphView`] — the topology trait the LOCAL simulator
-//!   is generic over — [`subgraph::EdgeSubgraphView`],
+//!   ([`subgraph::GraphView`] — the topology trait the LOCAL cost
+//!   ledger is generic over — [`subgraph::EdgeSubgraphView`],
 //!   [`subgraph::VertexSubsetView`], [`subgraph::InducedSubgraphView`]),
 //!   which every algorithm recursion runs on, and the materializing
 //!   copies ([`subgraph::InducedSubgraph`],

@@ -4,8 +4,8 @@
 //! per-vertex `(neighbor, edge)` incidence runs, per-edge endpoint pairs,
 //! and the offset table — from files under a directory, mapped with
 //! `memmap2` and paged in on demand. It implements
-//! [`GraphView`](crate::subgraph::GraphView), so the LOCAL simulator and
-//! every recursive pipeline run **unmodified** on graphs that do not fit
+//! [`GraphView`](crate::subgraph::GraphView), so the LOCAL cost ledger
+//! and every recursive pipeline run **unmodified** on graphs that do not fit
 //! comfortably in RAM. `open` validates the store against its manifest
 //! (see [`super::manifest`]) and surfaces [`GraphError::Corrupt`] instead
 //! of mmapping garbage; [`ShardedCsr::verify`] additionally recomputes

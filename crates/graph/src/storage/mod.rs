@@ -6,7 +6,7 @@
 //! endpoint pairs, and the offset table — from files under a directory,
 //! mapped with `memmap2` and paged in on demand. It implements
 //! [`GraphView`](crate::subgraph::GraphView), the topology trait the
-//! LOCAL simulator and every recursive pipeline are generic over, so
+//! LOCAL cost ledger and every recursive pipeline are generic over, so
 //! `Network`, the vertex pipeline, CD-Coloring, and the Section 4/5
 //! edge-coloring theorems run **unmodified** on graphs that do not fit
 //! comfortably in RAM.

@@ -365,8 +365,8 @@ pub trait GraphView {
     fn for_each_incident_edge(&self, v: VertexId, f: impl FnMut(EdgeId));
 
     /// Calls `f(neighbor, local edge)` for every active edge incident on
-    /// `v`, in incidence (= port) order: the delivery primitive of the
-    /// LOCAL simulator (`decolor_runtime::Network` is generic over this
+    /// `v`, in incidence (= port) order: the neighbor enumeration every
+    /// LOCAL round reads (`decolor_runtime::Network` is generic over this
     /// trait, re-exported there as `Topology`). Port `p` of `v` is the
     /// `p`-th pair yielded.
     ///
@@ -776,8 +776,9 @@ impl<'g, P: GraphView> VertexSubsetView<'g, P> {
 
 /// Borrowed **induced subgraph** in local vertex space — the
 /// allocation-light counterpart of [`InducedSubgraph`] that also serves
-/// the full [`GraphView`] interface, so the LOCAL simulator can run rounds
-/// on a color class of a *vertex* coloring straight off the parent CSR.
+/// the full [`GraphView`] interface, so LOCAL rounds can run and be
+/// charged on a color class of a *vertex* coloring straight off the
+/// parent CSR.
 ///
 /// Local vertex `i` is `vertices[i]` (ascending input required, matching
 /// [`InducedSubgraph`]'s numbering for sorted subsets); local edge `j` is

@@ -179,7 +179,7 @@ impl Rule {
             Rule::Panic => {
                 "PANIC01 panic: library code must not contain `.unwrap()`, `.expect(...)`, \
                  `panic!`, `todo!`, `unimplemented!`, or `unreachable!`. The pipelines return \
-                 typed errors (`GraphError`, `RuntimeError`, `AlgoError`) so a malformed input \
+                 typed errors (`GraphError`, `AlgoError`) so a malformed input \
                  or corrupt store surfaces as a value the caller can handle, never as a crash \
                  mid-experiment. Fix: return a typed error and propagate with `?`. Escape \
                  hatch: `// lint: allow(panic, \"<invariant that makes this unreachable>\")` \

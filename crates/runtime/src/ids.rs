@@ -42,15 +42,17 @@ impl IdAssignment {
     }
 
     /// A permutation of `0..n` scaled into a sparse space of
-    /// `O(n^c)`-sized identifiers (`id ↦ id · stride + (id % 7)`), to
-    /// exercise algorithms that must not assume dense IDs.
+    /// `O(n^c)`-sized identifiers (`id ↦ id · stride + (id % 7) % stride`),
+    /// to exercise algorithms that must not assume dense IDs. The offset
+    /// stays below the stride, so the map is injective at every stride.
     pub fn sparse(n: usize, stride: u64, seed: u64) -> Self {
         let base = Self::shuffled(n, seed);
+        let stride = stride.max(1);
         IdAssignment {
             ids: base
                 .ids
                 .iter()
-                .map(|&i| i * stride.max(1) + (i % 7))
+                .map(|&i| i * stride + (i % 7) % stride)
                 .collect(),
         }
     }
@@ -148,6 +150,17 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 50);
         assert!(ids.id_space() >= 49 * 1000);
+    }
+
+    #[test]
+    fn sparse_ids_are_distinct_at_every_stride() {
+        for stride in 1..=64 {
+            let ids = IdAssignment::sparse(2000, stride, 7);
+            let mut sorted = ids.as_slice().to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), 2000, "stride {stride} repeats an id");
+        }
     }
 
     #[test]

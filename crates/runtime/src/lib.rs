@@ -1,66 +1,54 @@
 //! # decolor-runtime
 //!
-//! A faithful simulator of the **synchronous message-passing (LOCAL)
-//! model** of §1.1 of the paper: a communication network is a graph whose
-//! vertices perform unrestricted local computation and exchange messages
-//! over edges in discrete synchronized rounds; the running time is the
-//! number of rounds.
+//! The **cost model** of the synchronous message-passing (LOCAL) model of
+//! §1.1 of the paper: a communication network is a graph whose vertices
+//! perform unrestricted local computation and exchange messages over
+//! edges in discrete synchronized rounds; the running time is the number
+//! of rounds.
 //!
-//! The central type is [`Network`], a port-numbered wrapper over any
-//! **topology** — an implementor of the [`Topology`] trait (`GraphView`),
-//! i.e. a whole [`Graph`](decolor_graph::Graph) or a borrowed subgraph
-//! view served off a parent CSR, which is how the recursive pipelines
-//! simulate rounds on a color class without materializing it. In each
-//! [`Network::exchange`] call
-//! every vertex places at most one message per incident port, messages
-//! traverse exactly one edge, and the round counter advances by one.
-//! Hot loops use the allocation-free flat-buffer entry points
-//! ([`Network::exchange_into`] / [`Network::broadcast_into`] over a
-//! reusable [`RoundBuffer`]); the `Vec`-returning forms remain as
-//! semantically identical wrappers.
-//! Distributed algorithms in `decolor-core` are written against this
-//! interface, so their reported round counts are *measured*, not modelled
-//! (composite algorithms combine phase counts with [`Rounds`] using the
-//! LOCAL semantics: parallel executions on disjoint subgraphs cost the max
-//! of their rounds).
+//! The central type is [`Network`], a ledger of [`NetworkStats`]
+//! (rounds, messages, payload bytes) over any **topology** — an
+//! implementor of the [`Topology`] trait (`GraphView`), i.e. a whole
+//! [`Graph`](decolor_graph::Graph), a borrowed subgraph view served off a
+//! parent CSR, or an out-of-core CSR. The algorithms in `decolor-core`
+//! carry no messages: each computes a round's outcome in place, reading
+//! its neighbors' values from a shared table, and charges that round's
+//! cost by formula ([`Network::broadcast_cost`],
+//! [`Network::charge_local_rounds`], [`Network::absorb_sequential`]).
+//! Phases on disjoint subgraphs compose with
+//! [`NetworkStats::in_parallel`] (rounds take the max) and sequential
+//! phases with [`NetworkStats::then`] (everything adds). The reported
+//! counts are therefore *modelled*; the outputs and the full ledger of
+//! every paper algorithm are pinned by golden digests in `decolor-core`.
+//!
+//! [`IdAssignment`] supplies the model's distinct vertex identifiers.
 //!
 //! # Example
 //!
 //! ```rust
 //! use decolor_graph::builder_from_edges;
-//! use decolor_runtime::Network;
+//! use decolor_runtime::{Network, NetworkStats};
 //!
-//! # fn main() -> Result<(), decolor_graph::GraphError> {
 //! let g = builder_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
 //! let mut net = Network::new(&g);
-//! // Every vertex broadcasts its index; afterwards each vertex knows its
-//! // neighbors' indices, at the cost of one round.
-//! let values: Vec<u32> = (0..3).collect();
-//! let inbox = net.broadcast(&values).unwrap();
-//! assert_eq!(inbox[1], vec![0, 2]); // in port order
-//! assert_eq!(net.stats().rounds, 1);
-//! # Ok(())
-//! # }
+//! // One round in which every vertex tells each neighbor a `u32`: one
+//! // message per (vertex, port) pair, 2m = 4 in all.
+//! net.absorb_sequential(net.broadcast_cost::<u32>());
+//! assert_eq!(
+//!     net.stats(),
+//!     NetworkStats { rounds: 1, messages: 4, payload_bytes: 16 }
+//! );
 //! ```
-//!
-//! Malformed traffic — out-of-range ports, over-full inboxes, foreign
-//! buffers — is reported as a typed [`RuntimeError`] rather than a panic,
-//! so embedding applications can surface diagnostics and keep running.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
-mod error;
 mod ids;
 mod metrics;
 mod network;
-pub mod program;
 
-pub use buffer::RoundBuffer;
-pub use error::RuntimeError;
 pub use ids::IdAssignment;
-pub use metrics::{NetworkStats, Rounds};
+pub use metrics::NetworkStats;
 pub use network::Network;
 
 /// The topology trait [`Network`] is generic over: `decolor_graph`'s

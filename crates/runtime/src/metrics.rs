@@ -1,8 +1,6 @@
 //! Round and message accounting.
 
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign};
 
 /// Cumulative statistics of a [`Network`](crate::Network) execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,55 +48,6 @@ impl fmt::Display for NetworkStats {
     }
 }
 
-/// A round count in the LOCAL model, with the paper's composition rules:
-/// `+` for sequential phases, [`Rounds::par`] for parallel execution on
-/// disjoint subgraphs.
-///
-/// ```rust
-/// use decolor_runtime::Rounds;
-/// let a = Rounds(10) + Rounds(5);
-/// assert_eq!(a, Rounds(15));
-/// let b = Rounds::par([Rounds(3), Rounds(9), Rounds(4)]);
-/// assert_eq!(b, Rounds(9));
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Rounds(pub u64);
-
-impl Rounds {
-    /// Zero rounds.
-    pub const ZERO: Rounds = Rounds(0);
-
-    /// Maximum over phases executed in parallel on disjoint subgraphs.
-    pub fn par(phases: impl IntoIterator<Item = Rounds>) -> Rounds {
-        phases.into_iter().max().unwrap_or(Rounds::ZERO)
-    }
-}
-
-impl Add for Rounds {
-    type Output = Rounds;
-    fn add(self, rhs: Rounds) -> Rounds {
-        Rounds(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Rounds {
-    fn add_assign(&mut self, rhs: Rounds) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for Rounds {
-    fn sum<I: Iterator<Item = Rounds>>(iter: I) -> Rounds {
-        iter.fold(Rounds::ZERO, Add::add)
-    }
-}
-
-impl fmt::Display for Rounds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} rounds", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +92,13 @@ mod tests {
     }
 
     #[test]
-    fn rounds_algebra() {
-        assert_eq!(Rounds(2) + Rounds(3), Rounds(5));
-        assert_eq!(Rounds::par(std::iter::empty()), Rounds::ZERO);
-        assert_eq!(
-            [Rounds(1), Rounds(4)].into_iter().sum::<Rounds>(),
-            Rounds(5)
-        );
-        let mut r = Rounds(1);
-        r += Rounds(2);
-        assert_eq!(r, Rounds(3));
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(Rounds(4).to_string(), "4 rounds");
         let s = NetworkStats {
             rounds: 1,
             messages: 2,
             payload_bytes: 3,
         }
         .to_string();
-        assert!(s.contains("1 rounds"));
+        assert_eq!(s, "1 rounds, 2 messages, 3 payload bytes");
     }
 }

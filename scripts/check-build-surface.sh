@@ -12,8 +12,8 @@ cargo run -q -p decolor-lint
 echo "==> examples compile (facade crate)"
 cargo build --examples
 
-expected_examples=(custom_local_algorithm frequency_assignment hypergraph_diversity
-    open_shop_scheduling quickstart sensor_scheduling)
+expected_examples=(frequency_assignment hypergraph_diversity open_shop_scheduling
+    quickstart sensor_scheduling)
 for ex in "${expected_examples[@]}"; do
     [[ -f "examples/$ex.rs" ]] || { echo "missing example source: $ex"; exit 1; }
     [[ -x "target/debug/examples/$ex" ]] || { echo "example did not build: $ex"; exit 1; }

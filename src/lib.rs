@@ -8,10 +8,11 @@
 //! Re-exports the substrate crates under stable module names:
 //!
 //! * [`graph`] — CSR graphs, generators, line graphs, clique covers.
-//! * [`runtime`] — synchronous message-passing (LOCAL) simulator.
+//! * [`runtime`] — the LOCAL-model cost ledger (rounds, messages,
+//!   payload bytes) and vertex identifier assignments.
 //! * [`core`] — connectors and the paper's coloring algorithms.
-//! * [`baselines`] — greedy, Misra–Gries, Cole–Vishkin, and the (2Δ−1)
-//!   distributed baselines.
+//! * [`baselines`] — greedy, Misra–Gries, and the randomized and
+//!   deterministic (2Δ−1) distributed baselines.
 //!
 //! # Quickstart
 //!

@@ -13,7 +13,7 @@ use decolor::runtime::{IdAssignment, Network};
 
 #[test]
 fn linial_log_star_rounds_scale() {
-    // Rounds stay ~constant while n grows 64×: the log* n signature.
+    // The round count stays ~constant while n grows 64×: the log* n signature.
     let mut rounds = Vec::new();
     for n in [256usize, 2048, 16384] {
         let g = generators::random_regular(n, 4, 1).unwrap();
