@@ -2,18 +2,16 @@
 //!
 //! Every color-selection step in the reduction/trim subroutines computes
 //! a *mex* — the smallest color below a limit absent from a used set of
-//! at most O(Δ) colors. The previous kernels marked a `Vec<bool>` (one
-//! byte per candidate color, a fresh allocation per decision in
-//! `reduction::mex_below`) and scanned it byte-by-byte. [`PaletteSet`]
-//! packs the same marks into u64 words — 64 colors per word, the mex
-//! found by `trailing_zeros` on the first non-full word's complement —
-//! and keeps a fixed inline array for palettes up to [`INLINE_COLORS`]
-//! colors, spilling to a reusable heap buffer only above that, so the
-//! common path performs no allocation at all.
+//! at most O(Δ) colors. [`PaletteSet`] packs the marks into u64 words —
+//! 64 colors per word, the mex found by `trailing_zeros` on the first
+//! non-full word's complement — and keeps a fixed inline array for
+//! palettes up to [`INLINE_COLORS`] colors, spilling to a reusable heap
+//! buffer only above that, so the common path performs no allocation at
+//! all. The same set serves Linial's point-0 screen as a reused one-bit-
+//! per-agent mark.
 //!
-//! `reduction::mex_below` is retained as the allocating reference
-//! implementation; a unit test there pins kernel ≡ reference over
-//! random used-sets.
+//! The reduction unit tests pin kernel ≡ an allocating `Vec<bool>` scan
+//! over random used-sets.
 
 use decolor_graph::num;
 
@@ -159,31 +157,6 @@ impl PaletteSet {
         }
         None
     }
-
-    /// Resets for `limit`, lets `mark` feed the used colors through a
-    /// callback, and returns the mex — the closure-driven shape the
-    /// reduction kernel uses to stream an agent's neighbor colors straight
-    /// into the set without materializing the neighborhood.
-    pub fn mex_marked(
-        &mut self,
-        limit: u64,
-        mark: impl FnOnce(&mut dyn FnMut(u64)),
-    ) -> Option<u64> {
-        self.reset(limit);
-        let words = if self.words_in_use <= INLINE_WORDS {
-            &mut self.inline[..]
-        } else {
-            &mut self.spill[..]
-        };
-        mark(&mut |c| {
-            if c < limit {
-                // lint: allow(cast, "c < limit, whose word count fit usize in reset")
-                let idx = (c >> 6) as usize;
-                words[idx] |= 1u64 << (c & 63);
-            }
-        });
-        self.mex()
-    }
 }
 
 #[cfg(test)]
@@ -274,23 +247,6 @@ mod tests {
         s.reset(10);
         s.insert(0);
         assert_eq!(s.mex(), Some(1));
-    }
-
-    #[test]
-    fn mex_marked_streams_the_used_set() {
-        let mut s = PaletteSet::new();
-        let got = s.mex_marked(6, |mark| {
-            for c in [0u64, 1, 3, 9] {
-                mark(c);
-            }
-        });
-        assert_eq!(got, Some(2));
-        // Reuse with a different limit.
-        let got = s.mex_marked(2, |mark| {
-            mark(0);
-            mark(1);
-        });
-        assert_eq!(got, None);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! * no L(G) is ever built — memory stays O(n + m);
 //! * a reduction round touches only its deciding color class, and a
 //!   Linial round fans its chunks out on the worker pool;
+//! * a Linial round first settles point 0 per vertex row: one pass over
+//!   the rows marks, in a reused one-bit-per-edge set, every edge whose
+//!   residue `c mod q` repeats in either endpoint's row. An unmarked edge
+//!   takes color `c mod q` at once; only a marked one walks its ≤ 2Δ − 2
+//!   neighbors and searches from point 1;
 //! * the round/message ledger still charges every round at its full
 //!   LOCAL cost — one incident-color-list broadcast on `G` per round —
 //!   so measured *rounds* are identical to the line-graph pipeline
@@ -30,9 +35,10 @@ use decolor_graph::subgraph::GraphView;
 use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::NetworkStats;
 
+use crate::bitset::PaletteSet;
 use crate::delta_plus_one::{ReductionStrategy, SubroutineConfig};
 use crate::error::AlgoError;
-use crate::linial::{linial_pass, narrow, Agents, LinialState, Pooled};
+use crate::linial::{linial_pass, narrow, Agents, Field, LinialState, Modulus, Pooled};
 use crate::reduction::{basic_pass, kw_pass};
 use decolor_graph::num;
 
@@ -77,6 +83,30 @@ impl<V: GraphView> Agents for EdgeAgents<'_, V> {
                 }
             });
         }
+    }
+    /// One pass over the rows of the vertices the view touches: an edge's
+    /// conflict neighbors are the other edges of its two endpoint rows,
+    /// so it is marked exactly when its residue repeats in either row.
+    /// Each residue remembers the row that last held it and that row's
+    /// first edge with it; a repeat marks both.
+    fn screen_point_zero(&self, colors: &[u64], f: Modulus, taken: &mut PaletteSet) -> bool {
+        taken.reset(num::to_u64(self.g.num_edges()));
+        // lint: allow(cast, "q < 2^16 in the reciprocal's domain")
+        let mut last = vec![(usize::MAX, 0u64); f.q() as usize];
+        for v in 0..self.g.num_vertices() {
+            self.g.for_each_incident_edge(VertexId::new(v), |e| {
+                // lint: allow(cast, "a residue is below q < 2^16")
+                let held = &mut last[f.rem(colors[e.index()]) as usize];
+                let e = num::to_u64(e.index());
+                if held.0 == v {
+                    taken.insert(held.1);
+                    taken.insert(e);
+                } else {
+                    *held = (v, e);
+                }
+            });
+        }
+        true
     }
 }
 
@@ -241,6 +271,64 @@ mod tests {
         let (ec, _) = edge_coloring_direct(&g, 1, SubroutineConfig::default()).unwrap();
         assert!(ec.is_proper(&g));
         assert_eq!(ec.palette(), 1);
+    }
+
+    /// `gnm(300, 900, 7)` with every third edge doubled, so parallel
+    /// edges meet each other in both endpoint rows.
+    fn doubled_multigraph() -> Graph {
+        let simple = generators::gnm(300, 900, 7).unwrap();
+        let mut b = decolor_graph::GraphBuilder::new_multi(300);
+        for (e, [u, v]) in simple.edge_list() {
+            b.add_edge(u.index(), v.index()).unwrap();
+            if e.index() % 3 == 0 {
+                b.add_edge(u.index(), v.index()).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// The screen marks exactly the edges some conflict neighbor ties at
+    /// point 0, as `for_each_neighbor` enumerates them.
+    fn assert_screen_matches_neighbors<V: GraphView>(g: &V, label: &str) {
+        let agents = EdgeAgents::new(g, NetworkStats::default());
+        let colors: Vec<u64> = (0..g.num_edges() as u64)
+            .map(|e| e.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
+            .collect();
+        let mut taken = PaletteSet::new();
+        for q in [2u64, 3, 13, 23] {
+            let f = Modulus::for_round(q, 1 << 32).unwrap();
+            assert!(agents.screen_point_zero(&colors, f, &mut taken));
+            let mut marked = 0;
+            for e in 0..g.num_edges() {
+                let mut tied = false;
+                agents.for_each_neighbor(e, |n| tied |= colors[n] % q == colors[e] % q);
+                assert_eq!(
+                    taken.contains(e as u64),
+                    tied,
+                    "{label}: edge {e} at q = {q}"
+                );
+                marked += usize::from(tied);
+            }
+            assert!(marked > 0, "{label}: nothing marked at q = {q}");
+            if q == 23 {
+                assert!(marked < g.num_edges(), "{label}: everything marked");
+            }
+        }
+    }
+
+    #[test]
+    fn point_zero_screen_matches_neighbor_walk() {
+        let g = doubled_multigraph();
+        assert!(g.has_parallel_edges());
+        assert_screen_matches_neighbors(&g, "doubled gnm");
+        let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 4 == 1).collect();
+        let view = decolor_graph::subgraph::EdgeSubgraphView::new(&g, class).unwrap();
+        assert_screen_matches_neighbors(&view, "class view");
+        // Vertex agents screen nothing: each tests point 0 on its own walk.
+        let vertices = crate::linial::VertexAgents::new(&g, NetworkStats::default());
+        let f = Modulus::for_round(13, 1 << 32).unwrap();
+        let colors = vec![0; g.num_vertices()];
+        assert!(!vertices.screen_point_zero(&colors, f, &mut PaletteSet::new()));
     }
 
     #[test]

@@ -25,6 +25,16 @@
 //! chunk (on the worker pool for `Pooled` agents), so the output is the
 //! same at any pool width, and each round is charged the broadcast it
 //! stands for on a [`Network`].
+//!
+//! A round's GF(q) arithmetic is chosen once, before its agents run: for
+//! every round from a palette `m ≤ 2^32` (all but a caller-declared
+//! palette above 2^32) digits, remainders and polynomial values come from
+//! `q`'s 64-bit reciprocal (`Modulus`) with no divide instruction; the
+//! rest keep plain `%` (`Wide`). Before a round an agent set may screen
+//! point 0 for everyone at once (`Agents::screen_point_zero`): the edge
+//! agents do, with one pass over the vertex rows, so an edge no neighbor
+//! ties at point 0 recolors without a walk of its own; vertex agents test
+//! point 0 on their own neighbor walk.
 
 use std::ops::Range;
 
@@ -34,6 +44,7 @@ use decolor_graph::VertexId;
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use rayon::prelude::*;
 
+use crate::bitset::PaletteSet;
 use crate::error::AlgoError;
 use crate::util::{integer_root_ceil, next_prime};
 use decolor_graph::num;
@@ -85,37 +96,107 @@ pub(crate) fn choose_parameters(m: u64, delta: u64) -> (u64, u32) {
     best.expect("deg = 1 always yields a candidate")
 }
 
-/// Evaluates the polynomial with base-`q` digit coefficients of `c` at
-/// point `a`, over GF(q).
-///
-/// At `a = 0` only the constant digit survives, so the point almost every
-/// α-search ends at costs one `%`; every other point runs
-/// [`eval_digits`].
-#[inline]
-pub(crate) fn eval_poly(c: u64, q: u64, a: u64) -> u64 {
-    if a == 0 {
-        c % q
-    } else {
-        eval_digits(c, q, a)
+/// GF(q) arithmetic of one Linial round. A color `c` stands for the
+/// polynomial whose coefficients are the base-`q` digits of `c`.
+pub(crate) trait Field: Copy + Sync {
+    /// The prime `q`.
+    fn q(self) -> u64;
+    /// `c mod q`: the polynomial's value at point 0.
+    fn rem(self, c: u64) -> u64;
+    /// `c div q`.
+    fn div(self, c: u64) -> u64;
+
+    /// The polynomial of `c` at point `x < q`, over GF(q).
+    ///
+    /// Allocation-free (this sits in the innermost loop of every Linial
+    /// round): the digits are peeled least-significant first and summed
+    /// against a running power of `x`, which is the same sum
+    /// `Σ digit_i x^i mod q` as Horner's rule without buffering the digits.
+    /// Every intermediate (`acc + digit · x^i`, `x^i · x`) is below `q²`.
+    #[inline]
+    fn poly(self, c: u64, x: u64) -> u64 {
+        if x == 0 {
+            return self.rem(c);
+        }
+        let (mut rest, mut acc, mut pw) = (c, 0, 1);
+        while rest > 0 {
+            let quot = self.div(rest);
+            acc = self.rem(acc + (rest - quot * self.q()) * pw);
+            pw = self.rem(pw * x);
+            rest = quot;
+        }
+        acc
     }
 }
 
-/// The digit loop behind [`eval_poly`].
+/// `q` with its 64-bit reciprocal `⌈2^64 / q⌉`: remainders and quotients
+/// by multiplication, with no divide instruction (Lemire, Kaser & Kurz,
+/// "Faster remainder by direct computation", SPE 2019).
 ///
-/// Allocation-free (this sits in the innermost loop of both Linial
-/// realizations): digits are consumed least-significant-first with a
-/// running power of `a`, which is the same sum `Σ digit_i a^i mod q` as
-/// Horner's rule. `(c % q) * pw < q²` fits u64 for every `q` the
-/// parameter chooser can produce.
-fn eval_digits(mut c: u64, q: u64, a: u64) -> u64 {
-    let mut acc = 0u64;
-    let mut pw = 1 % q;
-    while c > 0 {
-        acc = (acc + (c % q) * pw) % q;
-        pw = (pw * a) % q;
-        c /= q;
+/// Exact for `q < 2^16` and operands `< 2^32`, which covers every round
+/// whose input palette is `m ≤ 2^32`: colors are below `m`, a round runs
+/// only when `q² < m`, and the polynomial's intermediates stay below
+/// `q²`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Modulus {
+    q: u64,
+    recip: u64,
+}
+
+impl Modulus {
+    /// The reciprocal arithmetic for a round from palette `m` with prime
+    /// `q`, or `None` when the round lies outside its exact domain (only
+    /// a caller-declared palette above 2^32 gets there).
+    pub(crate) fn for_round(q: u64, m: u64) -> Option<Self> {
+        ((2..1 << 16).contains(&q) && m <= 1 << 32).then(|| Modulus {
+            q,
+            recip: u64::MAX / q + 1,
+        })
     }
-    acc
+}
+
+/// The high word of the 128-bit product `a · b`.
+#[inline]
+fn mul_hi(a: u64, b: u64) -> u64 {
+    // lint: allow(cast, "the high word of a u64 × u64 product fits u64")
+    ((u128::from(a) * u128::from(b)) >> 64) as u64
+}
+
+impl Field for Modulus {
+    #[inline]
+    fn q(self) -> u64 {
+        self.q
+    }
+    #[inline]
+    fn rem(self, c: u64) -> u64 {
+        debug_assert!(c < 1 << 32, "operand {c} outside the reciprocal's domain");
+        mul_hi(self.recip.wrapping_mul(c), self.q)
+    }
+    #[inline]
+    fn div(self, c: u64) -> u64 {
+        debug_assert!(c < 1 << 32, "operand {c} outside the reciprocal's domain");
+        mul_hi(self.recip, c)
+    }
+}
+
+/// Plain `%` and `/`: the arithmetic of a round whose palette exceeds
+/// 2^32, outside [`Modulus`]'s domain.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Wide(u64);
+
+impl Field for Wide {
+    #[inline]
+    fn q(self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn rem(self, c: u64) -> u64 {
+        c % self.0
+    }
+    #[inline]
+    fn div(self, c: u64) -> u64 {
+        c / self.0
+    }
 }
 
 /// A set of agents recoloring in synchronous LOCAL rounds: the vertices
@@ -130,6 +211,14 @@ pub(crate) trait Agents {
     /// Calls `f` with every conflict neighbor of agent `a`, with
     /// multiplicity.
     fn for_each_neighbor(&self, a: usize, f: impl FnMut(usize));
+    /// Screens point 0 for a whole round: re-arms `taken` for the agents
+    /// and marks every agent whose residue `colors[a] mod q` some conflict
+    /// neighbor shares, so an unmarked agent takes point 0 without a walk
+    /// of its own. Returns whether it screened; by default it does not,
+    /// and each agent tests point 0 on its own neighbor walk.
+    fn screen_point_zero(&self, _colors: &[u64], _f: Modulus, _taken: &mut PaletteSet) -> bool {
+        false
+    }
     /// Maps `f` over `chunks`, in order. [`Pooled`] agents fan the chunks
     /// out on the worker pool.
     fn map_chunks<R: Send>(
@@ -158,6 +247,9 @@ impl<A: Agents + Sync> Agents for Pooled<A> {
     }
     fn for_each_neighbor(&self, a: usize, f: impl FnMut(usize)) {
         self.0.for_each_neighbor(a, f);
+    }
+    fn screen_point_zero(&self, colors: &[u64], f: Modulus, taken: &mut PaletteSet) -> bool {
+        self.0.screen_point_zero(colors, f, taken)
     }
     fn map_chunks<R: Send>(
         &self,
@@ -255,6 +347,55 @@ pub(crate) fn narrow(colors: Vec<u64>) -> Result<Vec<Color>, AlgoError> {
         })
 }
 
+/// One Linial round over `agents` in GF(q) arithmetic `f`: every agent
+/// picks, off the previous round's colors `prev`, the smallest evaluation
+/// point at which its polynomial differs from all its neighbors', and
+/// recolors to `(α, p(α))`. With a point-0 screen `taken`, an unmarked
+/// agent takes point 0 at once and a marked one searches from point 1.
+/// Returns each chunk's new colors.
+fn linial_round<A: Agents, F: Field>(
+    agents: &A,
+    prev: &[u64],
+    chunks: &[Range<usize>],
+    f: F,
+    taken: Option<&PaletteSet>,
+) -> Vec<Vec<u64>> {
+    let q = f.q();
+    let first = u64::from(taken.is_some());
+    agents.map_chunks(chunks, |agents, range| {
+        let mut neigh: Vec<u64> = Vec::new();
+        range
+            .map(|a| {
+                let my = prev[a];
+                if taken.is_some_and(|t| !t.contains(num::to_u64(a))) {
+                    return f.rem(my);
+                }
+                neigh.clear();
+                agents.for_each_neighbor(a, |b| {
+                    // Equal colors would break properness of the input.
+                    debug_assert_ne!(prev[b], my, "input coloring is not proper");
+                    if prev[b] != my {
+                        neigh.push(prev[b]);
+                    }
+                });
+                // Smallest α where p_a differs from every neighbor's
+                // polynomial (they agree on ≤ deg points each, and Δ·deg < q
+                // points are excluded in total).
+                (first..q)
+                    .find_map(|x| {
+                        let mine = f.poly(my, x);
+                        neigh
+                            .iter()
+                            .all(|&their| f.poly(their, x) != mine)
+                            .then_some(x * q + mine)
+                    })
+                    // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
+                    .expect("a valid evaluation point exists by the pigeonhole argument")
+            })
+            .collect()
+    })
+}
+
 /// Runs Linial's iteration over `agents` from the proper coloring in `st`
 /// down to its O(Δ²) fixed point, charging `round_cost` per round. In a
 /// round every agent picks, off the previous round's colors, the smallest
@@ -282,6 +423,7 @@ pub(crate) fn linial_pass<A: Agents>(
         .map(|c| (c * LINIAL_CHUNK)..((c + 1) * LINIAL_CHUNK).min(n))
         .collect();
     let mut rounds = 0u64;
+    let mut taken = PaletteSet::new();
     while st.m > target {
         let (q, _deg) = choose_parameters(st.m, delta);
         if q * q >= st.m {
@@ -291,41 +433,14 @@ pub(crate) fn linial_pass<A: Agents>(
             // Stop between rounds, exactly where a kill would land.
             return Ok(false);
         }
-        let prev = &st.colors;
-        let outs = agents.map_chunks(&chunks, |agents, range| {
-            let mut neigh: Vec<u64> = Vec::new();
-            range
-                .map(|a| {
-                    let my = prev[a];
-                    neigh.clear();
-                    agents.for_each_neighbor(a, |b| {
-                        // Equal colors would break properness of the input.
-                        debug_assert_ne!(prev[b], my, "input coloring is not proper");
-                        if prev[b] != my {
-                            neigh.push(prev[b]);
-                        }
-                    });
-                    // Smallest α where p_a differs from every neighbor's
-                    // polynomial (they agree on ≤ deg points each, and
-                    // Δ·deg < q points are excluded in total).
-                    let mut alpha = None;
-                    'points: for x in 0..q {
-                        let mine = eval_poly(my, q, x);
-                        for &their in &neigh {
-                            if eval_poly(their, q, x) == mine {
-                                continue 'points;
-                            }
-                        }
-                        alpha = Some(x);
-                        break;
-                    }
-                    let x =
-                        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-                        alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-                    x * q + eval_poly(my, q, x)
-                })
-                .collect::<Vec<u64>>()
-        });
+        // The arithmetic is chosen once per round, never per evaluation.
+        let outs = match Modulus::for_round(q, st.m) {
+            Some(f) => {
+                let screened = agents.screen_point_zero(&st.colors, f, &mut taken);
+                linial_round(agents, &st.colors, &chunks, f, screened.then_some(&taken))
+            }
+            None => linial_round(agents, &st.colors, &chunks, Wide(q), None),
+        };
         // The chunk outputs are the round's second buffer: every decision
         // read only the previous colors, so writing them back in place
         // keeps peak state at two words per agent.
@@ -783,29 +898,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `Σ digit_i x^i mod q` over the base-`q` digits of `c`, by `%`-Horner.
+    fn horner_by_division(c: u64, q: u64, x: u64) -> u64 {
+        let mut digits = Vec::new();
+        let mut rest = c;
+        while rest > 0 {
+            digits.push(rest % q);
+            rest /= q;
+        }
+        digits.iter().rev().fold(0, |acc, &d| (acc * x + d) % q)
+    }
+
     #[test]
-    fn point_zero_fast_path_matches_digit_loop() {
-        // Deterministic splitmix-style stream over the moduli the
-        // parameter chooser produces (primes, palettes up to u32 ids),
-        // plus c = 0 and single-digit c < q.
+    fn modulus_matches_hardware_division() {
+        // Deterministic splitmix-style stream of numerators below 2^32.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            (z ^ (z >> 31)) >> 32
         };
-        for trial in 0..2000u64 {
-            let q = super::super::util::next_prime(2 + next() % 5000);
-            let c = match trial % 4 {
-                0 => 0,
-                1 => next() % q,
-                2 => next() % (q * q * q),
-                _ => next() % (1 << 40),
-            };
-            assert_eq!(eval_poly(c, q, 0), eval_digits(c, q, 0), "c = {c}, q = {q}");
+        let primes = (2..1u64 << 16).filter(|&q| super::super::util::is_prime(q));
+        for q in primes {
+            let f = Modulus::for_round(q, 1 << 32).unwrap();
+            let fixed = [0, 1, q - 1, q, q * q - 1, u64::from(u32::MAX)];
+            let random = [next(), next(), next(), next()];
+            for c in fixed.into_iter().chain(random) {
+                assert_eq!(f.rem(c), c % q, "rem: c = {c}, q = {q}");
+                assert_eq!(f.div(c), c / q, "div: c = {c}, q = {q}");
+                for x in [0, 1, q / 2, q - 1] {
+                    let want = horner_by_division(c, q, x);
+                    assert_eq!(f.poly(c, x), want, "poly: c = {c}, q = {q}, x = {x}");
+                    assert_eq!(Wide(q).poly(c, x), want, "wide: c = {c}, q = {q}, x = {x}");
+                }
+            }
         }
+        // The reciprocal stops at its domain; wider rounds keep `%`.
+        assert!(Modulus::for_round(65_537, 1 << 40).is_none());
+        assert!(Modulus::for_round(13, (1 << 32) + 1).is_none());
+        let wide = Wide(4_294_967_311); // the first prime above 2^32
+        assert!(super::super::util::is_prime(wide.q()));
+        let c = u64::MAX - 12_345;
+        assert_eq!(wide.poly(c, 7), horner_by_division(c, wide.q(), 7));
     }
 
     #[test]

@@ -31,26 +31,6 @@ use crate::edge_space::EdgeAgents;
 use crate::error::AlgoError;
 use crate::linial::{Agents, VertexAgents};
 
-/// Smallest color `< limit` absent from `used` (the "mex below limit").
-///
-/// Returns `None` if all of `0..limit` are used.
-///
-/// This is the allocating **reference** implementation: the hot loops
-/// below all route through the u64-word [`PaletteSet`] kernel instead
-/// (no per-decision allocation, word-at-a-time scan). A unit test pins
-/// kernel ≡ reference over random used-sets.
-#[cfg_attr(not(test), allow(dead_code))] // retained as the reference oracle
-pub(crate) fn mex_below(used: impl Iterator<Item = Color>, limit: u64) -> Option<Color> {
-    // lint: allow(cast, "callers pass limit <= palette <= 2 * max_degree, which fits usize")
-    let mut taken = vec![false; limit as usize];
-    for c in used {
-        if u64::from(c) < limit {
-            taken[num::usize_from(c)] = true;
-        }
-    }
-    taken.iter().position(|&t| !t).map(|p| p as Color)
-}
-
 /// One reduction phase over `agents`: for each local color `top` in
 /// `t..block`, from the top down, one round in which every agent whose
 /// color is `top` within its block of `block` colors moves to the
@@ -92,20 +72,25 @@ fn reduce_blocks<A: Agents>(
     }
     let mut set = PaletteSet::new();
     for k in (0..slots).rev() {
+        // A decider of slot k holds local color t + k, so its block
+        // starts t + k below its color; a neighbor is in the same block
+        // exactly when its color lies in `base..base + block`.
+        let offset = t + num::to_u64(k);
         for &a in &order[start[k]..start[k + 1]] {
-            let b = u64::from(colors[a]) / block;
+            let base = u64::from(colors[a]) - offset;
+            let block_colors = base..base + block;
+            set.reset(t);
+            agents.for_each_neighbor(a, |n| {
+                let c = u64::from(colors[n]);
+                if block_colors.contains(&c) {
+                    set.insert(c - base);
+                }
+            });
             let free = set
-                .mex_marked(t, |mark| {
-                    agents.for_each_neighbor(a, |n| {
-                        let c = u64::from(colors[n]);
-                        if c / block == b {
-                            mark(c % block);
-                        }
-                    });
-                })
+                .mex()
                 // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
                 .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
-            colors[a] = (b * block + free) as Color;
+            colors[a] = (base + free) as Color;
         }
         *stats = stats.then(agents.round_cost());
     }
@@ -259,6 +244,19 @@ mod tests {
     use decolor_graph::generators;
     use decolor_runtime::{IdAssignment, Network};
 
+    /// Smallest color `< limit` absent from `used` (the "mex below
+    /// limit"), or `None` if all of `0..limit` are used: the allocating
+    /// oracle the [`PaletteSet`] kernel is checked against.
+    fn mex_below(used: impl Iterator<Item = Color>, limit: u64) -> Option<Color> {
+        let mut taken = vec![false; limit as usize];
+        for c in used {
+            if u64::from(c) < limit {
+                taken[c as usize] = true;
+            }
+        }
+        taken.iter().position(|&t| !t).map(|p| p as Color)
+    }
+
     /// A proper but wasteful coloring to reduce: Linial output.
     fn start(g: &decolor_graph::Graph, seed: u64) -> Vec<Color> {
         let mut net = Network::new(g);
@@ -410,13 +408,6 @@ mod tests {
                 reference,
                 "kernel diverges from reference at limit {limit}, used {used:?}"
             );
-            // The closure-marking shape must agree too.
-            let marked = set.mex_marked(limit, |mark| {
-                for &c in &used {
-                    mark(u64::from(c));
-                }
-            });
-            assert_eq!(marked.map(|c| c as Color), reference);
         }
     }
 

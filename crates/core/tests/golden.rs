@@ -9,7 +9,9 @@
 //! from ids and from an inherited coloring, the edge-space subroutine at
 //! targets 2Δ − 1 and 2Δ + 6, each under the basic and the
 //! Kuhn–Wattenhofer reduction, and one star partition whose final palette
-//! trim runs.
+//! trim runs. Four more pin the edges of Linial's GF(q) arithmetic (ids
+//! near 2^32, a declared palette above 2^32) and of the edge agents'
+//! point-0 screen (a multigraph whose parallel edges share both rows).
 //!
 //! Last come the **sweep rows**: each class recursion (star partition
 //! coloring and labels, CD-Coloring with and without the §3 trim,
@@ -35,7 +37,7 @@ use decolor_core::delta_plus_one::{
     vertex_coloring_with_target, ReductionStrategy, Seed, SubroutineConfig,
 };
 use decolor_core::edge_space::edge_coloring_direct;
-use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
+use decolor_core::linial::{linial_coloring, linial_coloring_chunked, linial_from_coloring};
 use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
 use decolor_graph::cliques::{cover_from_all_maximal_cliques, CliqueCover};
 use decolor_graph::coloring::VertexColoring;
@@ -217,6 +219,78 @@ fn trim_line() -> String {
         res.stats,
         &extra,
     )
+}
+
+/// Kernel rows at the edges of Linial's GF(q) arithmetic and of the edge
+/// agents' point-0 screen: Linial from sparse ids whose id space is near
+/// 2^32 (a degree-7 polynomial round, then three rounds in all), from an
+/// inherited coloring whose declared palette exceeds 2^32, and the
+/// edge-space subroutine on a multigraph whose doubled edges meet each
+/// other in both endpoint rows.
+fn arithmetic_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+
+    let g = generators::random_regular(4096, 3, 1).unwrap();
+    let stride = u64::from(u32::MAX) / 4096;
+    let ids = IdAssignment::sparse(4096, stride, 3);
+    assert!(ids.id_space() > 1 << 31);
+    let mut net = Network::new(&g);
+    let lin = linial_coloring(&mut net, &ids).unwrap();
+    assert!(lin.palette_trace.len() >= 4, "{:?}", lin.palette_trace);
+    let c = &lin.coloring;
+    let trace = &lin.palette_trace;
+    lines.push(digest_line(
+        "linial:sparse-ids",
+        "regular(4096,3)",
+        c.as_slice(),
+        c.palette(),
+        net.stats(),
+        trace,
+    ));
+
+    let g = generators::random_regular(2048, 5, 2).unwrap();
+    let ids = IdAssignment::shuffled(2048, 4);
+    let spread: Vec<u32> = ids.as_slice().iter().map(|&i| 3 * i as u32 + 1).collect();
+    let inherited = VertexColoring::new(spread, 1 << 40).unwrap();
+    let mut net = Network::new(&g);
+    let lin = linial_from_coloring(&mut net, &inherited).unwrap();
+    assert!(lin.palette_trace[0] > 1 << 32);
+    let c = &lin.coloring;
+    let trace = &lin.palette_trace;
+    lines.push(digest_line(
+        "linial:palette-2^40",
+        "regular(2048,5)",
+        c.as_slice(),
+        c.palette(),
+        net.stats(),
+        trace,
+    ));
+
+    let simple = generators::gnm(300, 900, 7).unwrap();
+    let mut b = GraphBuilder::new_multi(300);
+    for (e, [u, v]) in simple.edge_list() {
+        b.add_edge(u.index(), v.index()).unwrap();
+        if e.index() % 3 == 0 {
+            b.add_edge(u.index(), v.index()).unwrap();
+        }
+    }
+    let g = b.build();
+    assert!(g.has_parallel_edges());
+    let delta = g.max_degree() as u64;
+    for (strategy, reduction) in STRATEGIES {
+        let cfg = SubroutineConfig { reduction };
+        let (c, stats) = edge_coloring_direct(&g, 2 * delta - 1, cfg).unwrap();
+        assert!(c.is_proper(&g));
+        lines.push(digest_line(
+            &format!("direct:2d-1:{strategy}"),
+            "gnm(300,900,7)+every-third-doubled",
+            c.as_slice(),
+            c.palette(),
+            stats,
+            &[],
+        ));
+    }
+    lines
 }
 
 /// The seeds every sweep row folds into its one CRC.
@@ -443,6 +517,7 @@ fn table_at(threads: usize) -> Vec<String> {
             lines.extend(kernel_lines(name, g));
         }
         lines.push(trim_line());
+        lines.extend(arithmetic_lines());
         lines.extend(sweep_lines());
         lines
     })
