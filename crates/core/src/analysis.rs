@@ -82,9 +82,13 @@ pub fn cd_palette_product(diversity: u64, clique_size: u64, t: u64, x: u32) -> u
     product.saturating_mul(diversity * s.saturating_sub(1) + 1)
 }
 
-/// The §3 optimizing parameter `t = ⌊S^{1/(x+1)}⌋` (clamped to ≥ 2).
-pub fn optimal_t(clique_size: u64, x: u32) -> u64 {
-    integer_root(clique_size, x + 1).max(2)
+/// The §3/§4 optimizing parameter `t = ⌊S^{1/(x+1)}⌋` (clamped to ≥ 2)
+/// for a clique size or maximum degree `S` and `x` levels; an absurd `x`
+/// saturates the exponent, which the clamp absorbs.
+pub fn optimal_t(size: u64, x: usize) -> usize {
+    let exp = u32::try_from(x).unwrap_or(u32::MAX).saturating_add(1);
+    // lint: allow(cast, "an integer root of S is at most S, a vertex count or degree that started as a usize")
+    integer_root(size, exp).max(2) as usize
 }
 
 /// The exact palette product realized by the star partition before the
@@ -185,7 +189,7 @@ mod tests {
     fn cd_product_close_to_d_pow_s_for_optimal_t() {
         // With t = S^{1/(x+1)}, the product is ≈ D^{x+1}·S (Theorem 3.2).
         for (d, s, x) in [(2u64, 256u64, 1u32), (2, 4096, 2), (3, 729, 2)] {
-            let t = optimal_t(s, x);
+            let t = num::to_u64(optimal_t(s, num::usize_from(x)));
             let product = cd_palette_product(d, s, t, x);
             let target = table2_ours_colors(d, s, x);
             assert!(
@@ -258,5 +262,6 @@ mod tests {
         assert_eq!(optimal_t(256, 1), 16);
         assert_eq!(optimal_t(256, 3), 4);
         assert_eq!(optimal_t(2, 1), 2); // clamped
+        assert_eq!(optimal_t(16, usize::MAX), 2); // saturated exponent
     }
 }

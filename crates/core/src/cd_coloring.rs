@@ -9,8 +9,12 @@
 //! ≈ S/tˣ and degree ≤ D(⌈S/tˣ⌉ − 1), so they are colored directly. The
 //! final color of a vertex is the pair ⟨ϕ, ψ⟩ (line 15 of Algorithm 1),
 //! encoded canonically by the shared class product
-//! (`product::color_classes`) that also closes the star-partition,
-//! Theorem 5.3/5.4 and decomposition recursions.
+//! (`product::color_classes`) that also closes the star-partition and
+//! Theorem 5.3/5.4 recursions.
+//!
+//! The same levels, run with the labelling leaf (`product::Label`)
+//! instead of line 12's coloring, build Theorem 2.4's clique
+//! decomposition ([`crate::decomposition::clique_decomposition`]).
 //!
 //! Per §3, Linial's O(Δ²)-coloring is computed **once** on the input
 //! graph; every recursive subroutine call is seeded with the inherited
@@ -19,19 +23,19 @@
 use std::path::{Path, PathBuf};
 
 use decolor_graph::cliques::CliqueCover;
-use decolor_graph::coloring::{Color, VertexColoring};
+use decolor_graph::coloring::VertexColoring;
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
 use decolor_graph::storage::ShardedCsrBuilder;
 use decolor_graph::subgraph::{GraphView, InducedSubgraphView, VertexSubsetView};
 use decolor_graph::{Graph, VertexId};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 
+use crate::analysis::optimal_t;
 use crate::connectors::clique::clique_connector_on;
 use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
 use crate::error::AlgoError;
 use crate::linial;
-use crate::product::color_classes;
-use crate::util::integer_root;
+use crate::product::{color_classes, Colored, Leaf, Paint};
 use decolor_graph::num;
 
 /// Parameters of CD-Coloring.
@@ -66,20 +70,11 @@ impl Default for CdParams {
     }
 }
 
-/// §3's optimizing `t = ⌊S^{1/(x+1)}⌋` (clamped to ≥ 2) for clique size
-/// `s` and `x` levels; absurd `x` saturates the exponent, which the
-/// clamp absorbs.
-fn optimal_t_for(s: usize, x: usize) -> usize {
-    let exp = u32::try_from(x).unwrap_or(u32::MAX).saturating_add(1);
-    // lint: allow(cast, "an integer root of S is at most S, which started as a usize")
-    integer_root(num::to_u64(s), exp).max(2) as usize
-}
-
 impl CdParams {
     /// §3's optimizing choice for `x` levels: `t = ⌊S^{1/(x+1)}⌋`
     /// (clamped to ≥ 2), where `S` is the maximal clique size.
     pub fn for_levels(max_clique_size: usize, x: usize) -> CdParams {
-        let t = optimal_t_for(max_clique_size, x);
+        let t = optimal_t(num::to_u64(max_clique_size), x);
         CdParams {
             t,
             x: x.max(1),
@@ -141,6 +136,19 @@ pub fn cd_coloring<G: GraphView + Sync>(
     params: &CdParams,
     ids: &IdAssignment,
 ) -> Result<CdColoring, AlgoError> {
+    finish_cd(g, params, run_levels::<_, Paint>(g, cover, params, ids)?)
+}
+
+/// Algorithm 1's levels over the whole of `g`, after the parameter check
+/// and §3's one Linial pass — what [`cd_coloring`] runs with [`Paint`]
+/// and [`crate::decomposition::clique_decomposition`] runs with the
+/// labelling leaf.
+pub(crate) fn run_levels<G: GraphView + Sync, L: Leaf>(
+    g: &G,
+    cover: &CliqueCover,
+    params: &CdParams,
+    ids: &IdAssignment,
+) -> Result<Colored, AlgoError> {
     check_cd_params(g, params, ids)?;
     let diversity = cover.diversity().max(1);
 
@@ -151,8 +159,9 @@ pub fn cd_coloring<G: GraphView + Sync>(
 
     let all: Vec<VertexId> = (0..g.num_vertices()).map(VertexId::new).collect();
     let full = VertexSubsetView::new(g, all).map_err(AlgoError::bad_view)?;
-    let (colors, palette, stats) = level_on(g, cover, &base, &full, diversity, params, params.x)?;
-    finish_cd(g, params, colors, palette, base_stats.then(stats))
+    let (colors, palette, stats) =
+        level_on::<_, L>(g, cover, &base, &full, diversity, params, params.x)?;
+    Ok((colors, palette, base_stats.then(stats)))
 }
 
 fn check_cd_params<G: GraphView>(
@@ -182,9 +191,7 @@ fn check_cd_params<G: GraphView>(
 fn finish_cd<G: GraphView>(
     g: &G,
     params: &CdParams,
-    colors: Vec<Color>,
-    palette: u64,
-    mut stats: NetworkStats,
+    (colors, palette, mut stats): Colored,
 ) -> Result<CdColoring, AlgoError> {
     let mut coloring =
         VertexColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
@@ -227,10 +234,7 @@ fn finish_cd<G: GraphView>(
 /// The inherited seed coloring `base` of the root, restricted to the
 /// class whose root vertices are `parents` (in class order) — what a view
 /// recursion hands its subroutine instead of IDs.
-pub(crate) fn restrict_seed(
-    base: &VertexColoring,
-    parents: &[VertexId],
-) -> Result<VertexColoring, AlgoError> {
+fn restrict_seed(base: &VertexColoring, parents: &[VertexId]) -> Result<VertexColoring, AlgoError> {
     let colors = parents.iter().map(|&v| base.color(v)).collect();
     VertexColoring::new(colors, base.palette()).map_err(|e| AlgoError::InvariantViolated {
         reason: e.to_string(),
@@ -244,8 +248,10 @@ pub(crate) fn restrict_seed(
 /// and the **leaves run the vertex pipeline directly on an
 /// [`InducedSubgraphView`]** through the topology-generic [`Network`]:
 /// no per-class graph, port table, or network is ever materialized.
-#[allow(clippy::too_many_arguments)]
-fn level_on<G: GraphView + Sync>(
+///
+/// `L` is the leaf: [`Paint`] runs line 12's direct coloring on the last
+/// classes; the labelling leaf gives each last class one label.
+fn level_on<G: GraphView + Sync, L: Leaf>(
     root: &G,
     cover: &CliqueCover,
     base: &VertexColoring,
@@ -253,7 +259,7 @@ fn level_on<G: GraphView + Sync>(
     diversity: usize,
     params: &CdParams,
     x: usize,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
+) -> Result<Colored, AlgoError> {
     let cfg = params.subroutine;
     let k = view.num_vertices();
     if !view.has_induced_edge() {
@@ -265,7 +271,7 @@ fn level_on<G: GraphView + Sync>(
     let local_cover = cover.restrict_to_subset(view);
     // Appendix B's A_{i+1}: re-optimize t from the current clique size.
     let t = if params.per_level_t {
-        optimal_t_for(local_cover.max_clique_size(), x)
+        optimal_t(num::to_u64(local_cover.max_clique_size()), x)
     } else {
         params.t
     };
@@ -303,25 +309,28 @@ fn level_on<G: GraphView + Sync>(
         let parents: Vec<VertexId> = class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
         if x > 1 {
             let child = VertexSubsetView::new(root, parents).map_err(AlgoError::bad_view)?;
-            return level_on(root, cover, base, &child, diversity, params, x - 1);
+            return level_on::<_, L>(root, cover, base, &child, diversity, params, x - 1);
         }
-        // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors, on the
-        // induced view of the class.
-        let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::bad_view)?;
-        let target = num::to_u64(diversity) * (num::to_u64(k_bound) - 1) + 1;
-        if num::to_u64(child.max_degree()) >= target.max(1) {
-            return Err(AlgoError::InvariantViolated {
-                reason: format!(
-                    "Lemma 2.2 violated: class degree {} ≥ D(k−1)+1 = {target}",
-                    child.max_degree()
-                ),
-            });
-        }
-        let child_base = restrict_seed(base, child.parent_vertices())?;
-        let (c, s) = vertex_coloring_with_target(&child, Seed::Coloring(&child_base), target, cfg)?;
-        Ok((c.as_slice().to_vec(), c.palette(), s))
+        L::base(parents.len(), || {
+            // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors, on
+            // the induced view of the class.
+            let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::bad_view)?;
+            let target = num::to_u64(diversity) * (num::to_u64(k_bound) - 1) + 1;
+            if num::to_u64(child.max_degree()) >= target.max(1) {
+                return Err(AlgoError::InvariantViolated {
+                    reason: format!(
+                        "Lemma 2.2 violated: class degree {} ≥ D(k−1)+1 = {target}",
+                        child.max_degree()
+                    ),
+                });
+            }
+            let child_base = restrict_seed(base, child.parent_vertices())?;
+            let (c, s) =
+                vertex_coloring_with_target(&child, Seed::Coloring(&child_base), target, cfg)?;
+            Ok((c.as_slice().to_vec(), c.palette(), s))
+        })
     })?;
-    Ok((out, gamma * inner_palette, stats.then(children)))
+    Ok(L::level(gamma, (out, inner_palette, stats.then(children))))
 }
 
 /// Theorem 3.3 (ii): edge coloring of `g` as CD-Coloring of its line graph
@@ -591,6 +600,7 @@ mod tests {
         assert_eq!(p.t, 4);
         let p = CdParams::for_levels(3, 5);
         assert_eq!(p.t, 2); // clamped
+        assert_eq!(CdParams::for_levels(16, usize::MAX).t, 2); // saturated
         let p = CdParams::polylog(1 << 16, 1.0);
         assert!(p.x >= 2);
     }

@@ -47,22 +47,24 @@ pub fn clique_connector(
     cover: &CliqueCover,
     t: usize,
 ) -> Result<CliqueConnector, AlgoError> {
-    clique_connector_for(g.num_vertices(), cover, t)
+    clique_connector_on(&VertexSubsetView::new(g, g.vertices().collect())?, cover, t)
 }
 
-/// [`clique_connector`] from the cover alone: the connector's edges are
-/// derived entirely from the clique groups (each clique has diameter 1 in
-/// the source graph), so only the vertex count of the underlying
-/// (sub)graph is needed. This is what lets the Theorem 2.4 recursion run
-/// over borrowed vertex-subset views without materializing induced
-/// subgraphs.
+/// [`clique_connector`] over a borrowed [`VertexSubsetView`], the entry
+/// the CD-Coloring levels use: the edges come from the clique groups
+/// alone (each clique has diameter 1), so no induced subgraph is
+/// materialized and only the view's vertex count is read. `local_cover`
+/// must be the root cover restricted to the view
+/// ([`CliqueCover::restrict_to_subset`]); restriction composes
+/// (`restriction_composes` in decolor-graph's proptest_graph suite), so
+/// the result equals [`clique_connector`] on the induced subgraph.
 ///
 /// # Errors
 ///
 /// As [`clique_connector`].
-pub fn clique_connector_for(
-    num_vertices: usize,
-    cover: &CliqueCover,
+pub fn clique_connector_on<P: decolor_graph::subgraph::GraphView>(
+    view: &VertexSubsetView<'_, P>,
+    local_cover: &CliqueCover,
     t: usize,
 ) -> Result<CliqueConnector, AlgoError> {
     if t < 2 {
@@ -74,7 +76,7 @@ pub fn clique_connector_for(
     // responsible for the computation in its clique").
     let mut pairs: Vec<[VertexId; 2]> = Vec::new();
     let mut members: Vec<VertexId> = Vec::new();
-    for clique in cover.cliques() {
+    for clique in local_cover.cliques() {
         members.clear();
         members.extend_from_slice(clique);
         members.sort_unstable();
@@ -85,10 +87,11 @@ pub fn clique_connector_for(
         }
     }
     // The same pair may share several groups across cliques; E′ is a set.
-    // Sized for both vertex spaces, so a member beyond `num_vertices`
-    // reaches the builder's range error.
-    let keep = first_occurrences(num_vertices.max(cover.num_vertices()), &pairs);
-    let mut b = GraphBuilder::new_multi(num_vertices).with_edge_capacity(pairs.len());
+    // Sized for both vertex spaces, so a member beyond the view's vertex
+    // count reaches the builder's range error.
+    let n = view.num_vertices();
+    let keep = first_occurrences(n.max(local_cover.num_vertices()), &pairs);
+    let mut b = GraphBuilder::new_multi(n).with_edge_capacity(pairs.len());
     for ([u, v], keep) in pairs.into_iter().zip(keep) {
         if keep {
             b.add_edge(u.index(), v.index())?;
@@ -130,28 +133,6 @@ fn first_occurrences(n: usize, pairs: &[[VertexId; 2]]) -> Vec<bool> {
         }
     }
     keep
-}
-
-/// [`clique_connector`] over a borrowed
-/// [`VertexSubsetView`] — the view-generic topology entry the CD-Coloring
-/// recursion uses, so the connector of a color class is built straight
-/// from the class's subset view and its restricted cover without ever
-/// materializing the induced subgraph. `local_cover` must be the root
-/// cover restricted to the view
-/// ([`CliqueCover::restrict_to_subset`]); restriction composes
-/// (`restriction_composes` in decolor-graph's proptest_graph suite), so
-/// the result is identical to `cover.restrict(&sub)` + [`clique_connector`]
-/// on the materialized induced subgraph.
-///
-/// # Errors
-///
-/// As [`clique_connector`].
-pub fn clique_connector_on<P: decolor_graph::subgraph::GraphView>(
-    view: &VertexSubsetView<'_, P>,
-    local_cover: &CliqueCover,
-    t: usize,
-) -> Result<CliqueConnector, AlgoError> {
-    clique_connector_for(view.num_vertices(), local_cover, t)
 }
 
 impl CliqueConnector {

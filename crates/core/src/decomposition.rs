@@ -8,27 +8,26 @@
 //!   classes whose stars have size ≤ q — computed by x levels of edge
 //!   connectors.
 //!
-//! CD-Coloring and the star-partition edge coloring use these implicitly;
-//! here they are exposed (and verified) as standalone results, matching
-//! the paper's statements. Each level labels its classes with the shared
-//! ⟨ϕ, ψ⟩ class product (`product::color_classes`) over the realized
-//! child label counts; the entry points compact the labels by first
-//! occurrence, so only the partition they induce is observable.
+//! CD-Coloring and the star-partition edge coloring build these on the
+//! way; here they are exposed (and verified) as standalone results,
+//! matching the paper's statements. There is one recursion per
+//! structure: each entry point runs the coloring algorithm's own levels
+//! ([`crate::cd_coloring`], [`crate::star_partition`]) with the labelling
+//! leaf (`product::Label`) in place of the final coloring, then compacts
+//! the labels by first occurrence, so only the partition they induce is
+//! observable.
+
+use std::collections::BTreeMap;
 
 use decolor_graph::cliques::CliqueCover;
-use decolor_graph::coloring::{Color, VertexColoring};
-use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, VertexSubsetView};
-use decolor_graph::{EdgeId, Graph, VertexId};
-use decolor_runtime::{IdAssignment, Network, NetworkStats};
+use decolor_graph::coloring::Color;
+use decolor_graph::{Graph, VertexId};
+use decolor_runtime::{IdAssignment, NetworkStats};
 
-use crate::cd_coloring::restrict_seed;
-use crate::connectors::clique::clique_connector_for;
-use crate::connectors::edge::edge_connector_graph_on;
-use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
-use crate::edge_space::edge_coloring_direct;
+use crate::cd_coloring::{run_levels, CdParams};
 use crate::error::AlgoError;
-use crate::linial;
-use crate::product::{color_classes, Colored};
+use crate::product::Label;
+use crate::star_partition::{run_stages, StarPartitionParams};
 use decolor_graph::num;
 
 /// A ((t·D)^x, S/tˣ + 2)-clique-decomposition (Theorem 2.4).
@@ -114,8 +113,8 @@ impl CliqueDecomposition {
 ///
 /// # Errors
 ///
-/// [`AlgoError::InvalidParameters`] for `t < 2` / `x < 1`; propagates
-/// subroutine errors.
+/// [`AlgoError::InvalidParameters`] for `t < 2`, `x < 1` or an id count
+/// that is not the vertex count; propagates subroutine errors.
 pub fn clique_decomposition(
     g: &Graph,
     cover: &CliqueCover,
@@ -123,80 +122,36 @@ pub fn clique_decomposition(
     x: usize,
     ids: &IdAssignment,
 ) -> Result<CliqueDecomposition, AlgoError> {
-    if t < 2 || x < 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "need t ≥ 2, x ≥ 1".into(),
-        });
-    }
-    let diversity = cover.diversity().max(1);
-    let s = cover.max_clique_size();
-    let mut net = Network::new(g);
-    let base = linial::linial_coloring(&mut net, ids)?.coloring;
-    let base_stats = net.stats();
-
-    let full = VertexSubsetView::new(g, g.vertices().collect())?;
-    let (labels, _, stats) = decompose_level_on(g, cover, &base, &full, diversity, t, x)?;
-    // Compact the labels.
-    let mut map = std::collections::BTreeMap::new();
-    let mut part = vec![0usize; g.num_vertices()];
-    for (v, &l) in labels.iter().enumerate() {
-        let next = map.len();
-        part[v] = *map.entry(l).or_insert(next);
-    }
+    let params = CdParams {
+        t,
+        x,
+        ..CdParams::default()
+    };
+    let (labels, _, stats) = run_levels::<_, Label>(g, cover, &params, ids)?;
+    let (part, num_parts) = compact(&labels);
     let x32 = num::to_u32(x)?;
-    let gamma = num::to_u64(diversity * t);
-    let clique_bound = s / t.pow(x32).max(1) + 2;
+    let gamma = num::to_u64(cover.diversity().max(1) * t);
     Ok(CliqueDecomposition {
         part,
-        num_parts: map.len(),
+        num_parts,
         parts_bound: gamma.saturating_pow(x32),
-        clique_bound,
-        stats: base_stats.then(stats),
+        clique_bound: cover.max_clique_size() / t.saturating_pow(x32) + 2,
+        stats,
     })
 }
 
-/// One level of Theorem 2.4 over a borrowed [`VertexSubsetView`] of the
-/// *root* graph: the clique connector is built from the restricted cover
-/// alone (its edges are derived from clique groups, never from the
-/// subgraph CSR), so no induced subgraph is materialized anywhere in the
-/// recursion.
-fn decompose_level_on(
-    root: &Graph,
-    cover: &CliqueCover,
-    base: &VertexColoring,
-    view: &VertexSubsetView<'_>,
-    diversity: usize,
-    t: usize,
-    x: usize,
-) -> Result<Colored, AlgoError> {
-    let k = view.num_vertices();
-    if x == 0 || !view.has_induced_edge() {
-        return Ok((vec![0; k], 1, NetworkStats::default()));
-    }
-    // Restriction composes: filtering the root cover by the current subset
-    // equals restricting it level by level (`restriction_composes` in
-    // decolor-graph's proptest_graph suite).
-    let local_cover = cover.restrict_to_subset(view);
-    let conn = clique_connector_for(k, &local_cover, t)?;
-    let gamma = num::to_u64(diversity) * (num::to_u64(t) - 1) + 1;
-    let sub_base = restrict_seed(base, view.parent_vertices())?;
-    let (phi, phi_stats) = vertex_coloring_with_target(
-        &conn.graph,
-        Seed::Coloring(&sub_base),
-        gamma,
-        SubroutineConfig::default(),
-    )?;
-    let stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-    let (labels, _, children) = color_classes(k, &phi.classes(), |class| {
-        let parents: Vec<VertexId> = class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
-        let child = VertexSubsetView::new(root, parents)?;
-        decompose_level_on(root, cover, base, &child, diversity, t, x - 1)
-    })?;
-    Ok(label_count(labels, stats.then(children)))
+/// Renumbers `labels` densely by first occurrence; returns the renumbered
+/// labels and their count.
+fn compact(labels: &[Color]) -> (Vec<usize>, usize) {
+    let mut first = BTreeMap::new();
+    let dense = labels
+        .iter()
+        .map(|&l| {
+            let next = first.len();
+            *first.entry(l).or_insert(next)
+        })
+        .collect();
+    (dense, first.len())
 }
 
 /// A (p, q)-star-partition (§4): an edge partition into ≤ `p` classes with
@@ -265,25 +220,16 @@ impl StarPartition {
 ///
 /// # Errors
 ///
-/// [`AlgoError::InvalidParameters`] for `t < 2` / `x < 1`.
+/// [`AlgoError::InvalidParameters`] for `t < 2`, `x < 1` or a graph with
+/// parallel edges.
 pub fn star_partition(g: &Graph, t: usize, x: usize) -> Result<StarPartition, AlgoError> {
-    if t < 2 || x < 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "need t ≥ 2, x ≥ 1".into(),
-        });
-    }
-    if g.num_edges() > 0 && g.has_parallel_edges() {
-        return Err(AlgoError::InvalidParameters {
-            reason: "edge connector requires a simple source graph".into(),
-        });
-    }
-    let (labels, _, stats) = star_level_on(g, g, t, x)?;
-    let mut map = std::collections::BTreeMap::new();
-    let mut class = vec![0usize; g.num_edges()];
-    for (e, &l) in labels.iter().enumerate() {
-        let next = map.len();
-        class[e] = *map.entry(l).or_insert(next);
-    }
+    let params = StarPartitionParams {
+        t,
+        x,
+        ..StarPartitionParams::default()
+    };
+    let (labels, _, stats) = run_stages::<_, Label>(g, &params, None)?;
+    let (class, num_classes) = compact(&labels);
     // Star bound: each level divides by t with a ceiling.
     let mut star_bound = g.max_degree();
     for _ in 0..x {
@@ -291,47 +237,11 @@ pub fn star_partition(g: &Graph, t: usize, x: usize) -> Result<StarPartition, Al
     }
     Ok(StarPartition {
         class,
-        num_classes: map.len(),
+        num_classes,
         classes_bound: (2 * num::to_u64(t) - 1).saturating_pow(num::to_u32(x)?),
         star_bound,
         stats,
     })
-}
-
-/// One §4 star-partition level over a borrowed [`GraphView`]: classes
-/// recurse as [`EdgeSubgraphView`]s of the root, never as copies.
-fn star_level_on<V: GraphView + Sync>(
-    root: &Graph,
-    view: &V,
-    t: usize,
-    x: usize,
-) -> Result<Colored, AlgoError> {
-    if view.num_edges() == 0 || x == 0 {
-        return Ok((vec![0; view.num_edges()], 1, NetworkStats::default()));
-    }
-    let conn = edge_connector_graph_on(view, t)?;
-    let target = 2 * num::to_u64(t) - 1;
-    let (phi, phi_stats) = edge_coloring_direct(&conn, target, SubroutineConfig::default())?;
-    let stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-    let (labels, _, children) = color_classes(view.num_edges(), &phi.classes(), |class| {
-        let child_edges: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
-        let child = EdgeSubgraphView::new(root, child_edges)?;
-        star_level_on(root, &child, t, x - 1)
-    })?;
-    Ok(label_count(labels, stats.then(children)))
-}
-
-/// A level's labels with the realized label count (largest label + 1) as
-/// its palette, so the next level up packs its ⟨ϕ, label⟩ pairs no wider
-/// than the labels actually used. Only the partition the labels induce
-/// matters: the entry points compact them by first occurrence.
-fn label_count(labels: Vec<Color>, stats: NetworkStats) -> Colored {
-    let count = labels.iter().max().map_or(1, |&l| u64::from(l) + 1);
-    (labels, count, stats)
 }
 
 #[cfg(test)]
@@ -339,6 +249,7 @@ mod tests {
     use super::*;
     use decolor_graph::generators;
     use decolor_graph::line_graph::LineGraph;
+    use decolor_graph::EdgeId;
 
     #[test]
     fn theorem_2_4_on_line_graphs() {
@@ -443,6 +354,44 @@ mod tests {
         let ids = IdAssignment::sequential(lg.graph.num_vertices());
         assert!(clique_decomposition(&lg.graph, &lg.cover, 1, 1, &ids).is_err());
         assert!(star_partition(&g, 2, 0).is_err());
+    }
+
+    /// The labelling leaf and the coloring leaf run one recursion: at
+    /// x = 1 on graphs with Δ > t, the structure's parts are exactly the
+    /// ⌊color / inner⌋ classes of the untrimmed coloring run.
+    #[test]
+    fn structures_are_the_coloring_runs_outer_classes() {
+        use crate::cd_coloring::{cd_coloring, CdParams};
+        use crate::star_partition::{star_partition_edge_coloring, StarPartitionParams};
+        let outer = |colors: &[Color], inner: u64| {
+            let inner = Color::try_from(inner).unwrap();
+            compact(&colors.iter().map(|&c| c / inner).collect::<Vec<_>>()).0
+        };
+        for (seed, t) in [(1u64, 2usize), (2, 3), (3, 4)] {
+            let g = generators::gnm(80, 320, seed).unwrap();
+            assert!(g.max_degree() > t);
+            let sp = star_partition(&g, t, 1).unwrap();
+            let params = StarPartitionParams {
+                t,
+                trim: false,
+                ..StarPartitionParams::default() // x = 1
+            };
+            let star = star_partition_edge_coloring(&g, &params).unwrap();
+            let inner = star.coloring.palette() / (2 * num::to_u64(t) - 1);
+            assert_eq!(outer(star.coloring.as_slice(), inner), sp.class);
+
+            let lg = LineGraph::new(&g);
+            let ids = IdAssignment::sequential(lg.graph.num_vertices());
+            let dec = clique_decomposition(&lg.graph, &lg.cover, t, 1, &ids).unwrap();
+            let params = CdParams {
+                t,
+                ..CdParams::default() // x = 1, no trim
+            };
+            let cd = cd_coloring(&lg.graph, &lg.cover, &params, &ids).unwrap();
+            let gamma = num::to_u64(lg.cover.diversity()) * (num::to_u64(t) - 1) + 1;
+            let inner = cd.palette_bound / gamma;
+            assert_eq!(outer(cd.coloring.as_slice(), inner), dec.part);
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   Lemma 5.1, and the Δ + o(Δ) edge-colorings of Theorems 5.2–5.4 and
 //!   Corollary 5.5.
 //! * [`decomposition`] — Theorem 2.4 clique-decompositions and §4
-//!   (p, q)-star-partitions as standalone verified objects.
+//!   (p, q)-star-partitions as standalone verified objects, built by the
+//!   CD-Coloring levels and the star-partition stages with a labelling
+//!   leaf in place of the final coloring.
 //! * [`checkpoint`] — durable round checkpoints letting killed chunked
 //!   (out-of-core) runs resume mid-algorithm, byte-identically.
 //! * [`analysis`] — the paper's analytic color/round formulas (Tables

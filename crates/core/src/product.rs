@@ -7,6 +7,11 @@
 //! the second half of that step — the parallel fan-out over the classes
 //! and the canonical combine — so each pipeline keeps only its own head
 //! (connector, ϕ and their ledger) and its outer-palette multiply.
+//!
+//! The star-partition stages and the CD-Coloring levels also build the
+//! paper's structures (§4's star partition, Theorem 2.4's clique
+//! decomposition): the same recursion with a [`Leaf`] that labels
+//! instead of colors.
 
 use decolor_graph::coloring::Color;
 use decolor_graph::num;
@@ -17,6 +22,57 @@ use crate::error::AlgoError;
 
 /// A class coloring: colors in class order, palette, ledger.
 pub(crate) type Colored = (Vec<Color>, u64, NetworkStats);
+
+/// The leaf of a class recursion: what a coloring run and a run that
+/// labels a paper structure do differently — the base case, and the
+/// palette a level reports upward. Monomorphized, so neither run pays for
+/// the other's branches.
+pub(crate) trait Leaf: Sync {
+    /// `true` for the labelling leaf.
+    const LABELS: bool;
+
+    /// The base case of a class of `len` elements: `color` when coloring,
+    /// label 0 everywhere when labelling.
+    fn base(
+        len: usize,
+        color: impl FnOnce() -> Result<Colored, AlgoError>,
+    ) -> Result<Colored, AlgoError> {
+        if Self::LABELS {
+            Ok((vec![0; len], 1, NetworkStats::default()))
+        } else {
+            color()
+        }
+    }
+
+    /// A level's [`color_classes`] result as reported upward; `outer` is
+    /// the palette its connector coloring ϕ targets. A coloring reports
+    /// the analytic product `outer · inner`. A labelling reports its
+    /// realized label count (largest label + 1), so the level above packs
+    /// its ⟨ϕ, label⟩ pairs no wider than the labels used: (2t − 1)^x
+    /// would overflow `u32` at deep `x`.
+    fn level(outer: u64, (out, inner, stats): Colored) -> Colored {
+        let palette = if Self::LABELS {
+            out.iter().max().map_or(1, |&l| u64::from(l) + 1)
+        } else {
+            outer * inner
+        };
+        (out, palette, stats)
+    }
+}
+
+/// The coloring leaf: Theorem 4.1's and Algorithm 1's direct coloring.
+pub(crate) struct Paint;
+
+impl Leaf for Paint {
+    const LABELS: bool = false;
+}
+
+/// The labelling leaf: each class the recursion ends in is one part.
+pub(crate) struct Label;
+
+impl Leaf for Label {
+    const LABELS: bool = true;
+}
 
 /// Colors every nonempty class with `child` on the pool and combines:
 /// element `class[i]` of class `c` gets `c · inner + ψ[i]`, where `ψ` is

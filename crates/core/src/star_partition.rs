@@ -12,21 +12,25 @@
 //! Each stage ends in the shared ⟨ϕ, ψ⟩ class product
 //! (`product::color_classes`): the classes recurse in parallel and edge
 //! `e` of class `c` takes `c · inner + ψ(e)`.
+//!
+//! The same stages, run with the labelling leaf (`product::Label`) and
+//! no final coloring, build §4's star partition
+//! ([`crate::decomposition::star_partition`]).
 
-use decolor_graph::coloring::{Color, EdgeColoring};
+use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
 use decolor_graph::EdgeId;
 use decolor_runtime::{Network, NetworkStats};
 
 use std::path::Path;
 
+use crate::analysis::optimal_t;
 use crate::connectors::edge::{edge_connector_graph_on, edge_connector_sharded_on};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::edge_space::{edge_coloring_direct, edge_coloring_direct_on};
 use crate::error::AlgoError;
-use crate::product::color_classes;
+use crate::product::{color_classes, Colored, Leaf, Paint};
 use crate::reduction::edge_palette_trim;
-use crate::util::integer_root;
 use decolor_graph::num;
 
 /// Parameters for the star-partition edge coloring.
@@ -59,14 +63,6 @@ impl Default for StarPartitionParams {
     }
 }
 
-/// §4's optimizing `t = ⌊Δ^{1/(x+1)}⌋` (clamped ≥ 2); absurd `x`
-/// saturates the exponent, which the clamp absorbs.
-fn optimal_t_for(delta: u64, x: usize) -> usize {
-    let exp = u32::try_from(x).unwrap_or(u32::MAX).saturating_add(1);
-    // lint: allow(cast, "an integer root of Δ is at most Δ ≤ n, which is a usize")
-    integer_root(delta, exp).max(2) as usize
-}
-
 impl StarPartitionParams {
     /// §4's choice for `x` stages: `t = ⌊Δ^{1/(x+1)}⌋` (clamped ≥ 2).
     pub fn for_levels<G: GraphView>(g: &G, x: usize) -> StarPartitionParams {
@@ -77,7 +73,7 @@ impl StarPartitionParams {
     /// degree — what the view-generic callers use (a borrowed view knows
     /// its Δ without a graph).
     pub fn for_max_degree(delta: u64, x: usize) -> StarPartitionParams {
-        let t = optimal_t_for(delta, x);
+        let t = optimal_t(delta, x);
         StarPartitionParams {
             t,
             x: x.max(1),
@@ -120,17 +116,7 @@ pub fn star_partition_edge_coloring<G: GraphView + Sync>(
     g: &G,
     params: &StarPartitionParams,
 ) -> Result<StarPartitionResult, AlgoError> {
-    check_params(g, params)?;
-    let staged = stage_on(
-        g,
-        g,
-        params.t,
-        params.x,
-        params.subroutine,
-        params.adaptive_t,
-        None,
-    )?;
-    finish(g, params, staged)
+    finish(g, params, run_stages::<_, Paint>(g, params, None)?)
 }
 
 /// [`star_partition_edge_coloring`] with the **top-level connector spilled
@@ -158,20 +144,29 @@ pub fn star_partition_edge_coloring_spilled<G: GraphView + Sync>(
     params: &StarPartitionParams,
     scratch_dir: &Path,
 ) -> Result<StarPartitionResult, AlgoError> {
-    check_params(g, params)?;
-    let staged = stage_on(
-        g,
-        g,
-        params.t,
-        params.x,
-        params.subroutine,
-        params.adaptive_t,
-        Some(scratch_dir),
-    )?;
+    let staged = run_stages::<_, Paint>(g, params, Some(scratch_dir))?;
     finish(g, params, staged)
 }
 
-fn check_params<G: GraphView>(g: &G, params: &StarPartitionParams) -> Result<(), AlgoError> {
+/// The §4 stages over the whole of `g`, after the parameter check and
+/// the simple-graph check — what the coloring entry points run with
+/// [`Paint`] and [`crate::decomposition::star_partition`] runs with the
+/// labelling leaf.
+pub(crate) fn run_stages<G: GraphView + Sync, L: Leaf>(
+    g: &G,
+    params: &StarPartitionParams,
+    spill: Option<&Path>,
+) -> Result<Colored, AlgoError> {
+    check_params(params)?;
+    if g.num_edges() > 0 && g.has_parallel_edges() {
+        return Err(AlgoError::InvalidParameters {
+            reason: "edge connector requires a simple source graph".into(),
+        });
+    }
+    stage_on::<_, _, L>(g, g, params, params.x, spill)
+}
+
+fn check_params(params: &StarPartitionParams) -> Result<(), AlgoError> {
     if params.t < 2 {
         return Err(AlgoError::InvalidParameters {
             reason: "t must be ≥ 2".into(),
@@ -180,11 +175,6 @@ fn check_params<G: GraphView>(g: &G, params: &StarPartitionParams) -> Result<(),
     if params.x < 1 {
         return Err(AlgoError::InvalidParameters {
             reason: "x must be ≥ 1".into(),
-        });
-    }
-    if g.num_edges() > 0 && g.has_parallel_edges() {
-        return Err(AlgoError::InvalidParameters {
-            reason: "edge connector requires a simple source graph".into(),
         });
     }
     Ok(())
@@ -210,20 +200,8 @@ pub fn star_partition_edge_coloring_on<R: GraphView + Sync>(
     view: &EdgeSubgraphView<'_, R>,
     params: &StarPartitionParams,
 ) -> Result<StarPartitionResult, AlgoError> {
-    if params.t < 2 || params.x < 1 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "need t ≥ 2, x ≥ 1".into(),
-        });
-    }
-    let staged = stage_on(
-        root,
-        view,
-        params.t,
-        params.x,
-        params.subroutine,
-        params.adaptive_t,
-        None,
-    )?;
+    check_params(params)?;
+    let staged = stage_on::<_, _, Paint>(root, view, params, params.x, None)?;
     finish(view, params, staged)
 }
 
@@ -233,12 +211,9 @@ pub fn star_partition_edge_coloring_on<R: GraphView + Sync>(
 fn finish<V: GraphView>(
     g: &V,
     params: &StarPartitionParams,
-    staged: (Vec<Color>, u64, NetworkStats),
+    (mut colors, mut palette, mut stats): Colored,
 ) -> Result<StarPartitionResult, AlgoError> {
-    let (colors, palette, mut stats) = staged;
     let untrimmed_palette = palette;
-    let mut colors = colors;
-    let mut palette = palette;
     if params.trim && g.num_edges() > 0 {
         let delta = num::to_u64(g.max_degree());
         let target = (1u64 << (num::to_u32(params.x)? + 1)) * delta.max(1);
@@ -265,7 +240,7 @@ fn finish<V: GraphView>(
     })
 }
 
-/// One connector stage over a borrowed [`GraphView`] (or the direct base
+/// One connector stage over a borrowed [`GraphView`] (or the leaf's base
 /// case for `x == 0`): the hot path. Color classes recurse as
 /// [`EdgeSubgraphView`]s of the *root* graph — an activation bitset over
 /// the root's edges plus the class's own compact incidence — so no
@@ -276,30 +251,35 @@ fn finish<V: GraphView>(
 /// the top level of the spilled entry point — the stage-one connector is
 /// the single input-proportional construction; class connectors shrink
 /// geometrically and always build in RAM (`None` on recursion).
-#[allow(clippy::too_many_arguments)]
-fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
+///
+/// `L` is the leaf: [`Paint`] colors the last classes (and any class
+/// whose Δ ≤ t) directly with 2Δ − 1 colors; the labelling leaf runs all
+/// `x` stages and gives each last class one label.
+fn stage_on<R: GraphView + Sync, V: GraphView + Sync, L: Leaf>(
     root: &R,
     view: &V,
-    t: usize,
+    params: &StarPartitionParams,
     x: usize,
-    cfg: SubroutineConfig,
-    adaptive_t: bool,
     spill: Option<&Path>,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
+) -> Result<Colored, AlgoError> {
     if view.num_edges() == 0 {
         return Ok((vec![], 1, NetworkStats::default()));
     }
+    let cfg = params.subroutine;
     let delta = num::to_u64(view.max_degree());
-    let t = if adaptive_t {
-        optimal_t_for(delta, x)
+    let t = if params.adaptive_t {
+        optimal_t(delta, x)
     } else {
-        t
+        params.t
     };
-    if x == 0 || delta <= num::to_u64(t) {
+    // The partition keeps recursing at Δ ≤ t: its classes must shrink x
+    // times.
+    if x == 0 || (!L::LABELS && delta <= num::to_u64(t)) {
         // Base: color directly with 2Δ − 1 colors in edge space, straight
         // off the view.
-        let target = (2 * delta - 1).max(1);
-        return edge_coloring_direct_on(view, target, cfg);
+        return L::base(view.num_edges(), || {
+            edge_coloring_direct_on(view, (2 * delta - 1).max(1), cfg)
+        });
     }
 
     // Build the connector (O(1) local rounds) over the view and
@@ -343,9 +323,12 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
                     ),
                 });
             }
-            stage_on(root, &child, t, x - 1, cfg, adaptive_t, None)
+            stage_on::<_, _, L>(root, &child, params, x - 1, None)
         })?;
-    Ok((out, target_conn * inner_palette, stats.then(children)))
+    Ok(L::level(
+        target_conn,
+        (out, inner_palette, stats.then(children)),
+    ))
 }
 
 #[cfg(test)]
@@ -451,6 +434,7 @@ mod tests {
         let g = generators::random_regular(100, 16, 1).unwrap();
         assert_eq!(StarPartitionParams::for_levels(&g, 1).t, 4); // ⌊16^{1/2}⌋
         assert_eq!(StarPartitionParams::for_levels(&g, 3).t, 2); // ⌊16^{1/4}⌋
+        assert_eq!(StarPartitionParams::for_max_degree(16, usize::MAX).t, 2);
     }
 
     #[test]

@@ -79,6 +79,10 @@ pub fn integer_root(x: u64, k: u32) -> u64 {
 
 /// `true` iff `b^k > x` (overflow-safe).
 fn pow_gt(b: u64, k: u32, x: u64) -> bool {
+    if b <= 1 && k > 0 {
+        // 0^k = 0 and 1^k = 1: no need to multiply k times.
+        return b > x;
+    }
     let mut acc: u128 = 1;
     for _ in 0..k {
         acc = acc.saturating_mul(u128::from(b));
