@@ -12,6 +12,8 @@
 //! trim runs. Four more pin the edges of Linial's GF(q) arithmetic (ids
 //! near 2^32, a declared palette above 2^32) and of the edge agents'
 //! point-0 screen (a multigraph whose parallel edges share both rows).
+//! Two more pairs run the reductions at t > 64 on complete graphs, where
+//! a decider's first 64-color window of free colors fills.
 //!
 //! Last come the **sweep rows**: each class recursion (star partition
 //! coloring and labels, CD-Coloring with and without the §3 trim,
@@ -152,47 +154,90 @@ fn kernel_lines(name: &str, g: &Graph) -> Vec<String> {
         trace,
     ));
 
-    // A proper but wasteful inherited coloring: spread, offset ids.
+    let inherited = spread(&ids);
+    lines.extend(vertex_lines(name, g, "ids", Seed::Ids(&ids), |_| {}));
+    lines.extend(vertex_lines(
+        name,
+        g,
+        "coloring",
+        Seed::Coloring(&inherited),
+        |_| {},
+    ));
+
+    let delta = g.max_degree() as u64;
+    lines.extend(direct_lines(name, g, "2d-1", 2 * delta - 1));
+    lines.extend(direct_lines(name, g, "2d+6", 2 * delta + 6));
+    lines
+}
+
+/// A proper but wasteful inherited coloring: spread, offset ids `3i + 1`.
+fn spread(ids: &IdAssignment) -> VertexColoring {
     let spread: Vec<u32> = ids.as_slice().iter().map(|&i| 3 * i as u32 + 1).collect();
-    let inherited = VertexColoring::new(spread, 3 * n as u64 + 1).unwrap();
+    VertexColoring::new(spread, 3 * ids.as_slice().len() as u64 + 1).unwrap()
+}
+
+/// The `vertex:<seed_name>:{basic,kw}` rows: the vertex subroutine from
+/// `seed` to Δ + 1 under each reduction; `check` sees each coloring.
+fn vertex_lines(
+    name: &str,
+    g: &Graph,
+    seed_name: &str,
+    seed: Seed<'_>,
+    check: impl Fn(&[u32]),
+) -> Vec<String> {
     let target = g.max_degree() as u64 + 1;
-    for (seed_name, seed) in [
-        ("ids", Seed::Ids(&ids)),
-        ("coloring", Seed::Coloring(&inherited)),
-    ] {
-        for (strategy, reduction) in STRATEGIES {
+    STRATEGIES
+        .iter()
+        .map(|&(strategy, reduction)| {
             let cfg = SubroutineConfig { reduction };
             let (c, stats) = vertex_coloring_with_target(g, seed, target, cfg).unwrap();
             assert!(c.is_proper(g));
+            check(c.as_slice());
             let row = format!("vertex:{seed_name}:{strategy}");
-            lines.push(digest_line(
-                &row,
-                name,
-                c.as_slice(),
-                c.palette(),
-                stats,
-                &[],
-            ));
-        }
-    }
+            digest_line(&row, name, c.as_slice(), c.palette(), stats, &[])
+        })
+        .collect()
+}
 
-    let delta = g.max_degree() as u64;
-    for (target_name, target) in [("2d-1", 2 * delta - 1), ("2d+6", 2 * delta + 6)] {
-        for (strategy, reduction) in STRATEGIES {
+/// The `direct:<target_name>:{basic,kw}` rows: the edge-space subroutine
+/// to `target` under each reduction.
+fn direct_lines(name: &str, g: &Graph, target_name: &str, target: u64) -> Vec<String> {
+    STRATEGIES
+        .iter()
+        .map(|&(strategy, reduction)| {
             let cfg = SubroutineConfig { reduction };
             let (c, stats) = edge_coloring_direct(g, target, cfg).unwrap();
             assert!(c.is_proper(g));
             let row = format!("direct:{target_name}:{strategy}");
-            lines.push(digest_line(
-                &row,
-                name,
-                c.as_slice(),
-                c.palette(),
-                stats,
-                &[],
-            ));
-        }
-    }
+            digest_line(&row, name, c.as_slice(), c.palette(), stats, &[])
+        })
+        .collect()
+}
+
+/// Kernel rows whose reductions run with t > 64, where a decider's first
+/// 64-color window fills: the vertex subroutine on K70 (t = 70) from the
+/// spread seed (palette 211; the ids seed would reduce nothing), and the
+/// edge-space subroutine on K40 at 2Δ − 1 = 77, where every edge has 76
+/// neighbors.
+fn window_lines() -> Vec<String> {
+    let g = generators::complete(70).unwrap();
+    let ids = IdAssignment::shuffled(70, 5);
+    let inherited = spread(&ids);
+    let seeded = inherited.as_slice();
+    let mut lines = vertex_lines(
+        "complete(70)",
+        &g,
+        "coloring",
+        Seed::Coloring(&inherited),
+        |c| {
+            // Every color is used, and 65, 66, 68 and 69 are not seed
+            // colors: deciders took them past a full window 0..64.
+            assert!((0..70).all(|k| c.contains(&k)));
+            assert!([65, 66, 68, 69].iter().all(|k| !seeded.contains(k)));
+        },
+    );
+    let g = generators::complete(40).unwrap();
+    lines.extend(direct_lines("complete(40)", &g, "2d-1", 77));
     lines
 }
 
@@ -277,19 +322,12 @@ fn arithmetic_lines() -> Vec<String> {
     let g = b.build();
     assert!(g.has_parallel_edges());
     let delta = g.max_degree() as u64;
-    for (strategy, reduction) in STRATEGIES {
-        let cfg = SubroutineConfig { reduction };
-        let (c, stats) = edge_coloring_direct(&g, 2 * delta - 1, cfg).unwrap();
-        assert!(c.is_proper(&g));
-        lines.push(digest_line(
-            &format!("direct:2d-1:{strategy}"),
-            "gnm(300,900,7)+every-third-doubled",
-            c.as_slice(),
-            c.palette(),
-            stats,
-            &[],
-        ));
-    }
+    lines.extend(direct_lines(
+        "gnm(300,900,7)+every-third-doubled",
+        &g,
+        "2d-1",
+        2 * delta - 1,
+    ));
     lines
 }
 
@@ -518,6 +556,7 @@ fn table_at(threads: usize) -> Vec<String> {
         }
         lines.push(trim_line());
         lines.extend(arithmetic_lines());
+        lines.extend(window_lines());
         lines.extend(sweep_lines());
         lines
     })
