@@ -1,14 +1,17 @@
-//! Fixed-word u64 bitset palette kernels for the hot mex loops.
+//! Fixed-word u64 bitset palette sets.
 //!
-//! Every color-selection step in the reduction/trim subroutines computes
-//! a *mex* — the smallest color below a limit absent from a used set of
-//! at most O(Δ) colors. [`PaletteSet`] packs the marks into u64 words —
-//! 64 colors per word, the mex found by `trailing_zeros` on the first
-//! non-full word's complement — and keeps a fixed inline array for
-//! palettes up to [`INLINE_COLORS`] colors, spilling to a reusable heap
-//! buffer only above that, so the common path performs no allocation at
-//! all. The same set serves Linial's point-0 screen as a reused one-bit-
-//! per-agent mark.
+//! Lemma 5.1's crossing merge picks each crossing edge's color as a
+//! *mex* — the smallest color below a limit absent from a used set of
+//! at most O(Δ) colors — over a base set per B-vertex extended per
+//! decision. [`PaletteSet`] packs the marks into u64 words — 64 colors
+//! per word, the mex found by `trailing_zeros` on the first non-full
+//! word's complement — and keeps a fixed inline array for palettes up to
+//! [`INLINE_COLORS`] colors, spilling to a reusable heap buffer only
+//! above that, so the common path performs no allocation at all. The
+//! same set serves Linial's point-0 screen as a reused one-bit-per-agent
+//! mark. (The color reductions need no set: their deciders OR neighbor
+//! bits into one 64-color window word at a time, see
+//! [`crate::reduction`].)
 //!
 //! The reduction unit tests pin kernel ≡ an allocating `Vec<bool>` scan
 //! over random used-sets.

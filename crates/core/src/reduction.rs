@@ -20,13 +20,18 @@
 //! colors as the round's broadcast would deliver. Each round is charged
 //! at the broadcast's full ledger cost; only the deciding class is
 //! touched.
+//!
+//! A decider finds its free color in 64-color windows, each one `u64`:
+//! a walk over its neighbors ORs in one bit per neighbor whose local
+//! color lies in the window (no branch per neighbor), and the first zero
+//! of the complement is the color. The next window is walked only when
+//! this one is full, so every reduction with t ≤ 64 walks once.
 
 use decolor_graph::coloring::Color;
 use decolor_graph::num;
 use decolor_graph::subgraph::GraphView;
 use decolor_runtime::{Network, NetworkStats};
 
-use crate::bitset::PaletteSet;
 use crate::edge_space::EdgeAgents;
 use crate::error::AlgoError;
 use crate::linial::{Agents, VertexAgents};
@@ -70,30 +75,54 @@ fn reduce_blocks<A: Agents>(
             next[k] += 1;
         }
     }
-    let mut set = PaletteSet::new();
     for k in (0..slots).rev() {
         // A decider of slot k holds local color t + k, so its block
-        // starts t + k below its color; a neighbor is in the same block
-        // exactly when its color lies in `base..base + block`.
+        // starts t + k below its color; a neighbor at local color
+        // `c − base` below t is in the same block and takes that color.
         let offset = t + num::to_u64(k);
         for &a in &order[start[k]..start[k + 1]] {
             let base = u64::from(colors[a]) - offset;
-            let block_colors = base..base + block;
-            set.reset(t);
-            agents.for_each_neighbor(a, |n| {
-                let c = u64::from(colors[n]);
-                if block_colors.contains(&c) {
-                    set.insert(c - base);
-                }
-            });
-            let free = set
-                .mex()
-                // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
-                .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
+            let free = first_free(t, |lo| {
+                let window = base + lo;
+                let mut taken = 0;
+                agents.for_each_neighbor(a, |n| {
+                    taken |= window_bit(u64::from(colors[n]).wrapping_sub(window));
+                });
+                taken
+            })
+            // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
+            .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
             colors[a] = (base + free) as Color;
         }
         *stats = stats.then(agents.round_cost());
     }
+}
+
+/// The bit a neighbor sets in the mask of a 64-color window: bit `d` for
+/// a neighbor `d` colors above the window's start, none when `d ≥ 64`. A
+/// color below the window wraps to a huge `d`. No branch: the neighbor
+/// walk ORs these together.
+#[inline]
+fn window_bit(d: u64) -> u64 {
+    u64::from(d < 64) << (d & 63)
+}
+
+/// The smallest local color below `t` that no neighbor takes, or `None`
+/// when all `t` are taken. `taken(lo)` returns the mask of local colors
+/// `lo..lo + 64` (one neighbor walk); the next window is walked only when
+/// this one is full, so a search with t ≤ 64 walks once. Marks at `t` and
+/// above never hide a free color below `t`.
+fn first_free(t: u64, mut taken: impl FnMut(u64) -> u64) -> Option<u64> {
+    let mut lo = 0;
+    while lo < t {
+        let mask = taken(lo);
+        if mask != u64::MAX {
+            let d = lo + u64::from((!mask).trailing_zeros());
+            return (d < t).then_some(d);
+        }
+        lo += 64;
+    }
+    None
 }
 
 /// The basic reduction over `agents`: one top color class per round, from
@@ -246,7 +275,9 @@ mod tests {
 
     /// Smallest color `< limit` absent from `used` (the "mex below
     /// limit"), or `None` if all of `0..limit` are used: the allocating
-    /// oracle the [`PaletteSet`] kernel is checked against.
+    /// oracle the windowed search and the
+    /// [`PaletteSet`](crate::bitset::PaletteSet) kernel are checked
+    /// against.
     fn mex_below(used: impl Iterator<Item = Color>, limit: u64) -> Option<Color> {
         let mut taken = vec![false; limit as usize];
         for c in used {
@@ -408,6 +439,75 @@ mod tests {
                 reference,
                 "kernel diverges from reference at limit {limit}, used {used:?}"
             );
+        }
+    }
+
+    /// The windowed search over the neighbor colors `used` of a decider
+    /// whose block starts at `base`.
+    fn windowed(used: &[u64], base: u64, t: u64) -> Option<u64> {
+        first_free(t, |lo| {
+            used.iter()
+                .fold(0, |mask, &c| mask | window_bit(c.wrapping_sub(base + lo)))
+        })
+    }
+
+    /// The oracle on the same input, read the way the reduction used to:
+    /// the neighbors in the decider's block `base..base + 2t` at their
+    /// local colors, their mex below `t`.
+    fn reference(used: &[u64], base: u64, t: u64) -> Option<u64> {
+        let block = base..base + 2 * t;
+        let local = used.iter().filter(|c| block.contains(c));
+        mex_below(local.map(|&c| (c - base) as Color), t).map(u64::from)
+    }
+
+    #[test]
+    fn windowed_search_matches_reference_mex() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for t in [1, 63, 64, 65, 127, 128, 129, 300] {
+            for trial in 0..200u64 {
+                // Blocks at 0 (nothing below to wrap) and anywhere in u32.
+                let base = if trial % 5 == 0 {
+                    0
+                } else {
+                    next() % (1 << 32)
+                };
+                let mut used = Vec::new();
+                // A completely full first window (clipped to t) in a
+                // third of the trials, so the later windows are walked.
+                if trial % 3 == 0 {
+                    used.extend((0..t.min(64)).map(|d| base + d));
+                }
+                for _ in 0..next() % (2 * t + 3) {
+                    let c = match next() % 4 {
+                        // Below t in the block: these take colors.
+                        0 => base + next() % t,
+                        // In the block at local colors t..2t.
+                        1 => base + t + next() % t,
+                        // Below the block: wraps past t.
+                        2 => next() % base.max(1),
+                        // Above the block.
+                        _ => base + 2 * t + next() % 100,
+                    };
+                    used.push(c);
+                }
+                assert_eq!(
+                    windowed(&used, base, t),
+                    reference(&used, base, t),
+                    "t {t}, base {base}, used {used:?}"
+                );
+            }
+            // Every local color below t taken: nothing is free.
+            let all: Vec<u64> = (0..t).map(|d| 7 + d).collect();
+            assert_eq!(windowed(&all, 7, t), None);
+            // The first window full, the rest empty: the color is 64.
+            let first: Vec<u64> = (0..64).map(|d| 7 + d).collect();
+            assert_eq!(windowed(&first, 7, t), (t > 64).then_some(64));
         }
     }
 
