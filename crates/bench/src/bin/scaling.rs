@@ -63,12 +63,10 @@ use decolor_bench::{
 };
 use decolor_core::algorithms::Algorithm;
 use decolor_core::cd_coloring::{cd_coloring, CdParams};
-use decolor_core::linial::{
-    linial_coloring, linial_coloring_chunked, linial_coloring_chunked_checkpointed,
-};
+use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
 use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
-use decolor_graph::storage::{ShardedCsr, ShardedCsrBuilder};
+use decolor_graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{generators, Graph, Relabeling};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
@@ -107,28 +105,12 @@ fn rss_cell() -> String {
     peak_rss_mb().map_or_else(|| "-".into(), |mb| format!("{mb}"))
 }
 
-/// Scratch directory for one mmap workload; removed after the row.
-struct MmapDir(std::path::PathBuf);
-
-impl MmapDir {
-    /// Unique per call (pid + monotonic counter): concurrent scaling
-    /// processes — or repeated ladders in one process (`--threads`) —
-    /// never share or clobber a scratch directory, unlike the previous
-    /// fixed `{tag}-{n}` path that was `remove_dir_all`'d on entry.
-    fn new(tag: &str, n: usize) -> MmapDir {
-        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = Path::new("target")
-            .join("scaling-mmap")
-            .join(format!("{tag}-{n}-{}-{seq}", std::process::id()));
-        MmapDir(dir)
-    }
-}
-
-impl Drop for MmapDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// Scratch directory for one mmap workload, removed after the row: a
+/// fresh `{tag}-{n}-{pid}-{seq}` under `target/scaling-mmap`, so neither
+/// concurrent processes nor repeated ladders (`--threads`) share one.
+fn mmap_dir(tag: &str, n: usize) -> ScratchDir {
+    let root = Path::new("target").join("scaling-mmap");
+    ScratchDir::new(&root, &format!("{tag}-{n}"))
 }
 
 /// Streams the standard 8-regular workload into a sharded CSR. With
@@ -271,18 +253,14 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
             let stride = (u64::from(u32::MAX) / n as u64).min(1 << 16);
             let ids = IdAssignment::sparse(n, stride, 2);
             let (m, delta, lin, stats, secs) = if mmap {
-                let dir = MmapDir::new("linial", n);
-                let g = regular_workload_mmap(&dir.0, n, 8, 1, journal_every);
+                let dir = mmap_dir("linial", n);
+                let g = regular_workload_mmap(dir.path(), n, 8, 1, journal_every);
                 let started = Instant::now();
-                let (lin, stats) = if checkpoint {
-                    let ckpt = dir.0.join("linial.ckpt");
-                    let out = linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, None)
-                        .expect("linial succeeds");
-                    assert!(out.completed, "unbudgeted run always completes");
-                    (out.result, out.stats)
-                } else {
-                    linial_coloring_chunked(&g, &ids).expect("linial succeeds")
-                };
+                let ckpt = checkpoint.then(|| dir.path().join("linial.ckpt"));
+                let out = linial_coloring_chunked(&g, &ids, ckpt.as_deref(), None)
+                    .expect("linial succeeds");
+                assert!(out.completed, "unbudgeted run always completes");
+                let (lin, stats) = (out.result, out.stats);
                 let secs = started.elapsed().as_secs_f64();
                 // Properness of the full coloring is re-checked on the
                 // mmap CSR itself (one streaming endpoint pass).
@@ -326,9 +304,9 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
             let (coloring, stats, secs, m, delta) = if mmap {
                 // Star streams its top-level connector into the same
                 // scratch root — no in-RAM Graph on this path.
-                let dir = MmapDir::new(algo.name(), n);
-                let g = workload.mmap(&dir.0.join("input"), n, journal_every);
-                let (coloring, stats, secs) = timed(&algo, &g, Some(&dir.0));
+                let dir = mmap_dir(algo.name(), n);
+                let g = workload.mmap(&dir.path().join("input"), n, journal_every);
+                let (coloring, stats, secs) = timed(&algo, &g, Some(dir.path()));
                 assert!(coloring.is_proper(&g));
                 (
                     coloring,
@@ -382,11 +360,12 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 // sharded CSR, the canonical cover is computed off that
                 // view, and L(base) is streamed into a second sharded
                 // CSR — L(base) never exists as an in-RAM Graph.
-                let dir = MmapDir::new("cd", n);
-                let base = regular_workload_mmap(&dir.0.join("base"), base_n, 8, 1, journal_every);
+                let dir = mmap_dir("cd", n);
+                let base =
+                    regular_workload_mmap(&dir.path().join("base"), base_n, 8, 1, journal_every);
                 let cover = line_graph_cover(&base).expect("canonical line cover is well-formed");
                 let lg = {
-                    let mut b = ShardedCsrBuilder::create(dir.0.join("lg"), base.num_edges())
+                    let mut b = ShardedCsrBuilder::create(dir.path().join("lg"), base.num_edges())
                         .expect("scratch storage dir is writable");
                     line_graph_stream(&base, &mut b).expect("line edges are valid");
                     b.finish().expect("sharded CSR build succeeds")

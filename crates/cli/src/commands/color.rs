@@ -9,7 +9,7 @@ use decolor_baselines::randomized::randomized_edge_coloring;
 use decolor_core::algorithms::{Algorithm, Params};
 use decolor_core::verify;
 use decolor_graph::coloring::EdgeColoring;
-use decolor_graph::storage::ShardedCsr;
+use decolor_graph::storage::{ScratchDir, ShardedCsr};
 use decolor_graph::Graph;
 use decolor_runtime::NetworkStats;
 
@@ -62,7 +62,7 @@ pub fn run(parsed: &mut Parsed) -> Result<String, String> {
     let (coloring, stats, label) = match paper {
         None => run_baseline(&algo, &g)?,
         Some(paper) if mmap => {
-            let (c, s) = run_on_mmap(&paper, &g, &scratch_dir())?;
+            let (c, s) = run_on_mmap(&paper, &g, &std::env::temp_dir())?;
             (c, Some(s), format!("{} [mmap backend]", paper.label(delta)))
         }
         Some(paper) => {
@@ -113,34 +113,22 @@ pub fn run(parsed: &mut Parsed) -> Result<String, String> {
     Ok(out)
 }
 
-/// A fresh per-process scratch root for one mmap run.
-fn scratch_dir() -> std::path::PathBuf {
-    static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("decolor-cli-mmap-{}-{seq}", std::process::id()))
-}
-
 /// Runs a paper algorithm on the **out-of-core backend**: the graph is
-/// spilled to a sharded mmap CSR under `dir` and the view-generic
-/// pipeline runs on it unmodified (bit-identical to the ram backend —
-/// pinned by the core backend-equivalence tests). star and cd also
-/// stream their derived graphs under `dir`. The whole of `dir` is
-/// removed on success and error exits alike.
+/// spilled to a sharded mmap CSR in a fresh scratch directory under
+/// `root` and the view-generic pipeline runs on it unmodified
+/// (bit-identical to the ram backend — pinned by the core
+/// backend-equivalence tests). star and cd also stream their derived
+/// graphs under that directory. The whole directory is removed on
+/// success and error exits alike.
 fn run_on_mmap(
     algo: &Algorithm,
     g: &Graph,
-    dir: &Path,
+    root: &Path,
 ) -> Result<(EdgeColoring, NetworkStats), String> {
-    struct Cleanup<'a>(&'a Path);
-    impl Drop for Cleanup<'_> {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(self.0);
-        }
-    }
-    let _cleanup = Cleanup(dir);
-    let sc = ShardedCsr::from_graph(dir.join("input"), g)
+    let dir = ScratchDir::new(root, "decolor-cli-mmap");
+    let sc = ShardedCsr::from_graph(dir.path().join("input"), g)
         .map_err(|e| format!("cannot spill graph to mmap storage: {e}"))?;
-    algo.run(&sc, Some(dir)).map_err(|e| e.to_string())
+    algo.run(&sc, Some(dir.path())).map_err(|e| e.to_string())
 }
 
 fn run_baseline(
@@ -185,7 +173,7 @@ mod tests {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
         for algo in Algorithm::all() {
             let (ram, ram_stats) = algo.run(&g, None).unwrap();
-            let (mmap, mmap_stats) = run_on_mmap(&algo, &g, &scratch_dir()).unwrap();
+            let (mmap, mmap_stats) = run_on_mmap(&algo, &g, &std::env::temp_dir()).unwrap();
             assert_eq!(mmap.as_slice(), ram.as_slice(), "{algo} diverges");
             assert_eq!(mmap_stats, ram_stats, "{algo} ledger diverges");
         }
@@ -196,17 +184,16 @@ mod tests {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
         let root =
             std::env::temp_dir().join(format!("decolor-cli-scratch-test-{}", std::process::id()));
+        let left = || std::fs::read_dir(&root).map_or(0, Iterator::count);
         for algo in Algorithm::all() {
-            let dir = root.join(algo.name());
-            run_on_mmap(&algo, &g, &dir).unwrap();
-            assert!(!dir.exists(), "{algo}: scratch survived a success exit");
+            run_on_mmap(&algo, &g, &root).unwrap();
+            assert_eq!(left(), 0, "{algo}: scratch survived a success exit");
         }
         // q < 2 fails inside theorem52 *after* the graph was spilled (the
         // spec parser rejects it, so build the variant directly).
-        let dir = root.join("err");
         let bad = Algorithm::T52 { a: 2, q: 1.0 };
-        assert!(run_on_mmap(&bad, &g, &dir).is_err());
-        assert!(!dir.exists(), "scratch survived an error exit");
+        assert!(run_on_mmap(&bad, &g, &root).is_err());
+        assert_eq!(left(), 0, "scratch survived an error exit");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -86,13 +86,8 @@ impl Source {
                 (Source::Regular { n, d, seed }, n)
             }
             _ => {
-                let dim: u32 = p.require("dim")?;
-                if dim >= 48 {
-                    return Err(AlgoError::InvalidParameters {
-                        reason: "parameter `dim` is out of range".into(),
-                    });
-                }
-                (Source::Hypercube { dim }, 1usize << dim)
+                let dim = p.require("dim")?;
+                (Source::Hypercube { dim }, generators::hypercube_order(dim)?)
             }
         };
         p.finish()?;
@@ -218,6 +213,18 @@ mod tests {
             std::env::temp_dir().join(format!("decolor-cli-store-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir.display().to_string()
+    }
+
+    #[test]
+    fn hypercube_dimension_is_checked_before_the_store_is_created() {
+        for dim in [0, 21] {
+            let dir = scratch(&format!("hypercube-{dim}"));
+            let mut p = parse(&argv(&format!("store build hypercube:dim={dim} {dir}"))).unwrap();
+            let err = run(&mut p).unwrap_err();
+            let want = format!("hypercube dimension {dim} out of range 1..=20");
+            assert!(err.contains(&want), "{err}");
+            assert!(!std::path::Path::new(&dir).exists(), "dim={dim} left {dir}");
+        }
     }
 
     #[test]

@@ -35,12 +35,11 @@ use decolor_runtime::NetworkStats;
 
 use crate::analysis;
 use crate::arboricity::{corollary55, theorem52, theorem53, theorem54, Corollary55Params};
-use crate::cd_coloring::{cd_edge_coloring, cd_edge_coloring_spilled, CdParams};
+use crate::cd_coloring::{cd_edge_coloring, CdParams};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
-use crate::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
-};
+use crate::product::Paint;
+use crate::star_partition::{finish, run_stages, StarPartitionParams};
 
 fn invalid(reason: String) -> AlgoError {
     AlgoError::InvalidParameters { reason }
@@ -265,8 +264,8 @@ impl Algorithm {
 
     /// Runs the algorithm on `g`. With `scratch` set, star partition and
     /// CD-Coloring spill their derived graphs (the top-level edge
-    /// connector, the line graph) into subdirectories of it, which they
-    /// remove before returning; the other algorithms ignore it.
+    /// connector, the line graph) into fresh subdirectories of it, which
+    /// they remove before returning; the other algorithms ignore it.
     ///
     /// # Errors
     ///
@@ -281,20 +280,12 @@ impl Algorithm {
         let res = match *self {
             Algorithm::Star { x } => {
                 let params = StarPartitionParams::for_levels(g, x);
-                let res = match scratch {
-                    Some(dir) => {
-                        star_partition_edge_coloring_spilled(g, &params, &dir.join("conn"))?
-                    }
-                    None => star_partition_edge_coloring(g, &params)?,
-                };
+                let res = finish(g, &params, run_stages::<_, Paint>(g, &params, scratch)?)?;
                 return Ok((res.coloring, res.stats));
             }
             Algorithm::Cd { x } => {
                 let params = CdParams::for_levels(g.max_degree().max(2), x);
-                return match scratch {
-                    Some(dir) => cd_edge_coloring_spilled(g, &params, &dir.join("lg")),
-                    None => cd_edge_coloring(g, &params),
-                };
+                return cd_edge_coloring(g, &params, scratch);
             }
             Algorithm::T52 { a, q } => theorem52(g, a, q, cfg)?,
             Algorithm::T53 { a, q } => theorem53(g, a, q, cfg)?,

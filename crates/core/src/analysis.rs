@@ -55,11 +55,6 @@ pub fn table2_ours_time(diversity: u64, clique_size: u64, x: u32, n: u64) -> f64
         + f64::from(log_star(n))
 }
 
-/// Table 2, "previous results" color count: `(D^{x+1} + ε)·Δ`.
-pub fn table2_prev_colors(diversity: u64, delta: u64, x: u32, epsilon: f64) -> f64 {
-    (num::approx_u64(diversity.pow(x + 1)) + epsilon) * num::approx_u64(delta)
-}
-
 /// Table 2, "previous results" time shape: `x·D^x·Δ^{1/(x+2)} + log* n`.
 pub fn table2_prev_time(diversity: u64, delta: u64, x: u32, n: u64) -> f64 {
     f64::from(x)

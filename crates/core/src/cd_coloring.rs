@@ -19,15 +19,19 @@
 //! Per §3, Linial's O(Δ²)-coloring is computed **once** on the input
 //! graph; every recursive subroutine call is seeded with the inherited
 //! coloring instead of IDs, so the O(log* n) term is paid once.
+//!
+//! [`cd_edge_coloring`] is Theorem 3.3's edge coloring: CD-Coloring of
+//! the line graph, built in RAM or, given a scratch root, streamed to an
+//! on-disk CSR — one entry point for both backends.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use decolor_graph::cliques::CliqueCover;
-use decolor_graph::coloring::VertexColoring;
-use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
-use decolor_graph::storage::ShardedCsrBuilder;
+use decolor_graph::coloring::{EdgeColoring, VertexColoring};
+use decolor_graph::line_graph::{line_graph_cover, line_graph_edge_count_on, line_graph_stream};
+use decolor_graph::storage::{ScratchDir, ShardedCsrBuilder};
 use decolor_graph::subgraph::{GraphView, InducedSubgraphView, VertexSubsetView};
-use decolor_graph::{Graph, VertexId};
+use decolor_graph::{Graph, GraphBuilder, VertexId};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 
 use crate::analysis::optimal_t;
@@ -337,89 +341,48 @@ fn level_on<G: GraphView + Sync, L: Leaf>(
 /// (diversity 2, maximal clique size Δ). Charges one round for the
 /// line-graph simulation.
 ///
+/// The canonical cover is computed straight off `g` (O(2m) ids). L(g)
+/// (Θ(Σ deg²) edges) is built in RAM, or with `spill` set streamed to an
+/// on-disk CSR in a fresh directory under that root and colored off the
+/// mmap, so no in-RAM graph proportional to the line graph is ever
+/// built; the directory is removed on every exit. Both sinks receive the
+/// same line-edge stream, so decisions, palettes and [`NetworkStats`] are
+/// bit-identical, which the backend-equivalence tests pin.
+///
 /// # Errors
 ///
-/// Propagates [`cd_coloring`] errors.
+/// [`AlgoError::InvalidParameters`] if `g` has parallel edges; otherwise
+/// [`cd_coloring`] errors, plus [`AlgoError::Graph`] for scratch I/O
+/// failures.
 pub fn cd_edge_coloring<G: GraphView + Sync>(
     g: &G,
     params: &CdParams,
-) -> Result<(decolor_graph::coloring::EdgeColoring, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 {
-        return empty_edge_coloring();
-    }
-    let lg = LineGraph::from_view(g)?;
-    let ids = IdAssignment::sequential(lg.graph.num_vertices());
-    let result = cd_coloring(&lg.graph, &lg.cover, params, &ids)?;
-    let mut stats = result.stats;
-    stats.rounds += 1;
-    let ec = lg
-        .to_edge_coloring(&result.coloring)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    debug_assert!(ec.is_proper(g));
-    Ok((ec, stats))
-}
-
-fn empty_edge_coloring() -> Result<(decolor_graph::coloring::EdgeColoring, NetworkStats), AlgoError>
-{
-    let empty = decolor_graph::coloring::EdgeColoring::new(vec![], 1).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
-    Ok((empty, NetworkStats::default()))
-}
-
-/// Removes a scratch directory when dropped — covers every exit path of
-/// the spilled construction, success and error alike.
-struct ScratchDir(PathBuf);
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        // lint: allow(result, "best-effort scratch cleanup in Drop; a leftover dir is harmless")
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// [`cd_edge_coloring`] with the line graph **spilled to disk**: L(g) is
-/// streamed through [`ShardedCsrBuilder`] into `scratch_dir` and the
-/// CD-Coloring recursion runs off the mmap CSR, so no in-RAM graph
-/// proportional to the line graph (Θ(Σ deg²) edges) is ever
-/// materialized. The canonical cover is computed straight off the source
-/// view (O(2m) ids — proportional to the *source*). Decisions, palettes,
-/// and [`NetworkStats`] are bit-identical to [`cd_edge_coloring`] (same
-/// line-edge stream order), which the backend-equivalence tests pin. The
-/// scratch directory is removed before returning, on success and on
-/// error.
-///
-/// # Errors
-///
-/// As [`cd_edge_coloring`], plus [`AlgoError::Graph`] for
-/// scratch-directory I/O failures.
-pub fn cd_edge_coloring_spilled<G: GraphView + Sync>(
-    g: &G,
-    params: &CdParams,
-    scratch_dir: &Path,
-) -> Result<(decolor_graph::coloring::EdgeColoring, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 {
-        return empty_edge_coloring();
+    spill: Option<&Path>,
+) -> Result<(EdgeColoring, NetworkStats), AlgoError> {
+    let m = g.num_edges();
+    if m == 0 {
+        return Ok((EdgeColoring::new(vec![], 1)?, NetworkStats::default()));
     }
     if g.has_parallel_edges() {
         return Err(AlgoError::InvalidParameters {
             reason: "line graph requires a simple source graph".into(),
         });
     }
-    let _cleanup = ScratchDir(scratch_dir.to_path_buf());
-    let m = g.num_edges();
     let cover = line_graph_cover(g)?;
-    let lg = {
-        let mut b = ShardedCsrBuilder::create(scratch_dir, m)?;
-        line_graph_stream(g, &mut b)?;
-        b.finish()?
-    };
     let ids = IdAssignment::sequential(m);
-    let result = cd_coloring(&lg, &cover, params, &ids)?;
+    let result = match spill {
+        None => {
+            let mut b = GraphBuilder::new_multi(m).with_edge_capacity(line_graph_edge_count_on(g));
+            line_graph_stream(g, &mut b)?;
+            cd_coloring(&b.build_parallel(), &cover, params, &ids)?
+        }
+        Some(root) => {
+            let dir = ScratchDir::new(root, "lg");
+            let mut b = ShardedCsrBuilder::create(dir.path(), m)?;
+            line_graph_stream(g, &mut b)?;
+            cd_coloring(&b.finish()?, &cover, params, &ids)?
+        }
+    };
     let mut stats = result.stats;
     stats.rounds += 1;
     if result.coloring.len() != m {
@@ -430,12 +393,11 @@ pub fn cd_edge_coloring_spilled<G: GraphView + Sync>(
             ),
         });
     }
-    let ec = decolor_graph::coloring::EdgeColoring::new(
-        result.coloring.as_slice().to_vec(),
-        result.coloring.palette(),
-    )
-    .map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
+    let palette = result.coloring.palette();
+    let ec = EdgeColoring::new(result.coloring.into_inner(), palette).map_err(|e| {
+        AlgoError::InvariantViolated {
+            reason: e.to_string(),
+        }
     })?;
     debug_assert!(ec.is_proper(g));
     Ok((ec, stats))
@@ -486,6 +448,7 @@ mod tests {
     use super::*;
     use decolor_graph::cliques::cover_from_all_maximal_cliques;
     use decolor_graph::generators;
+    use decolor_graph::line_graph::LineGraph;
 
     #[test]
     fn line_graph_coloring_matches_table2_row1() {
@@ -554,9 +517,25 @@ mod tests {
     fn edge_coloring_wrapper() {
         let g = generators::gnm(80, 320, 4).unwrap();
         let params = CdParams::for_levels(g.max_degree(), 1);
-        let (ec, stats) = cd_edge_coloring(&g, &params).unwrap();
+        let (ec, stats) = cd_edge_coloring(&g, &params, None).unwrap();
         assert!(ec.is_proper(&g));
         assert!(stats.rounds > 0);
+    }
+
+    #[test]
+    fn edge_coloring_rejects_multigraphs_on_both_sinks() {
+        let mut b = GraphBuilder::new_multi(3);
+        for (u, v) in [(0, 1), (0, 1), (1, 2)] {
+            b.add_edge(u, v).unwrap();
+        }
+        let g = b.build();
+        let params = CdParams::default();
+        let dir = std::env::temp_dir().join(format!("decolor-cd-multi-{}", std::process::id()));
+        let ram = cd_edge_coloring(&g, &params, None).unwrap_err();
+        let spilled = cd_edge_coloring(&g, &params, Some(&dir)).unwrap_err();
+        assert!(matches!(ram, AlgoError::InvalidParameters { .. }), "{ram}");
+        assert_eq!(spilled, ram);
+        assert!(!dir.exists(), "scratch survived the error exit");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! the connector is a candidate labeling of `E(G)` directly — this is the
 //! "no line-graph simulation needed" point of §4.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use decolor_graph::storage::{ShardedCsr, ShardedCsrBuilder};
+use decolor_graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{num, EdgeId, EdgeSink, Graph, GraphBuilder, VertexId};
 
@@ -233,11 +233,13 @@ fn verify_connector_degree<V: GraphView>(conn: &V, t: usize) -> Result<(), AlgoE
 }
 
 /// An edge connector spilled to an on-disk [`ShardedCsr`] under a scratch
-/// directory. Dropping the wrapper removes the directory, so the spill
-/// lives exactly as long as the stage that colors it.
+/// directory. Dropping the wrapper unmaps the CSR and then removes the
+/// directory, so the spill lives exactly as long as the stage that
+/// colors it.
 pub struct SpilledConnector {
+    // Field order is drop order: the mapping goes before its directory.
     csr: ShardedCsr,
-    dir: PathBuf,
+    _dir: ScratchDir,
 }
 
 impl SpilledConnector {
@@ -247,21 +249,13 @@ impl SpilledConnector {
     }
 }
 
-impl Drop for SpilledConnector {
-    fn drop(&mut self) {
-        // Unlinking while the CSR is still mapped is fine on the target
-        // platforms; the mapping itself is released right after.
-        // lint: allow(result, "best-effort scratch cleanup in Drop; a leftover dir is harmless")
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
 /// [`edge_connector_graph_on`] streamed into a [`ShardedCsrBuilder`]
 /// instead of an in-RAM [`GraphBuilder`]: the connector never exists as an
 /// in-RAM graph, so the star partition's top-level stage runs out-of-core
 /// end to end. Identical edge-push order makes the spilled CSR's
 /// edge-space structure bit-identical to the in-RAM build, which the
-/// backend-equivalence tests pin.
+/// backend-equivalence tests pin. The CSR lives in a fresh
+/// [`ScratchDir`] under `root`, removed on every exit.
 ///
 /// # Errors
 ///
@@ -270,14 +264,15 @@ impl Drop for SpilledConnector {
 pub fn edge_connector_sharded_on<V: GraphView>(
     view: &V,
     t: usize,
-    dir: &Path,
+    root: &Path,
 ) -> Result<SpilledConnector, AlgoError> {
     let layout = ConnectorLayout::compute(view, t)?;
-    let mut b = ShardedCsrBuilder::create(dir, layout.num_virtuals)?;
+    let dir = ScratchDir::new(root, "conn");
+    let mut b = ShardedCsrBuilder::create(dir.path(), layout.num_virtuals)?;
     layout.stream_into(&mut b)?;
     let conn = SpilledConnector {
         csr: b.finish()?,
-        dir: dir.to_path_buf(),
+        _dir: dir,
     };
     verify_connector_degree(conn.csr(), t)?;
     Ok(conn)

@@ -14,6 +14,11 @@
 //! The initial coloring is either the distinct IDs (§1.1) or, per §3's
 //! optimization, an inherited proper coloring of a parent graph.
 //!
+//! [`linial_coloring_chunked`] is the same iteration without a
+//! [`Network`], on the worker pool and on either backend; given a
+//! checkpoint path it persists every round and resumes an interrupted
+//! run.
+//!
 //! Every algorithm of the paper calls one black box — Linial, then a color
 //! reduction ([`crate::reduction`]) — on vertices (CD-Coloring, bounded
 //! diversity) or on edges (star partition, §5: an edge coloring is a
@@ -527,33 +532,8 @@ pub fn linial_coloring<V: GraphView>(
     linial_from_coloring(net, &initial)
 }
 
-/// The **pooled realization** of [`linial_coloring`], without a
-/// [`Network`]: the same kernel, reading neighbor colors straight off the
-/// topology's CSR (in-memory `Graph` or out-of-core `ShardedCsr`), with
-/// each round's chunks fanned out on the worker pool. Peak algorithm state
-/// is 2n u64 words, which is what opens the `scaling` Linial row to
-/// n ≈ 10⁸.
-///
-/// A vertex's recoloring decision depends only on the previous round's
-/// colors, so the output is **bit-identical** at any `DECOLOR_THREADS`
-/// and bit-identical to [`linial_coloring`] — colorings, palette traces,
-/// round counts, and the returned [`NetworkStats`] (the ledger a
-/// broadcast charges: Σ deg(v) messages of 8 payload bytes each per
-/// round) — pinned by the backend-equivalence tests.
-///
-/// # Errors
-///
-/// As [`linial_coloring`].
-pub fn linial_coloring_chunked<V: GraphView + Sync>(
-    g: &V,
-    ids: &IdAssignment,
-) -> Result<(LinialResult, NetworkStats), AlgoError> {
-    let out = chunked_core(g, &initial_from_ids(g, ids)?, None, None)?;
-    Ok((out.result, out.stats))
-}
-
-/// Outcome of a (possibly checkpointed, possibly round-limited) chunked
-/// Linial run.
+/// Outcome of a (possibly checkpointed, possibly round-limited)
+/// [`linial_coloring_chunked`] run.
 #[derive(Clone, Debug)]
 pub struct ChunkedOutcome {
     /// The coloring + palette trace (partial if `!completed`: the state
@@ -568,40 +548,44 @@ pub struct ChunkedOutcome {
     pub resumed_at_round: Option<u64>,
 }
 
-/// [`linial_coloring_chunked`] with **durable round checkpoints**: after
-/// every completed round the full inter-round state is written atomically
-/// to `ckpt` (see [`crate::checkpoint`]), and a later call with the same
-/// inputs resumes from it — producing a coloring, trace, and ledger
-/// byte-identical to an uninterrupted run. On completion the checkpoint
-/// file is removed. `round_budget` bounds the rounds executed by *this*
-/// call (`None` = run to the fixed point); the crash-recovery suite and
-/// the CLI use it to model a kill between rounds.
+/// The **pooled realization** of [`linial_coloring`], without a
+/// [`Network`]: the same kernel, reading neighbor colors straight off the
+/// topology's CSR (in-memory `Graph` or out-of-core `ShardedCsr`), with
+/// each round's chunks fanned out on the worker pool. Peak algorithm state
+/// is 2n u64 words, which is what opens the `scaling` Linial row to
+/// n ≈ 10⁸.
+///
+/// A vertex's recoloring decision depends only on the previous round's
+/// colors, so the output is **bit-identical** at any `DECOLOR_THREADS`
+/// and bit-identical to [`linial_coloring`] — colorings, palette traces,
+/// round counts, and the returned [`NetworkStats`] (the ledger a
+/// broadcast charges: Σ deg(v) messages of 8 payload bytes each per
+/// round) — pinned by the backend-equivalence tests.
+///
+/// With `ckpt` set, every completed round writes the full inter-round
+/// state atomically to that file (see [`crate::checkpoint`]), and a later
+/// call with the same inputs resumes from it — producing a coloring,
+/// trace, and ledger byte-identical to an uninterrupted run. On
+/// completion the checkpoint file is removed. `round_budget` bounds the
+/// rounds executed by *this* call (`None` = run to the fixed point); the
+/// crash-recovery suite uses it to model a kill between rounds.
 ///
 /// # Errors
 ///
-/// As [`linial_coloring_chunked`], plus
+/// As [`linial_coloring`], plus
 /// [`GraphError::Corrupt`](decolor_graph::GraphError::Corrupt) (via
 /// [`AlgoError::Graph`]) for a torn checkpoint or one fingerprinted for
 /// different inputs.
-pub fn linial_coloring_chunked_checkpointed<V: GraphView + Sync>(
+pub fn linial_coloring_chunked<V: GraphView + Sync>(
     g: &V,
     ids: &IdAssignment,
-    ckpt: &std::path::Path,
-    round_budget: Option<u64>,
-) -> Result<ChunkedOutcome, AlgoError> {
-    chunked_core(g, &initial_from_ids(g, ids)?, Some(ckpt), round_budget)
-}
-
-/// The shared chunked-Linial engine behind both public entry points.
-fn chunked_core<V: GraphView + Sync>(
-    g: &V,
-    initial: &VertexColoring,
     ckpt: Option<&std::path::Path>,
     round_budget: Option<u64>,
 ) -> Result<ChunkedOutcome, AlgoError> {
     use crate::checkpoint::{input_fingerprint, RoundCheckpoint};
 
-    let mut st = LinialState::start(g, initial)?;
+    let initial = initial_from_ids(g, ids)?;
+    let mut st = LinialState::start(g, &initial)?;
     let n = num::to_u64(g.num_vertices());
     let delta = num::to_u64(g.max_degree());
     let mut resumed_at_round = None;
@@ -797,7 +781,8 @@ mod tests {
             let ids = IdAssignment::shuffled(n, seed ^ 7);
             let mut net = Network::new(&g);
             let reference = linial_coloring(&mut net, &ids).unwrap();
-            let (chunked, stats) = linial_coloring_chunked(&g, &ids).unwrap();
+            let out = linial_coloring_chunked(&g, &ids, None, None).unwrap();
+            let (chunked, stats) = (out.result, out.stats);
             assert_eq!(
                 chunked.coloring.as_slice(),
                 reference.coloring.as_slice(),
@@ -813,16 +798,16 @@ mod tests {
     fn chunked_is_thread_count_invariant() {
         let g = generators::random_regular(800, 6, 4).unwrap();
         let ids = IdAssignment::shuffled(800, 9);
-        let reference = rayon::with_num_threads(1, || linial_coloring_chunked(&g, &ids).unwrap());
+        let run = || linial_coloring_chunked(&g, &ids, None, None).unwrap();
+        let reference = rayon::with_num_threads(1, run);
         for threads in [2usize, 4] {
-            let parallel =
-                rayon::with_num_threads(threads, || linial_coloring_chunked(&g, &ids).unwrap());
+            let parallel = rayon::with_num_threads(threads, run);
             assert_eq!(
-                parallel.0.coloring.as_slice(),
-                reference.0.coloring.as_slice(),
+                parallel.result.coloring.as_slice(),
+                reference.result.coloring.as_slice(),
                 "divergence at {threads} threads"
             );
-            assert_eq!(parallel.1, reference.1);
+            assert_eq!(parallel.stats, reference.stats);
         }
     }
 
@@ -830,13 +815,14 @@ mod tests {
     fn chunked_handles_degenerate_graphs() {
         let g = decolor_graph::GraphBuilder::new(4).build();
         let ids = IdAssignment::sequential(4);
-        let (res, stats) = linial_coloring_chunked(&g, &ids).unwrap();
-        assert_eq!(res.coloring.palette(), 1);
-        assert_eq!(stats, decolor_runtime::NetworkStats::default());
+        let out = linial_coloring_chunked(&g, &ids, None, None).unwrap();
+        assert_eq!(out.result.coloring.palette(), 1);
+        assert_eq!(out.stats, decolor_runtime::NetworkStats::default());
 
         let empty = decolor_graph::GraphBuilder::new(0).build();
-        let (res, _) = linial_coloring_chunked(&empty, &IdAssignment::sequential(0)).unwrap();
-        assert!(res.coloring.is_empty());
+        let ids = IdAssignment::sequential(0);
+        let out = linial_coloring_chunked(&empty, &ids, None, None).unwrap();
+        assert!(out.result.coloring.is_empty());
     }
 
     #[test]
@@ -845,7 +831,8 @@ mod tests {
         // fixed point, so the iteration takes several real rounds.
         let g = generators::random_regular(3000, 4, 6).unwrap();
         let ids = IdAssignment::shuffled(3000, 3);
-        let (reference, ref_stats) = linial_coloring_chunked(&g, &ids).unwrap();
+        let straight = linial_coloring_chunked(&g, &ids, None, None).unwrap();
+        let (reference, ref_stats) = (straight.result, straight.stats);
         let dir = std::env::temp_dir().join(format!("decolor-linial-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("rounds.ckpt");
@@ -853,7 +840,7 @@ mod tests {
         let mut resumed_any = false;
         let mut last = None;
         for _ in 0..32 {
-            let out = linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, Some(1)).unwrap();
+            let out = linial_coloring_chunked(&g, &ids, Some(&ckpt), Some(1)).unwrap();
             resumed_any |= out.resumed_at_round.is_some();
             let done = out.completed;
             last = Some(out);
@@ -882,12 +869,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("decolor-linial-fpr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("rounds.ckpt");
-        let out = linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, Some(1)).unwrap();
+        let out = linial_coloring_chunked(&g, &ids, Some(&ckpt), Some(1)).unwrap();
         assert!(!out.completed);
         assert!(ckpt.exists());
         // Same graph, different id assignment: the fingerprint must trip.
         let other = IdAssignment::shuffled(2000, 2);
-        let err = linial_coloring_chunked_checkpointed(&g, &other, &ckpt, None).unwrap_err();
+        let err = linial_coloring_chunked(&g, &other, Some(&ckpt), None).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -16,6 +16,11 @@
 //! The same stages, run with the labelling leaf (`product::Label`) and
 //! no final coloring, build §4's star partition
 //! ([`crate::decomposition::star_partition`]).
+//!
+//! On the mmap backend, [`crate::algorithms::Algorithm::run`] hands its
+//! scratch root to the same stages, and the top-level connector — the
+//! one construction proportional to the input — streams to an on-disk
+//! CSR instead of an in-RAM graph; there is no second entry point.
 
 use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
@@ -119,39 +124,19 @@ pub fn star_partition_edge_coloring<G: GraphView + Sync>(
     finish(g, params, run_stages::<_, Paint>(g, params, None)?)
 }
 
-/// [`star_partition_edge_coloring`] with the **top-level connector spilled
-/// to disk**: the one construction of the star pipeline that is
-/// proportional to the input (the stage-one connector has exactly `m`
-/// edges) is streamed through
-/// [`ShardedCsrBuilder`](decolor_graph::storage::ShardedCsrBuilder) into `scratch_dir`
-/// and colored off the mmap CSR, so no in-RAM graph proportional to the
-/// input is ever materialized — the entry point the mmap backend uses.
-/// Recursion-level connectors are geometrically smaller (≤ m/(2t−1) edges
-/// per class) and stay in RAM.
-///
-/// Decisions, palettes, and [`NetworkStats`] are bit-identical to
-/// [`star_partition_edge_coloring`] (same connector edge-push order ⇒
-/// same edge-space structure), which the backend-equivalence tests pin.
-/// The scratch directory is created on entry and removed before
-/// returning, on success and on error.
-///
-/// # Errors
-///
-/// As [`star_partition_edge_coloring`], plus [`AlgoError::Graph`] for
-/// scratch-directory I/O failures.
-pub fn star_partition_edge_coloring_spilled<G: GraphView + Sync>(
-    g: &G,
-    params: &StarPartitionParams,
-    scratch_dir: &Path,
-) -> Result<StarPartitionResult, AlgoError> {
-    let staged = run_stages::<_, Paint>(g, params, Some(scratch_dir))?;
-    finish(g, params, staged)
-}
-
 /// The §4 stages over the whole of `g`, after the parameter check and
 /// the simple-graph check — what the coloring entry points run with
 /// [`Paint`] and [`crate::decomposition::star_partition`] runs with the
 /// labelling leaf.
+///
+/// `spill`: a scratch root for the top-level connector, the one
+/// construction proportional to the input (exactly `m` edges). With it
+/// set, that connector streams to an on-disk CSR in a fresh directory
+/// under the root, is colored off the mmap and is removed on every exit,
+/// so no in-RAM graph proportional to the input is ever built — the
+/// mmap backend of [`crate::algorithms::Algorithm::run`]. Decisions,
+/// palettes and [`NetworkStats`] are bit-identical either way (same
+/// connector edge-push order), which the backend-equivalence tests pin.
 pub(crate) fn run_stages<G: GraphView + Sync, L: Leaf>(
     g: &G,
     params: &StarPartitionParams,
@@ -208,7 +193,7 @@ pub fn star_partition_edge_coloring_on<R: GraphView + Sync>(
 /// Shared tail of every entry point: the §4 palette trim and validation.
 /// Generic over the topology, so a view pipeline trims through a
 /// [`Network`] over the borrowed view.
-fn finish<V: GraphView>(
+pub(crate) fn finish<V: GraphView>(
     g: &V,
     params: &StarPartitionParams,
     (mut colors, mut palette, mut stats): Colored,
@@ -247,10 +232,9 @@ fn finish<V: GraphView>(
 /// per-class `Graph` or line graph is ever materialized; each class view
 /// costs O(n + m_class) words plus m/64 bitset words.
 ///
-/// `spill`: scratch directory for the stage's connector. `Some` only at
-/// the top level of the spilled entry point — the stage-one connector is
-/// the single input-proportional construction; class connectors shrink
-/// geometrically and always build in RAM (`None` on recursion).
+/// `spill`: scratch root for the stage's connector. `Some` only at the
+/// top level (see [`run_stages`]); class connectors shrink geometrically
+/// (≤ m/(2t−1) edges per class) and always build in RAM.
 ///
 /// `L` is the leaf: [`Paint`] colors the last classes (and any class
 /// whose Δ ≤ t) directly with 2Δ − 1 colors; the labelling leaf runs all

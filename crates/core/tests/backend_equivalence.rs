@@ -8,9 +8,7 @@
 use decolor_core::algorithms::Algorithm;
 use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
-use decolor_core::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
-};
+use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
 use decolor_graph::line_graph::LineGraph;
 use decolor_graph::storage::ShardedCsr;
 use decolor_graph::{generators, Graph};
@@ -45,10 +43,11 @@ fn linial_mmap_and_chunked_match_ram_network() {
 
             // The chunked streaming realization over both backends.
             for (name, chunked) in [
-                ("ram", linial_coloring_chunked(&g, &ids).unwrap()),
-                ("mmap", linial_coloring_chunked(&sc, &ids).unwrap()),
+                ("ram", linial_coloring_chunked(&g, &ids, None, None)),
+                ("mmap", linial_coloring_chunked(&sc, &ids, None, None)),
             ] {
-                let (res, stats) = chunked;
+                let out = chunked.unwrap();
+                let (res, stats) = (out.result, out.stats);
                 assert_eq!(
                     res.coloring.as_slice(),
                     reference.coloring.as_slice(),
@@ -96,27 +95,25 @@ fn star_spilled_connector_matches_materialized() {
     let g = generators::random_regular(256, 16, 5).unwrap();
     let (sc, dir) = spill("star-spill", &g);
     let params = StarPartitionParams::for_levels(&g, 1);
+    let scratch = dir.with_extension("scratch");
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
             let ram = star_partition_edge_coloring(&g, &params).unwrap();
-            let scratch = std::env::temp_dir().join(format!(
-                "decolor-backend-starconn-{}-{threads}",
-                std::process::id()
-            ));
-            let spilled = star_partition_edge_coloring_spilled(&sc, &params, &scratch).unwrap();
+            let (spilled, stats) = Algorithm::Star { x: 1 }.run(&sc, Some(&scratch)).unwrap();
             assert_eq!(
-                spilled.coloring.as_slice(),
+                spilled.as_slice(),
                 ram.coloring.as_slice(),
                 "spilled star coloring diverges at {threads} threads"
             );
-            assert_eq!(spilled.coloring.palette(), ram.coloring.palette());
-            assert_eq!(spilled.untrimmed_palette, ram.untrimmed_palette);
-            assert_eq!(spilled.stats, ram.stats, "spilled star ledger diverges");
-            assert!(!scratch.exists(), "connector scratch survived");
+            assert_eq!(spilled.palette(), ram.coloring.palette());
+            assert_eq!(stats, ram.stats, "spilled star ledger diverges");
+            let left = std::fs::read_dir(&scratch).map_or(0, Iterator::count);
+            assert_eq!(left, 0, "connector scratch survived");
         });
     }
     drop(sc);
     std::fs::remove_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Every paper algorithm through the [`Algorithm`] table: the mmap root

@@ -142,7 +142,8 @@ fn kernel_lines(name: &str, g: &Graph) -> Vec<String> {
         net.stats(),
         trace,
     ));
-    let (lin, stats) = linial_coloring_chunked(g, &ids).unwrap();
+    let out = linial_coloring_chunked(g, &ids, None, None).unwrap();
+    let (lin, stats) = (out.result, out.stats);
     let c = &lin.coloring;
     let trace = &lin.palette_trace;
     lines.push(digest_line(

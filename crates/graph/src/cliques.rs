@@ -282,21 +282,6 @@ impl CliqueCover {
         }
         Self::from_valid(n, clique_offsets, members)
     }
-
-    /// The trivial cover of an edgeless-or-not graph by one clique per edge
-    /// plus one singleton per isolated vertex. Diversity = Δ in the worst
-    /// case — only useful as a fallback or in tests.
-    pub fn per_edge(g: &Graph) -> CliqueCover {
-        let mut members: Vec<VertexId> = g.edge_list().flat_map(|(_, ends)| ends).collect();
-        let mut clique_offsets: Vec<usize> = (0..=g.num_edges()).map(|e| 2 * e).collect();
-        for v in g.vertices() {
-            if g.degree(v) == 0 {
-                members.push(v);
-                clique_offsets.push(members.len());
-            }
-        }
-        Self::from_valid(g.num_vertices(), clique_offsets, members)
-    }
 }
 
 /// Why clique `qi` is structurally malformed, if it is: empty, repeating
@@ -598,14 +583,6 @@ mod tests {
         let cover = cover_from_all_maximal_cliques(&g).unwrap();
         cover.validate(&g).unwrap();
         assert_eq!(cover.diversity(), 2);
-    }
-
-    #[test]
-    fn per_edge_cover_covers_everything() {
-        let g = bowtie();
-        let cover = CliqueCover::per_edge(&g);
-        cover.validate(&g).unwrap();
-        assert_eq!(cover.diversity(), 4); // vertex 2 has degree 4
     }
 
     #[test]

@@ -757,6 +757,21 @@ pub fn random_uniform_hypergraph(
     Hypergraph::new(n, edges)
 }
 
+/// The vertex count 2^dim of the hypercube Q_dim — the one place the
+/// hypercube generators' dimension range is checked.
+///
+/// # Errors
+///
+/// [`GraphError::InvalidParameters`] if `dim == 0` or `dim > 20`.
+pub fn hypercube_order(dim: u32) -> Result<usize, GraphError> {
+    if dim == 0 || dim > 20 {
+        return Err(GraphError::InvalidParameters {
+            reason: format!("hypercube dimension {dim} out of range 1..=20"),
+        });
+    }
+    Ok(1usize << dim)
+}
+
 /// Hypercube graph Q_dim: vertices are bit strings of length `dim`,
 /// edges between strings at Hamming distance 1. `dim`-regular, vertex- and
 /// edge-transitive — a classic symmetric-network stress test for
@@ -766,12 +781,7 @@ pub fn random_uniform_hypergraph(
 ///
 /// [`GraphError::InvalidParameters`] if `dim == 0` or `dim > 20`.
 pub fn hypercube(dim: u32) -> Result<Graph, GraphError> {
-    let n = 1usize
-        .checked_shl(dim)
-        .filter(|_| (1..=20).contains(&dim))
-        .ok_or_else(|| GraphError::InvalidParameters {
-            reason: format!("hypercube dimension {dim} out of range 1..=20"),
-        })?;
+    let n = hypercube_order(dim)?;
     let mut sink = CollectSink {
         edges: Vec::with_capacity(n * num::usize_from(dim) / 2),
     };
@@ -786,12 +796,7 @@ pub fn hypercube(dim: u32) -> Result<Graph, GraphError> {
 ///
 /// As [`hypercube`], plus sink errors.
 pub fn hypercube_stream(dim: u32, sink: &mut impl EdgeSink) -> Result<(), GraphError> {
-    if dim == 0 || dim > 20 {
-        return Err(GraphError::InvalidParameters {
-            reason: format!("hypercube dimension {dim} out of range 1..=20"),
-        });
-    }
-    let n = 1usize << dim;
+    let n = hypercube_order(dim)?;
     for v in 0..n {
         for bit in 0..dim {
             let u = v ^ (1 << bit);

@@ -17,7 +17,7 @@ use crate::subgraph::GraphView;
 /// The line graph of a [`Graph`] with its canonical clique cover.
 ///
 /// Line-graph vertex `i` corresponds to edge `EdgeId(i)` of the source
-/// graph; [`LineGraph::source_edge`] / [`LineGraph::line_vertex`] convert.
+/// graph; [`LineGraph::line_vertex`] converts.
 ///
 /// ```rust
 /// use decolor_graph::{builder_from_edges, line_graph::LineGraph};
@@ -77,12 +77,6 @@ impl LineGraph {
         let graph = b.build_parallel();
         let cover = line_graph_cover(g)?;
         Ok(LineGraph { graph, cover })
-    }
-
-    /// The source edge corresponding to line-graph vertex `v`.
-    #[inline]
-    pub fn source_edge(&self, v: VertexId) -> EdgeId {
-        EdgeId::new(v.index())
     }
 
     /// The line-graph vertex corresponding to source edge `e`.

@@ -155,17 +155,6 @@ impl Orientation {
         out
     }
 
-    /// Incoming edges of `v` (in port order).
-    pub fn in_edges<V: GraphView>(&self, g: &V, v: VertexId) -> Vec<EdgeId> {
-        let mut ins = Vec::new();
-        g.for_each_incident_edge(v, |e| {
-            if !self.points_out_of(g, e, v) {
-                ins.push(e);
-            }
-        });
-        ins
-    }
-
     /// `true` iff the oriented graph has no directed cycle (Kahn's
     /// algorithm).
     pub fn is_acyclic<V: GraphView>(&self, g: &V) -> bool {
@@ -248,7 +237,7 @@ mod tests {
         let o = Orientation::toward_higher_id(&g);
         for v in g.vertices() {
             let outs = o.out_edges(&g, v).len();
-            let ins = o.in_edges(&g, v).len();
+            let ins = g.incident_edges(v).filter(|&e| o.head(e) == v).count();
             assert_eq!(outs + ins, g.degree(v));
         }
     }

@@ -211,30 +211,6 @@ pub fn is_forest(g: &Graph) -> bool {
     g.num_edges() == n - components
 }
 
-/// Connected components: returns `(component id per vertex, count)`.
-pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
-    let n = g.num_vertices();
-    let mut comp = vec![usize::MAX; n];
-    let mut count = 0usize;
-    for s in 0..n {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![VertexId::new(s)];
-        comp[s] = count;
-        while let Some(v) = stack.pop() {
-            for u in g.neighbors(v) {
-                if comp[u.index()] == usize::MAX {
-                    comp[u.index()] = count;
-                    stack.push(u);
-                }
-            }
-        }
-        count += 1;
-    }
-    (comp, count)
-}
-
 /// Eccentricity of `v`: the BFS distance to the farthest vertex in its
 /// component.
 pub fn eccentricity(g: &Graph, v: VertexId) -> usize {
@@ -369,17 +345,6 @@ mod tests {
         assert_eq!(arboricity_lower_bound(&g), 0);
         assert!(is_connected(&g));
         assert!(is_forest(&g));
-    }
-
-    #[test]
-    fn components_of_disjoint_pieces() {
-        let g = builder_from_edges(5, &[(0, 1), (2, 3)]).unwrap();
-        let (comp, count) = connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[4], comp[0]);
     }
 
     #[test]

@@ -78,16 +78,15 @@ fn barrier(faults: Option<&FaultPlan>, label: &str) -> Result<(), GraphError> {
 /// A read-only sharded mmap-backed CSR graph (see the module docs).
 ///
 /// ```rust
-/// use decolor_graph::storage::ShardedCsr;
+/// use decolor_graph::storage::{ScratchDir, ShardedCsr};
 /// use decolor_graph::subgraph::GraphView;
 /// let g = decolor_graph::generators::gnm(100, 400, 7).unwrap();
-/// let dir = std::env::temp_dir().join(format!("decolor-csr-doc-{}", std::process::id()));
-/// let sc = ShardedCsr::from_graph(&dir, &g).unwrap();
+/// // Declared first, so it drops (and removes the files) after `sc`.
+/// let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-csr-doc");
+/// let sc = ShardedCsr::from_graph(dir.path(), &g).unwrap();
 /// assert_eq!(sc.num_edges(), 400);
 /// assert_eq!(GraphView::max_degree(&sc), g.max_degree());
 /// sc.verify().unwrap();
-/// # drop(sc);
-/// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
 pub struct ShardedCsr {

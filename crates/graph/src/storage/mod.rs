@@ -55,12 +55,14 @@ mod csr;
 mod fault;
 mod journal;
 mod manifest;
+mod scratch;
 
 pub use checksum::{crc32, Crc32};
 pub use csr::{BuildOptions, ShardedCsr, ShardedCsrBuilder, DEFAULT_SHARD_BITS};
 pub use fault::{FaultKind, FaultPlan};
 pub use journal::{read_file, write_file_durable, write_file_durable_with, BuildJournal};
 pub use manifest::{FileRecord, Manifest, FORMAT_VERSION};
+pub use scratch::ScratchDir;
 
 use std::path::Path;
 

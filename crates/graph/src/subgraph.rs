@@ -211,36 +211,6 @@ impl SpanningEdgeSubgraph {
     pub fn to_parent_edge(&self, local: EdgeId) -> EdgeId {
         self.to_parent_edge[local.index()]
     }
-
-    /// Lifts per-local-edge values into a parent-sized vector.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::ValidationFailed`] on length mismatch.
-    pub fn scatter_edge_values<T: Copy>(
-        &self,
-        values: &[T],
-        out: &mut [T],
-    ) -> Result<(), GraphError> {
-        if values.len() != self.graph.num_edges() {
-            return Err(GraphError::ValidationFailed {
-                reason: format!(
-                    "expected {} local values, got {}",
-                    self.graph.num_edges(),
-                    values.len()
-                ),
-            });
-        }
-        for (local, &parent) in self.to_parent_edge.iter().enumerate() {
-            if parent.index() >= out.len() {
-                return Err(GraphError::ValidationFailed {
-                    reason: format!("parent edge {parent} out of range for output"),
-                });
-            }
-            out[parent.index()] = values[local];
-        }
-        Ok(())
-    }
 }
 
 /// A bitset over `0..domain` with per-word prefix popcounts, giving O(1)
@@ -580,12 +550,6 @@ impl<'g, P: GraphView> EdgeSubgraphView<'g, P> {
     #[inline]
     pub fn parent(&self) -> &'g P {
         self.parent
-    }
-
-    /// The active edges, ascending (position = local id).
-    #[inline]
-    pub fn parent_edges(&self) -> &[EdgeId] {
-        &self.edges
     }
 
     /// Whether parent edge `e` is active.
@@ -1001,15 +965,6 @@ mod tests {
         assert_eq!(s.graph().num_vertices(), 4);
         assert_eq!(s.graph().degree(VertexId::new(0)), 0);
         assert_eq!(s.graph().degree(VertexId::new(1)), 1);
-    }
-
-    #[test]
-    fn scatter_edge_values_roundtrip() {
-        let g = p4();
-        let s = SpanningEdgeSubgraph::new(&g, &[EdgeId::new(2), EdgeId::new(0)]);
-        let mut out = vec![0u32; 3];
-        s.scatter_edge_values(&[5, 6], &mut out).unwrap();
-        assert_eq!(out, vec![6, 0, 5]);
     }
 
     /// Asserts that `view` serves exactly the degrees, incidence and port

@@ -36,4 +36,20 @@ cargo test -q -p decolor-cli
 cargo run -q -p decolor-cli -- --help >/dev/null
 cargo run -q -p decolor-cli -- --version
 
+echo "==> CLI mmap backend leaves no scratch behind"
+# star and cd stream their derived graphs (edge connector, line graph)
+# into scratch under the temp dir; every run must remove it.
+mmap_tmp=$(mktemp -d)
+for algo in star:x=1 cd:x=1; do
+    TMPDIR="$mmap_tmp" target/debug/decolor color "$algo" regular:n=64,d=8 \
+        --backend mmap --verify >/dev/null
+done
+if [[ -n "$(ls -A "$mmap_tmp")" ]]; then
+    echo "mmap scratch left behind in $mmap_tmp:"
+    ls -A "$mmap_tmp"
+    exit 1
+fi
+rmdir "$mmap_tmp"
+echo "    star and cd on --backend mmap removed their scratch"
+
 echo "build surface OK"

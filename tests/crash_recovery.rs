@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use decolor::core::linial::{linial_coloring_chunked, linial_coloring_chunked_checkpointed};
+use decolor::core::linial::linial_coloring_chunked;
 use decolor::core::AlgoError;
 use decolor::graph::storage::{BuildOptions, FaultPlan, ShardedCsr, ShardedCsrBuilder};
 use decolor::graph::{generators, GraphError};
@@ -262,13 +262,14 @@ fn checkpointed_linial_survives_kills_between_every_round() {
     std::fs::create_dir_all(&dir).unwrap();
     let g = generators::grid(60, 50).unwrap();
     let ids = IdAssignment::shuffled(3000, 7);
-    let (straight, straight_stats) = linial_coloring_chunked(&g, &ids).unwrap();
+    let straight = linial_coloring_chunked(&g, &ids, None, None).unwrap();
+    let (straight, straight_stats) = (straight.result, straight.stats);
 
     let ckpt = dir.join("round.ckpt");
     let mut last = None;
     let mut resumes = 0u32;
     for _ in 0..200 {
-        let out = linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, Some(1)).unwrap();
+        let out = linial_coloring_chunked(&g, &ids, Some(&ckpt), Some(1)).unwrap();
         if out.resumed_at_round.is_some() {
             resumes += 1;
         }
@@ -297,7 +298,7 @@ fn damaged_or_foreign_checkpoints_are_rejected() {
     let ckpt = dir.join("round.ckpt");
 
     // Leave a valid mid-run checkpoint behind.
-    let out = linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, Some(1)).unwrap();
+    let out = linial_coloring_chunked(&g, &ids, Some(&ckpt), Some(1)).unwrap();
     assert!(!out.completed && ckpt.exists());
 
     // Bit-rot it: the resume must fail typed, not resume wrong state.
@@ -305,7 +306,7 @@ fn damaged_or_foreign_checkpoints_are_rejected() {
     let mut bad = good.clone();
     bad[good.len() / 2] ^= 0x20;
     std::fs::write(&ckpt, &bad).unwrap();
-    match linial_coloring_chunked_checkpointed(&g, &ids, &ckpt, None) {
+    match linial_coloring_chunked(&g, &ids, Some(&ckpt), None) {
         Err(AlgoError::Graph(GraphError::Corrupt { .. })) => {}
         other => panic!("rotted checkpoint accepted: {other:?}"),
     }
@@ -313,7 +314,7 @@ fn damaged_or_foreign_checkpoints_are_rejected() {
     // Restore it but change the run's inputs: fingerprint mismatch.
     std::fs::write(&ckpt, &good).unwrap();
     let other_ids = IdAssignment::shuffled(3000, 4);
-    match linial_coloring_chunked_checkpointed(&g, &other_ids, &ckpt, None) {
+    match linial_coloring_chunked(&g, &other_ids, Some(&ckpt), None) {
         Err(AlgoError::Graph(GraphError::Corrupt { .. })) => {}
         other => panic!("foreign checkpoint accepted: {other:?}"),
     }
@@ -342,7 +343,8 @@ fn million_vertex_resumed_run_is_byte_identical() {
     generators::grid_stream(rows, cols, &mut b).unwrap();
     let sc_ref = b.finish().unwrap();
     let ids = IdAssignment::sparse(n, 4, 1);
-    let (straight, straight_stats) = linial_coloring_chunked(&sc_ref, &ids).unwrap();
+    let straight = linial_coloring_chunked(&sc_ref, &ids, None, None).unwrap();
+    let (straight, straight_stats) = (straight.result, straight.stats);
     let want = dir_bytes(&ref_dir);
 
     // Interrupted store: kill the builder deep into the spool (fault
@@ -364,9 +366,9 @@ fn million_vertex_resumed_run_is_byte_identical() {
 
     // Interrupted algorithm: one round, kill, resume to completion.
     let ckpt = dir.join("linial.ckpt");
-    let first = linial_coloring_chunked_checkpointed(&sc, &ids, &ckpt, Some(1)).unwrap();
+    let first = linial_coloring_chunked(&sc, &ids, Some(&ckpt), Some(1)).unwrap();
     assert!(!first.completed, "round budget stops after round 1");
-    let out = linial_coloring_chunked_checkpointed(&sc, &ids, &ckpt, None).unwrap();
+    let out = linial_coloring_chunked(&sc, &ids, Some(&ckpt), None).unwrap();
     assert!(out.completed && out.resumed_at_round == Some(1));
     assert_eq!(out.result.coloring, straight.coloring, "coloring diverges");
     assert_eq!(out.result.palette_trace, straight.palette_trace);

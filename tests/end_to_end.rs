@@ -21,7 +21,8 @@ fn every_edge_coloring_algorithm_agrees_on_properness() {
     assert!(star.coloring.is_proper(&g));
     assert!(star.coloring.palette() <= 4 * delta);
 
-    let (cd, _) = cd_edge_coloring(&g, &CdParams::for_levels(g.max_degree(), 1)).unwrap();
+    let params = CdParams::for_levels(g.max_degree(), 1);
+    let (cd, _) = cd_edge_coloring(&g, &params, None).unwrap();
     assert!(cd.is_proper(&g));
 
     let (base, _) = two_delta_minus_one_edge_coloring(&g).unwrap();
