@@ -33,9 +33,7 @@ pub fn randomized_edge_coloring(
     let delta = num::to_u64(g.max_degree());
     let m = g.num_edges();
     if m == 0 {
-        let empty = EdgeColoring::new(vec![], 1).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
+        let empty = EdgeColoring::new(vec![], 1).map_err(AlgoError::invariant)?;
         return Ok((empty, NetworkStats::default()));
     }
     let needed = 2 * delta - 1;
@@ -109,12 +107,8 @@ pub fn randomized_edge_coloring(
         // lint: allow(panic, "loop exits only when all edges are colored")
         .map(|c| c.expect("loop exits only when all edges are colored"))
         .collect();
-    let ec = EdgeColoring::new(out, palette).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
-    ec.validate(g).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
+    let ec = EdgeColoring::new(out, palette).map_err(AlgoError::invariant)?;
+    ec.validate(g).map_err(AlgoError::invariant)?;
     Ok((ec, net.stats()))
 }
 

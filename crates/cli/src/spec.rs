@@ -73,6 +73,7 @@ fn generate(family: &str, params: &str) -> Result<Graph, AlgoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decolor_graph::storage::ScratchDir;
 
     #[test]
     fn builds_each_family() {
@@ -117,9 +118,9 @@ mod tests {
     #[test]
     fn dimacs_spec_roundtrip() {
         let g = generators::cycle(6).unwrap();
-        let dir = std::env::temp_dir().join("decolor-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.col");
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-cli-test");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let path = dir.path().join("g.col");
         std::fs::write(&path, decolor_graph::io::to_dimacs(&g)).unwrap();
         let loaded = build_graph(&format!("dimacs:{}", path.display())).unwrap();
         assert_eq!(loaded, g);
@@ -129,9 +130,9 @@ mod tests {
     fn file_roundtrip() {
         let g = generators::cycle(5).unwrap();
         let data = decolor_graph::io::GraphData::from_graph(&g);
-        let dir = std::env::temp_dir().join("decolor-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.json");
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-cli-test");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let path = dir.path().join("g.json");
         std::fs::write(&path, serde_json::to_string(&data).unwrap()).unwrap();
         let loaded = build_graph(&format!("file:{}", path.display())).unwrap();
         assert_eq!(loaded, g);

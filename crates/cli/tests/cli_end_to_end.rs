@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use decolor_graph::storage::ScratchDir;
+
 fn decolor(args: &[&str]) -> (bool, String, String) {
     let exe = env!("CARGO_BIN_EXE_decolor");
     let out = Command::new(exe).args(args).output().expect("binary runs");
@@ -22,8 +24,9 @@ fn help_lists_commands() {
 
 #[test]
 fn generate_analyze_color_pipeline() {
-    let dir = std::env::temp_dir().join("decolor-cli-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = ScratchDir::new(&std::env::temp_dir(), "decolor-cli-e2e");
+    let dir = scratch.path();
+    std::fs::create_dir_all(dir).unwrap();
     let json = dir.join("g.json");
     let json_s = json.to_string_lossy().into_owned();
 

@@ -456,6 +456,16 @@ mod tests {
     }
 
     #[test]
+    fn palette_bounds_match_pinned_values() {
+        let bounds: Vec<u64> = Algorithm::all()
+            .iter()
+            .map(|algo| algo.palette_bound(64))
+            .collect();
+        // star, cd, t52, t53, t54, c55 with their default parameters.
+        assert_eq!(bounds, [256, 225, 69, 693, 392, 392]);
+    }
+
+    #[test]
     fn every_algorithm_runs_within_its_palette_bound() {
         let g = generators::forest_union(150, 2, 8, 4).unwrap();
         for algo in Algorithm::all() {

@@ -170,6 +170,18 @@ mod tests {
     }
 
     #[test]
+    fn section5_palettes_match_pinned_values() {
+        // d = ⌈2·4⌉ = 8: 4d + 1 is the larger term at Δ = 10, Δ + d at
+        // Δ = 100.
+        assert_eq!(theorem52_palette(10, 4, 2.0), 33);
+        assert_eq!(theorem52_palette(100, 4, 2.0), 108);
+        assert_eq!(theorem53_palette(100, 4, 2.0), 625);
+        assert_eq!(theorem53_palette(64, 2, 2.5), 693);
+        assert_eq!(theorem54_palette(100, 4, 2.0, 2), 256);
+        assert_eq!(theorem54_palette(64, 2, 2.5, 3), 729);
+    }
+
+    #[test]
     fn improvement_is_almost_quadratic_in_exponent() {
         // 1/(2x+2) vs 1/(x+2): for large Δ and x = 1, Δ^{1/4} ≪ Δ^{1/3}.
         let delta = 1u64 << 40;

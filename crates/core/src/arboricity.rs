@@ -32,13 +32,14 @@ use decolor_graph::{EdgeId, VertexId};
 use decolor_runtime::{Network, NetworkStats};
 
 use crate::connectors::orientation::{bipartite_orientation_connector_on, orientation_connector};
-use crate::crossing_merge::{one_sided_edge_coloring, CrossingStages};
+use crate::crossing_merge::{all_colored, one_sided_edge_coloring, CrossingStages};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
 use crate::h_partition::h_partition;
-use crate::product::color_classes;
+use crate::product::{color_classes, Colored};
 use crate::star_partition::{star_partition_edge_coloring_on, StarPartitionParams};
 use crate::util::integer_root_ceil;
+use crate::verify::certified;
 use decolor_graph::num;
 
 /// The paper's â = ⌈q·a⌉ degree bound for the H-partition, clamped to
@@ -71,13 +72,14 @@ pub struct ArboricityColoring {
     pub stats: NetworkStats,
 }
 
-fn empty_coloring() -> Result<ArboricityColoring, AlgoError> {
-    let coloring = EdgeColoring::new(vec![], 1).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
+/// Every Section 5 exit: `colors` [`certified`] on `g`, with its ledger.
+fn finish<G: GraphView>(
+    g: &G,
+    (colors, palette, stats): Colored,
+) -> Result<ArboricityColoring, AlgoError> {
     Ok(ArboricityColoring {
-        coloring,
-        stats: NetworkStats::default(),
+        coloring: certified(g, colors, palette)?,
+        stats,
     })
 }
 
@@ -146,7 +148,7 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
     if view.num_edges() == 0 {
-        return empty_coloring();
+        return finish(view, (vec![], 1, NetworkStats::default()));
     }
     let d = a_hat(q, a)?;
     if intra_levels == 0 {
@@ -194,7 +196,7 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     let mut intra_palette = 1u64;
     if !same.is_empty() {
         let intra_parent: Vec<EdgeId> = same.iter().map(|&e| view.to_parent_edge(e)).collect();
-        let intra = EdgeSubgraphView::new(root, intra_parent).map_err(AlgoError::bad_view)?;
+        let intra = EdgeSubgraphView::new(root, intra_parent).map_err(AlgoError::invariant)?;
         debug_assert!(GraphView::max_degree(&intra) <= d);
         let star = star_partition_edge_coloring_on(
             root,
@@ -228,25 +230,7 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
         }
     }
     stats = stats.then(net.stats());
-
-    let colors: Vec<Color> = edge_colors
-        .into_iter()
-        .map(|c| {
-            c.ok_or_else(|| AlgoError::InvariantViolated {
-                reason: "edge left uncolored".into(),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(view)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
+    finish(view, (all_colored(edge_colors)?, palette, stats))
 }
 
 /// **Theorem 5.3**: for `a = o(Δ)`, a (Δ + O(√(Δa)) + O(a))-edge-coloring
@@ -265,7 +249,7 @@ pub fn theorem53<G: GraphView + Sync>(
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
     if g.num_edges() == 0 {
-        return empty_coloring();
+        return finish(g, (vec![], 1, NetworkStats::default()));
     }
     let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
@@ -308,7 +292,7 @@ fn combine_classes_on<G: GraphView + Sync>(
     stats: NetworkStats,
 ) -> Result<ArboricityColoring, AlgoError> {
     let (out, inner, children) = color_classes(g.num_edges(), &phi.classes(), |class| {
-        let view = EdgeSubgraphView::new(g, class.to_vec()).map_err(AlgoError::bad_view)?;
+        let view = EdgeSubgraphView::new(g, class.to_vec()).map_err(AlgoError::invariant)?;
         let a_sub = max_out_degree(g, class.iter().map(|&e| (e, orient.head(e)))).max(1);
         let psi = theorem52_on(g, &view, a_sub, q, 1, cfg)?;
         Ok((
@@ -317,18 +301,7 @@ fn combine_classes_on<G: GraphView + Sync>(
             psi.stats,
         ))
     })?;
-    let stats = stats.then(children);
-    let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
+    finish(g, (out, phi.palette() * inner, stats.then(children)))
 }
 
 /// **Theorem 5.4**: a ((Δ^{1/x} + â^{1/x} + 3)^x)-edge-coloring in
@@ -358,7 +331,7 @@ pub fn theorem54<G: GraphView + Sync>(
         });
     }
     if g.num_edges() == 0 {
-        return empty_coloring();
+        return finish(g, (vec![], 1, NetworkStats::default()));
     }
     let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
@@ -385,19 +358,7 @@ pub fn theorem54<G: GraphView + Sync>(
         .map(|e| orient.head(EdgeId::new(e)))
         .collect();
     let (colors, palette, level_stats) = t54_level_on(g, g, &heads, &ctx, x)?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring {
-        coloring,
-        stats: stats.then(level_stats),
-    })
+    finish(g, (colors, palette, stats.then(level_stats)))
 }
 
 /// Level-invariant parameters of the Theorem 5.4 recursion.
@@ -445,7 +406,7 @@ fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
 
     let (out, inner, children) = color_classes(view.num_edges(), &phi.classes(), |class| {
         let parent_ids: Vec<EdgeId> = class.iter().map(|&e| view.to_parent_edge(e)).collect();
-        let child = EdgeSubgraphView::new(root, parent_ids).map_err(AlgoError::bad_view)?;
+        let child = EdgeSubgraphView::new(root, parent_ids).map_err(AlgoError::invariant)?;
         let child_heads: Vec<VertexId> = class.iter().map(|&e| heads[e.index()]).collect();
         t54_level_on(root, &child, &child_heads, ctx, levels - 1)
     })?;

@@ -40,6 +40,7 @@ use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig}
 use crate::error::AlgoError;
 use crate::linial;
 use crate::product::{color_classes, Colored, Leaf, Paint};
+use crate::verify::certified;
 use decolor_graph::num;
 
 /// Parameters of CD-Coloring.
@@ -162,7 +163,7 @@ pub(crate) fn run_levels<G: GraphView + Sync, L: Leaf>(
     let base_stats = net.stats();
 
     let all: Vec<VertexId> = (0..g.num_vertices()).map(VertexId::new).collect();
-    let full = VertexSubsetView::new(g, all).map_err(AlgoError::bad_view)?;
+    let full = VertexSubsetView::new(g, all).map_err(AlgoError::invariant)?;
     let (colors, palette, stats) =
         level_on::<_, L>(g, cover, &base, &full, diversity, params, params.x)?;
     Ok((colors, palette, base_stats.then(stats)))
@@ -195,41 +196,21 @@ fn check_cd_params<G: GraphView>(
 fn finish_cd<G: GraphView>(
     g: &G,
     params: &CdParams,
-    (colors, palette, mut stats): Colored,
+    (mut colors, palette, mut stats): Colored,
 ) -> Result<CdColoring, AlgoError> {
-    let mut coloring =
-        VertexColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
+    let mut trimmed = palette;
     // §3 / Appendix B: the final basic color reduction ("we can apply the
     // basic reduction for 2 rounds, and obtain D²S-coloring").
     if let Some(requested) = params.trim_to {
         let target = requested.max(num::to_u64(g.max_degree()) + 1);
-        if coloring.palette() > target {
-            let mut colors = coloring.as_slice().to_vec();
+        if palette > target {
             let mut net = Network::new(g);
-            let new_palette = crate::reduction::basic_reduction(
-                &mut net,
-                &mut colors,
-                coloring.palette(),
-                target,
-            )?;
+            trimmed = crate::reduction::basic_reduction(&mut net, &mut colors, palette, target)?;
             stats = stats.then(net.stats());
-            coloring = VertexColoring::new(colors, new_palette).map_err(|e| {
-                AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                }
-            })?;
         }
     }
-
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
     Ok(CdColoring {
-        coloring,
+        coloring: certified(g, colors, trimmed)?,
         stats,
         palette_bound: palette,
     })
@@ -240,9 +221,7 @@ fn finish_cd<G: GraphView>(
 /// recursion hands its subroutine instead of IDs.
 fn restrict_seed(base: &VertexColoring, parents: &[VertexId]) -> Result<VertexColoring, AlgoError> {
     let colors = parents.iter().map(|&v| base.color(v)).collect();
-    VertexColoring::new(colors, base.palette()).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })
+    VertexColoring::new(colors, base.palette()).map_err(AlgoError::invariant)
 }
 
 /// One recursion level of Algorithm 1 over a borrowed
@@ -312,13 +291,13 @@ fn level_on<G: GraphView + Sync, L: Leaf>(
     let (out, inner_palette, children) = color_classes(k, &phi.classes(), |class| {
         let parents: Vec<VertexId> = class.iter().map(|&lv| view.to_parent_vertex(lv)).collect();
         if x > 1 {
-            let child = VertexSubsetView::new(root, parents).map_err(AlgoError::bad_view)?;
+            let child = VertexSubsetView::new(root, parents).map_err(AlgoError::invariant)?;
             return level_on::<_, L>(root, cover, base, &child, diversity, params, x - 1);
         }
         L::base(parents.len(), || {
             // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors, on
             // the induced view of the class.
-            let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::bad_view)?;
+            let child = InducedSubgraphView::new(root, parents).map_err(AlgoError::invariant)?;
             let target = num::to_u64(diversity) * (num::to_u64(k_bound) - 1) + 1;
             if num::to_u64(child.max_degree()) >= target.max(1) {
                 return Err(AlgoError::InvariantViolated {
@@ -361,7 +340,7 @@ pub fn cd_edge_coloring<G: GraphView + Sync>(
 ) -> Result<(EdgeColoring, NetworkStats), AlgoError> {
     let m = g.num_edges();
     if m == 0 {
-        return Ok((EdgeColoring::new(vec![], 1)?, NetworkStats::default()));
+        return Ok((certified(g, vec![], 1)?, NetworkStats::default()));
     }
     if g.has_parallel_edges() {
         return Err(AlgoError::InvalidParameters {
@@ -385,22 +364,8 @@ pub fn cd_edge_coloring<G: GraphView + Sync>(
     };
     let mut stats = result.stats;
     stats.rounds += 1;
-    if result.coloring.len() != m {
-        return Err(AlgoError::InvariantViolated {
-            reason: format!(
-                "line coloring has {} entries for {m} line vertices",
-                result.coloring.len()
-            ),
-        });
-    }
     let palette = result.coloring.palette();
-    let ec = EdgeColoring::new(result.coloring.into_inner(), palette).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
-    debug_assert!(ec.is_proper(g));
-    Ok((ec, stats))
+    Ok((certified(g, result.coloring.into_inner(), palette)?, stats))
 }
 
 /// §3's constant-S case: "If S is a constant, we directly obtain a

@@ -233,11 +233,12 @@ impl RoundCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decolor_graph::storage::ScratchDir;
 
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("decolor-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn scratch() -> ScratchDir {
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-ckpt");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        dir
     }
 
     fn sample() -> RoundCheckpoint {
@@ -256,21 +257,26 @@ mod tests {
 
     #[test]
     fn save_load_round_trips() {
-        let p = scratch("roundtrip.bin");
+        let dir = scratch();
+        let p = dir.path().join("roundtrip.bin");
         let c = sample();
         c.save(&p).unwrap();
         assert_eq!(RoundCheckpoint::load(&p).unwrap(), Some(c));
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn absent_checkpoint_is_none() {
-        assert_eq!(RoundCheckpoint::load(&scratch("nope.bin")).unwrap(), None);
+        let dir = scratch();
+        assert_eq!(
+            RoundCheckpoint::load(&dir.path().join("nope.bin")).unwrap(),
+            None
+        );
     }
 
     #[test]
     fn torn_and_rotted_checkpoints_are_corrupt() {
-        let p = scratch("torn.bin");
+        let dir = scratch();
+        let p = dir.path().join("torn.bin");
         let c = sample();
         c.save(&p).unwrap();
         let good = std::fs::read(&p).unwrap();
@@ -292,7 +298,6 @@ mod tests {
                 "flip at {i}"
             );
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

@@ -77,9 +77,7 @@ pub fn edge_connector(g: &Graph, t: usize) -> Result<EdgeConnector, AlgoError> {
         let cu = virtuals_of[u.index()][pu / t];
         let cv = virtuals_of[v.index()][pv / t];
         b.add_edge(cu.index(), cv.index())
-            .map_err(|err| AlgoError::InvariantViolated {
-                reason: err.to_string(),
-            })?;
+            .map_err(AlgoError::invariant)?;
     }
     Ok(EdgeConnector {
         graph: b.build(),
@@ -212,9 +210,7 @@ impl ConnectorLayout {
                 num::usize_from(self.virt_lo[le]),
                 num::usize_from(self.virt_hi[le]),
             )
-            .map_err(|err| AlgoError::InvariantViolated {
-                reason: err.to_string(),
-            })?;
+            .map_err(AlgoError::invariant)?;
         }
         Ok(())
     }

@@ -144,16 +144,11 @@ pub fn orientation_connector<V: GraphView>(
         let cv_head = in_virtuals[head.index()][in_slot[e.index()] / s_in];
         let cv_tail = out_virtuals[tail.index()][out_slot[e.index()] / s_out];
         b.add_edge(cv_tail.index(), cv_head.index())
-            .map_err(|err| AlgoError::InvariantViolated {
-                reason: err.to_string(),
-            })?;
+            .map_err(AlgoError::invariant)?;
         heads.push(cv_head);
     }
     let graph = b.build();
-    let orientation =
-        Orientation::new(&graph, heads).map_err(|err| AlgoError::InvariantViolated {
-            reason: err.to_string(),
-        })?;
+    let orientation = Orientation::new(&graph, heads).map_err(AlgoError::invariant)?;
     Ok(OrientationConnector {
         graph,
         orientation,
@@ -259,9 +254,7 @@ pub fn bipartite_orientation_connector_on<V: GraphView>(
         let cv_head = in_base[head.index()] + in_slot[le.index()] / s_in32;
         let cv_tail = out_base[tail.index()] + out_slot[le.index()] / s_out32;
         b.add_edge(num::usize_from(cv_tail), num::usize_from(cv_head))
-            .map_err(|err| AlgoError::InvariantViolated {
-                reason: err.to_string(),
-            })?;
+            .map_err(AlgoError::invariant)?;
     }
     let graph = b.build_parallel();
     for v in graph.vertices() {

@@ -30,6 +30,7 @@ use rayon::prelude::*;
 
 use crate::bitset::PaletteSet;
 use crate::error::AlgoError;
+use crate::verify::certified;
 
 /// One crossing edge waiting for its label round.
 #[derive(Clone, Copy)]
@@ -371,6 +372,18 @@ fn decide(
     Ok(chosen)
 }
 
+/// The merged colors, once every edge has one.
+///
+/// # Errors
+///
+/// [`AlgoError::InvariantViolated`] if an edge is still uncolored.
+pub(crate) fn all_colored(edge_colors: Vec<Option<Color>>) -> Result<Vec<Color>, AlgoError> {
+    edge_colors
+        .into_iter()
+        .map(|c| c.ok_or_else(|| AlgoError::invariant("edge left uncolored")))
+        .collect()
+}
+
 /// The "empty-precoloring" specialization: colors **all** edges of a graph
 /// in which every edge has exactly one `A`-endpoint (e.g. a bipartite
 /// graph with `A` = one side), using `palette ≥ deg_A + deg_B − 1` colors
@@ -402,21 +415,10 @@ pub fn one_sided_edge_coloring(
     let mut edge_colors: Vec<Option<Color>> = vec![None; g.num_edges()];
     let all: Vec<EdgeId> = g.edges().collect();
     color_crossing_edges(&mut net, in_a, &mut edge_colors, &all, palette)?;
-    let colors: Vec<Color> = edge_colors
-        .into_iter()
-        .map(|c| {
-            c.ok_or_else(|| AlgoError::InvariantViolated {
-                reason: "edge left uncolored".into(),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let ec = EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
-    ec.validate(g).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
-    Ok((ec, net.stats()))
+    Ok((
+        certified(g, all_colored(edge_colors)?, palette)?,
+        net.stats(),
+    ))
 }
 
 #[cfg(test)]

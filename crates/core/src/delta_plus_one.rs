@@ -22,6 +22,7 @@ use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use crate::error::AlgoError;
 use crate::linial;
 use crate::reduction;
+use crate::verify::certified;
 
 /// Which color-reduction backend to run after Linial.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,16 +94,7 @@ pub fn vertex_coloring_with_target<V: GraphView>(
             reduction::kw_reduction(&mut net, &mut colors, palette, target)?
         }
     };
-    let coloring =
-        VertexColoring::new(colors, final_palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok((coloring, net.stats()))
+    Ok((certified(g, colors, final_palette)?, net.stats()))
 }
 
 /// Convenience wrapper: a (Δ + 1)-coloring.
@@ -135,10 +127,7 @@ pub fn edge_coloring_with_target(
 ) -> Result<(EdgeColoring, NetworkStats), AlgoError> {
     let delta = num::to_u64(g.max_degree());
     if g.num_edges() == 0 {
-        let empty = EdgeColoring::new(vec![], 1).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-        return Ok((empty, NetworkStats::default()));
+        return Ok((certified(g, vec![], 1)?, NetworkStats::default()));
     }
     let needed = 2 * delta - 1;
     if target < needed {
@@ -151,11 +140,7 @@ pub fn edge_coloring_with_target(
     let ids = IdAssignment::sequential(lg.graph.num_vertices());
     let (vc, mut stats) = vertex_coloring_with_target(&lg.graph, Seed::Ids(&ids), target, cfg)?;
     stats.rounds += 1; // line-graph simulation setup (§4)
-    let ec = lg
-        .to_edge_coloring(&vc)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
+    let ec = lg.to_edge_coloring(&vc).map_err(AlgoError::invariant)?;
     debug_assert!(ec.is_proper(g));
     Ok((ec, stats))
 }

@@ -129,9 +129,7 @@ pub fn edge_coloring_direct(
     cfg: SubroutineConfig,
 ) -> Result<(EdgeColoring, NetworkStats), AlgoError> {
     let (colors, palette, stats) = edge_coloring_direct_on(g, target, cfg)?;
-    let ec = EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-        reason: e.to_string(),
-    })?;
+    let ec = EdgeColoring::new(colors, palette).map_err(AlgoError::invariant)?;
     debug_assert!(ec.is_proper(g));
     Ok((ec, stats))
 }

@@ -25,10 +25,10 @@ pub enum AlgoError {
 }
 
 impl AlgoError {
-    /// Wraps a view/subgraph construction failure as an invariant
-    /// violation (the recursive pipelines only build views from ids they
-    /// derived themselves, so a failure indicates an internal bug).
-    pub(crate) fn bad_view(e: GraphError) -> AlgoError {
+    /// An [`AlgoError::InvariantViolated`] whose reason is `e`'s text:
+    /// how a failure the algorithm cannot meet on correct input — a view
+    /// of ids it derived itself, a coloring it built — surfaces.
+    pub fn invariant(e: impl fmt::Display) -> AlgoError {
         AlgoError::InvariantViolated {
             reason: e.to_string(),
         }

@@ -329,13 +329,9 @@ impl LinialState {
     }
 
     fn into_result(self) -> Result<LinialResult, AlgoError> {
-        let coloring = VertexColoring::new(narrow(self.colors)?, self.m).map_err(|e| {
-            AlgoError::InvariantViolated {
-                reason: e.to_string(),
-            }
-        })?;
         Ok(LinialResult {
-            coloring,
+            coloring: VertexColoring::new(narrow(self.colors)?, self.m)
+                .map_err(AlgoError::invariant)?,
             palette_trace: self.trace,
         })
     }

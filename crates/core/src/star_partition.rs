@@ -36,6 +36,7 @@ use crate::edge_space::{edge_coloring_direct, edge_coloring_direct_on};
 use crate::error::AlgoError;
 use crate::product::{color_classes, Colored, Leaf, Paint};
 use crate::reduction::edge_palette_trim;
+use crate::verify::certified;
 use decolor_graph::num;
 
 /// Parameters for the star-partition edge coloring.
@@ -209,17 +210,8 @@ pub(crate) fn finish<V: GraphView>(
             stats = stats.then(net.stats());
         }
     }
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
     Ok(StarPartitionResult {
-        coloring,
+        coloring: certified(g, colors, palette)?,
         stats,
         untrimmed_palette,
     })
@@ -275,10 +267,7 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync, L: Leaf>(
         Some(dir) => {
             let conn = edge_connector_sharded_on(view, t, dir)?;
             let (colors, palette, s) = edge_coloring_direct_on(conn.csr(), target_conn, cfg)?;
-            let phi =
-                EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                })?;
+            let phi = EdgeColoring::new(colors, palette).map_err(AlgoError::invariant)?;
             (phi, s)
         }
         None => {

@@ -6,8 +6,9 @@
 //! print an auditable report: each check names the claim, the measured
 //! value and the bound it must not exceed.
 
-use decolor_graph::coloring::EdgeColoring;
+use decolor_graph::coloring::{Color, Coloring, EdgeColoring, Element, VertexColoring};
 use decolor_graph::subgraph::GraphView;
+use decolor_graph::GraphError;
 
 use crate::error::AlgoError;
 
@@ -89,11 +90,46 @@ pub fn check_edge_coloring<G: GraphView>(
     ]
 }
 
+/// The properness check of one kind of coloring: adjacent vertices or
+/// incident edges.
+pub(crate) trait Proper {
+    fn validate_on<G: GraphView>(&self, g: &G) -> Result<(), GraphError>;
+}
+
+impl Proper for VertexColoring {
+    fn validate_on<G: GraphView>(&self, g: &G) -> Result<(), GraphError> {
+        self.validate(g)
+    }
+}
+
+impl Proper for EdgeColoring {
+    fn validate_on<G: GraphView>(&self, g: &G) -> Result<(), GraphError> {
+        self.validate(g)
+    }
+}
+
+/// An algorithm's checked finish: `colors` within `palette` and proper
+/// on `g`, or [`AlgoError::InvariantViolated`] carrying the
+/// [`GraphError`]'s reason — a coloring the algorithm built itself that
+/// fails either check is a bug, not a bad input.
+pub(crate) fn certified<I: Element, G: GraphView>(
+    g: &G,
+    colors: Vec<Color>,
+    palette: u64,
+) -> Result<Coloring<I>, AlgoError>
+where
+    Coloring<I>: Proper,
+{
+    let coloring = Coloring::new(colors, palette).map_err(AlgoError::invariant)?;
+    coloring.validate_on(g).map_err(AlgoError::invariant)?;
+    Ok(coloring)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
-    use decolor_graph::generators;
+    use decolor_graph::{generators, EdgeId, VertexId};
 
     #[test]
     fn every_algorithm_certifies() {
@@ -121,5 +157,26 @@ mod tests {
         let checks = check_edge_coloring(&g, &bad, "4Δ", 12);
         assert!(ensure_all(&checks).is_err());
         assert!(render_report(&checks).contains("✗"));
+    }
+
+    #[test]
+    fn certified_surfaces_graph_errors_as_invariant_violations() {
+        let g = generators::complete(3).unwrap();
+        let violated = |reason: &str| AlgoError::InvariantViolated {
+            reason: format!("validation failed: {reason}"),
+        };
+        assert_eq!(
+            certified::<EdgeId, _>(&g, vec![0, 0, 1], 2),
+            Err(violated("incident edges e0 and e1 share color 0"))
+        );
+        assert_eq!(
+            certified::<VertexId, _>(&g, vec![0, 1, 1], 2),
+            Err(violated("vertices v1 and v2 of edge e2 share color 1"))
+        );
+        assert_eq!(
+            certified::<EdgeId, _>(&g, vec![0, 1, 2], 2),
+            Err(violated("color 2 outside palette of size 2"))
+        );
+        assert!(certified::<VertexId, _>(&g, vec![0, 1, 2], 3).is_ok());
     }
 }

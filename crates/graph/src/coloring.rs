@@ -1,9 +1,13 @@
 //! Vertex and edge colorings with validation and palette bookkeeping.
 //!
-//! The paper combines colorings hierarchically (`⟨ϕ, ψ⟩` in Algorithm 1 and
-//! Sections 4–5); [`VertexColoring::product`] and [`EdgeColoring::product`]
-//! implement that pairing canonically so that the *flattened* palette size
-//! can be compared against the paper's bounds.
+//! An edge coloring of `G` is a vertex coloring of its line graph, so one
+//! type, [`Coloring`], serves both; [`VertexColoring`] and
+//! [`EdgeColoring`] name it per element and differ only in what
+//! properness means. The paper's `⟨ϕ, ψ⟩` pairing of colorings
+//! (Algorithm 1 and Sections 4–5) lives in `decolor_core`'s
+//! `product::color_classes`, which every pipeline calls.
+
+use std::marker::PhantomData;
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
@@ -14,12 +18,39 @@ use crate::subgraph::GraphView;
 /// in the paper (the largest palettes are O(Δ²)).
 pub type Color = u32;
 
-/// A (candidate) vertex coloring of a [`Graph`](crate::Graph).
+/// What a [`Coloring`] colors: vertices or edges, by dense id.
+pub trait Element: Copy + Into<usize> {
+    /// The element with dense index `index`.
+    fn from_index(index: usize) -> Self;
+}
+
+impl Element for VertexId {
+    fn from_index(index: usize) -> Self {
+        VertexId::new(index)
+    }
+}
+
+impl Element for EdgeId {
+    fn from_index(index: usize) -> Self {
+        EdgeId::new(index)
+    }
+}
+
+/// A (candidate) coloring of the elements `I` — vertices or edges — of a
+/// [`Graph`](crate::Graph).
 ///
-/// Stores one color per vertex plus the *palette size* (an exclusive upper
-/// bound on colors, i.e. all colors are `< palette`). The palette is the
-/// quantity the paper's theorems bound; [`VertexColoring::distinct_colors`]
+/// Stores one color per element plus the *palette size* (an exclusive
+/// upper bound on colors, i.e. all colors are `< palette`). The palette is
+/// the quantity the paper's theorems bound; [`Coloring::distinct_colors`]
 /// reports how many colors are actually used.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Coloring<I> {
+    colors: Vec<Color>,
+    palette: u64,
+    element: PhantomData<I>,
+}
+
+/// A (candidate) vertex coloring: adjacent vertices must differ.
 ///
 /// ```rust
 /// use decolor_graph::{builder_from_edges, coloring::VertexColoring};
@@ -28,14 +59,9 @@ pub type Color = u32;
 /// assert!(c.is_proper(&g));
 /// assert_eq!(c.distinct_colors(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VertexColoring {
-    colors: Vec<Color>,
-    palette: u64,
-}
+pub type VertexColoring = Coloring<VertexId>;
 
-/// A (candidate) edge coloring of a [`Graph`](crate::Graph); see [`VertexColoring`] for
-/// the palette conventions.
+/// A (candidate) edge coloring: edges sharing an endpoint must differ.
 ///
 /// ```rust
 /// use decolor_graph::{builder_from_edges, coloring::EdgeColoring};
@@ -43,49 +69,35 @@ pub struct VertexColoring {
 /// let c = EdgeColoring::new(vec![0, 1], 2).unwrap();
 /// assert!(c.is_proper(&g));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EdgeColoring {
-    colors: Vec<Color>,
-    palette: u64,
-}
+pub type EdgeColoring = Coloring<EdgeId>;
 
-fn check_palette(colors: &[Color], palette: u64) -> Result<(), GraphError> {
-    if let Some(&c) = colors.iter().find(|&&c| u64::from(c) >= palette) {
-        return Err(GraphError::ValidationFailed {
-            reason: format!("color {c} outside palette of size {palette}"),
-        });
-    }
-    Ok(())
-}
-
-impl VertexColoring {
+impl<I: Element> Coloring<I> {
     /// Wraps a color vector with a declared palette size.
     ///
     /// # Errors
     ///
     /// [`GraphError::ValidationFailed`] if any color is `>= palette`.
     pub fn new(colors: Vec<Color>, palette: u64) -> Result<Self, GraphError> {
-        check_palette(&colors, palette)?;
-        Ok(VertexColoring { colors, palette })
-    }
-
-    /// The trivial coloring by identity (`color(v) = v`), palette `n`.
-    pub fn identity(n: usize) -> Self {
-        VertexColoring {
-            // lint: allow(cast, "identity colorings are built for vertex counts, which fit u32 ids")
-            colors: (0..n as u32).collect(),
-            palette: num::to_u64(n),
+        if let Some(&c) = colors.iter().find(|&&c| u64::from(c) >= palette) {
+            return Err(GraphError::ValidationFailed {
+                reason: format!("color {c} outside palette of size {palette}"),
+            });
         }
+        Ok(Coloring {
+            colors,
+            palette,
+            element: PhantomData,
+        })
     }
 
-    /// Color of vertex `v`.
+    /// Color of element `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range.
+    /// Panics if `i` is out of range.
     #[inline]
-    pub fn color(&self, v: VertexId) -> Color {
-        self.colors[v.index()]
+    pub fn color(&self, i: I) -> Color {
+        self.colors[i.into()]
     }
 
     /// Declared palette size (exclusive upper bound on colors).
@@ -94,13 +106,13 @@ impl VertexColoring {
         self.palette
     }
 
-    /// Number of vertices colored.
+    /// Number of elements colored.
     #[inline]
     pub fn len(&self) -> usize {
         self.colors.len()
     }
 
-    /// `true` if no vertices are colored.
+    /// `true` if no elements are colored.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.colors.is_empty()
@@ -124,10 +136,60 @@ impl VertexColoring {
     }
 
     /// Largest color used, or `None` for the empty coloring.
-    pub fn max_color(&self) -> Option<Color> {
+    fn max_color(&self) -> Option<Color> {
         self.colors.iter().copied().max()
     }
 
+    /// Renumbers colors to `0..k` (k = distinct colors), preserving
+    /// properness, and shrinks the palette to `k`.
+    pub fn compacted(&self) -> Self {
+        let mut map = std::collections::BTreeMap::new();
+        let mut next: Color = 0;
+        let colors = self
+            .colors
+            .iter()
+            .map(|&c| {
+                *map.entry(c).or_insert_with(|| {
+                    let id = next;
+                    next += 1;
+                    id
+                })
+            })
+            .collect();
+        Coloring {
+            colors,
+            palette: u64::from(next.max(1)),
+            element: PhantomData,
+        }
+    }
+
+    /// Groups elements by color: `classes()[c]` lists the elements colored
+    /// `c` (after compaction indices are dense).
+    pub fn classes(&self) -> Vec<Vec<I>> {
+        let k = self.max_color().map_or(0, |c| num::usize_from(c) + 1);
+        let mut out = vec![Vec::new(); k];
+        for (i, &c) in self.colors.iter().enumerate() {
+            out[num::usize_from(c)].push(I::from_index(i));
+        }
+        out
+    }
+
+    /// Fails unless the coloring has one entry per `what` (`"vertices"`
+    /// or `"edges"`) of a graph with `expected` of them.
+    fn check_len(&self, expected: usize, what: &str) -> Result<(), GraphError> {
+        if self.colors.len() != expected {
+            return Err(GraphError::ValidationFailed {
+                reason: format!(
+                    "coloring has {} entries but graph has {expected} {what}",
+                    self.colors.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl VertexColoring {
     /// `true` iff adjacent vertices always receive distinct colors.
     ///
     /// Accepts any [`GraphView`] — a whole [`Graph`](crate::Graph) or a
@@ -164,15 +226,7 @@ impl VertexColoring {
     ///
     /// [`GraphError::ValidationFailed`] naming the violating edge.
     pub fn validate<G: GraphView>(&self, g: &G) -> Result<(), GraphError> {
-        if self.colors.len() != g.num_vertices() {
-            return Err(GraphError::ValidationFailed {
-                reason: format!(
-                    "coloring has {} entries but graph has {} vertices",
-                    self.colors.len(),
-                    g.num_vertices()
-                ),
-            });
-        }
+        self.check_len(g.num_vertices(), "vertices")?;
         match self.first_violation(g) {
             None => Ok(()),
             Some(e) => {
@@ -186,136 +240,9 @@ impl VertexColoring {
             }
         }
     }
-
-    /// Canonical pairing `⟨outer, self⟩`: the combined color of `v` is
-    /// `outer(v) * self.palette + self(v)`, with palette
-    /// `outer.palette * self.palette`.
-    ///
-    /// This is the `⟨ϕ, ψ⟩` combination from Algorithm 1 (line 15).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the colorings have different lengths or the combined
-    /// palette overflows `u64`.
-    pub fn product(&self, outer: &VertexColoring) -> VertexColoring {
-        assert_eq!(
-            self.len(),
-            outer.len(),
-            "colorings must cover the same vertex set"
-        );
-        let palette = outer
-            .palette
-            .checked_mul(self.palette)
-            // lint: allow(panic, "combined palette overflows u64")
-            .expect("combined palette overflows u64");
-        let colors = self
-            .colors
-            .iter()
-            .zip(&outer.colors)
-            .map(|(&inner, &out)| {
-                let combined = u64::from(out) * self.palette + u64::from(inner);
-                // lint: allow(panic, "combined color overflows u32")
-                u32::try_from(combined).expect("combined color overflows u32")
-            })
-            .collect();
-        VertexColoring { colors, palette }
-    }
-
-    /// Renumbers colors to `0..k` (k = distinct colors), preserving
-    /// properness, and shrinks the palette to `k`.
-    pub fn compacted(&self) -> VertexColoring {
-        let mut map = std::collections::BTreeMap::new();
-        let mut next: Color = 0;
-        let colors = self
-            .colors
-            .iter()
-            .map(|&c| {
-                *map.entry(c).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                })
-            })
-            .collect();
-        VertexColoring {
-            colors,
-            palette: u64::from(next.max(1)),
-        }
-    }
-
-    /// Groups vertices by color: `classes()[c]` lists the vertices colored
-    /// `c` (after compaction indices are dense).
-    pub fn classes(&self) -> Vec<Vec<VertexId>> {
-        let k = self.max_color().map_or(0, |c| num::usize_from(c) + 1);
-        let mut out = vec![Vec::new(); k];
-        for (i, &c) in self.colors.iter().enumerate() {
-            out[num::usize_from(c)].push(VertexId::new(i));
-        }
-        out
-    }
 }
 
 impl EdgeColoring {
-    /// Wraps a color vector with a declared palette size.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::ValidationFailed`] if any color is `>= palette`.
-    pub fn new(colors: Vec<Color>, palette: u64) -> Result<Self, GraphError> {
-        check_palette(&colors, palette)?;
-        Ok(EdgeColoring { colors, palette })
-    }
-
-    /// Color of edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    #[inline]
-    pub fn color(&self, e: EdgeId) -> Color {
-        self.colors[e.index()]
-    }
-
-    /// Declared palette size (exclusive upper bound on colors).
-    #[inline]
-    pub fn palette(&self) -> u64 {
-        self.palette
-    }
-
-    /// Number of edges colored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.colors.len()
-    }
-
-    /// `true` if no edges are colored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.colors.is_empty()
-    }
-
-    /// Immutable access to the underlying color vector.
-    #[inline]
-    pub fn as_slice(&self) -> &[Color] {
-        &self.colors
-    }
-
-    /// Consumes the coloring, returning the raw color vector.
-    pub fn into_inner(self) -> Vec<Color> {
-        self.colors
-    }
-
-    /// Number of distinct colors actually used.
-    pub fn distinct_colors(&self) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        self.colors.iter().filter(|&&c| seen.insert(c)).count()
-    }
-
-    /// Largest color used, or `None` for the empty coloring.
-    pub fn max_color(&self) -> Option<Color> {
-        self.colors.iter().copied().max()
-    }
-
     /// `true` iff edges sharing an endpoint always receive distinct colors.
     ///
     /// Accepts any [`GraphView`], like [`VertexColoring::is_proper`].
@@ -353,15 +280,7 @@ impl EdgeColoring {
     ///
     /// [`GraphError::ValidationFailed`] naming the violating edge pair.
     pub fn validate<G: GraphView>(&self, g: &G) -> Result<(), GraphError> {
-        if self.colors.len() != g.num_edges() {
-            return Err(GraphError::ValidationFailed {
-                reason: format!(
-                    "coloring has {} entries but graph has {} edges",
-                    self.colors.len(),
-                    g.num_edges()
-                ),
-            });
-        }
+        self.check_len(g.num_edges(), "edges")?;
         match self.first_violation(g) {
             None => Ok(()),
             Some((e1, e2)) => Err(GraphError::ValidationFailed {
@@ -371,66 +290,6 @@ impl EdgeColoring {
                 ),
             }),
         }
-    }
-
-    /// Canonical pairing `⟨outer, self⟩`; see [`VertexColoring::product`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or the combined palette overflows.
-    pub fn product(&self, outer: &EdgeColoring) -> EdgeColoring {
-        assert_eq!(
-            self.len(),
-            outer.len(),
-            "colorings must cover the same edge set"
-        );
-        let palette = outer
-            .palette
-            .checked_mul(self.palette)
-            // lint: allow(panic, "combined palette overflows u64")
-            .expect("combined palette overflows u64");
-        let colors = self
-            .colors
-            .iter()
-            .zip(&outer.colors)
-            .map(|(&inner, &out)| {
-                let combined = u64::from(out) * self.palette + u64::from(inner);
-                // lint: allow(panic, "combined color overflows u32")
-                u32::try_from(combined).expect("combined color overflows u32")
-            })
-            .collect();
-        EdgeColoring { colors, palette }
-    }
-
-    /// Renumbers colors to `0..k`, preserving properness.
-    pub fn compacted(&self) -> EdgeColoring {
-        let mut map = std::collections::BTreeMap::new();
-        let mut next: Color = 0;
-        let colors = self
-            .colors
-            .iter()
-            .map(|&c| {
-                *map.entry(c).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                })
-            })
-            .collect();
-        EdgeColoring {
-            colors,
-            palette: u64::from(next.max(1)),
-        }
-    }
-
-    /// Groups edges by color: `classes()[c]` lists the edges colored `c`.
-    pub fn classes(&self) -> Vec<Vec<EdgeId>> {
-        let k = self.max_color().map_or(0, |c| num::usize_from(c) + 1);
-        let mut out = vec![Vec::new(); k];
-        for (i, &c) in self.colors.iter().enumerate() {
-            out[num::usize_from(c)].push(EdgeId::new(i));
-        }
-        out
     }
 }
 
@@ -493,14 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_proper() {
-        let g = triangle();
-        let c = VertexColoring::identity(3);
-        assert!(c.is_proper(&g));
-        assert_eq!(c.palette(), 3);
-    }
-
-    #[test]
     fn improper_vertex_coloring_detected() {
         let g = triangle();
         let c = VertexColoring::new(vec![0, 0, 1], 2).unwrap();
@@ -523,18 +374,6 @@ mod tests {
         let bad = EdgeColoring::new(vec![0, 0, 1], 2).unwrap();
         assert!(!bad.is_proper(&g));
         assert!(bad.validate(&g).is_err());
-    }
-
-    #[test]
-    fn product_palette_and_properness() {
-        let g = triangle();
-        let inner = VertexColoring::new(vec![0, 1, 0], 2).unwrap(); // improper alone on (0,2)
-        let outer = VertexColoring::new(vec![0, 0, 1], 2).unwrap(); // splits 0 and 2
-        let prod = inner.product(&outer);
-        assert_eq!(prod.palette(), 4);
-        assert!(prod.is_proper(&g));
-        assert_eq!(prod.color(VertexId::new(0)), 0);
-        assert_eq!(prod.color(VertexId::new(2)), 2); // 1*2 + 0
     }
 
     #[test]

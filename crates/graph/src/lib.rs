@@ -19,8 +19,10 @@
 //!   copies ([`subgraph::InducedSubgraph`],
 //!   [`subgraph::SpanningEdgeSubgraph`]) the view tests compare them
 //!   against.
-//! * Coloring types with validation ([`coloring::VertexColoring`],
-//!   [`coloring::EdgeColoring`]).
+//! * One coloring type with validation, [`coloring::Coloring`], for
+//!   vertices ([`coloring::VertexColoring`]) and edges
+//!   ([`coloring::EdgeColoring`]); the paper's `⟨ϕ, ψ⟩` pairing is
+//!   `decolor_core`'s `product::color_classes`.
 //! * Clique covers and the paper's *diversity* measure
 //!   ([`cliques::CliqueCover`]).
 //! * Line graphs of graphs and of c-uniform hypergraphs with consistent

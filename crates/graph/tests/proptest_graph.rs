@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate.
 
-use decolor_graph::coloring::{EdgeColoring, VertexColoring};
+use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::line_graph::LineGraph;
 use decolor_graph::orientation::Orientation;
 use decolor_graph::subgraph::{InducedSubgraph, SpanningEdgeSubgraph, VertexSubsetView};
@@ -115,28 +115,6 @@ proptest! {
         prop_assert!(o.is_acyclic(&g));
         let out_sum: usize = g.vertices().map(|v| o.out_degree(&g, v)).sum();
         prop_assert_eq!(out_sum, g.num_edges());
-    }
-
-    /// Product coloring with a proper outer factor is proper.
-    #[test]
-    fn product_coloring_properness(seed in 0u64..500) {
-        let g = generators::gnm(20, 60, seed).unwrap();
-        let inner = VertexColoring::new((0..20).map(|v| (v % 2) as u32).collect(), 2).unwrap();
-        let mut colors = vec![u32::MAX; 20];
-        let palette = g.max_degree() as u32 + 1;
-        for v in g.vertices() {
-            let used: std::collections::HashSet<u32> = g
-                .neighbors(v)
-                .filter(|u| colors[u.index()] != u32::MAX)
-                .map(|u| colors[u.index()])
-                .collect();
-            colors[v.index()] = (0..=palette).find(|c| !used.contains(c)).unwrap();
-        }
-        let outer = VertexColoring::new(colors, u64::from(palette) + 1).unwrap();
-        prop_assert!(outer.is_proper(&g));
-        let prod = inner.product(&outer);
-        prop_assert!(prod.is_proper(&g));
-        prop_assert_eq!(prod.palette(), 2 * (u64::from(palette) + 1));
     }
 
     /// Classes of a proper edge coloring are matchings.

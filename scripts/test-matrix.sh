@@ -12,6 +12,9 @@
 # between rounds and resumed, all byte-identical), plus a scaling run on
 # the --checkpoint (journaled build + round checkpoint) path.
 #
+# The suite also runs once with TMPDIR set to a fresh directory, which
+# must be empty afterwards: every test removes its own scratch.
+#
 # Usage: scripts/test-matrix.sh [--quick]
 #   --quick  skip the full test suite legs, run only the bench smokes
 set -euo pipefail
@@ -22,6 +25,18 @@ QUICK=0
 
 echo "=== decolor-lint (workspace invariants) ==="
 cargo run -q -p decolor-lint
+
+if [[ "$QUICK" == 0 ]]; then
+    echo "=== cargo test leaves a fresh TMPDIR empty ==="
+    test_tmp=$(mktemp -d)
+    TMPDIR="$test_tmp" cargo test -q --workspace
+    if [[ -n "$(ls -A "$test_tmp")" ]]; then
+        echo "tests left scratch behind in $test_tmp:"
+        ls -A "$test_tmp"
+        exit 1
+    fi
+    rmdir "$test_tmp"
+fi
 
 for threads in 1 4; do
     if [[ "$QUICK" == 0 ]]; then
