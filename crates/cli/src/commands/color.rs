@@ -182,8 +182,7 @@ mod tests {
     #[test]
     fn mmap_scratch_removed_on_success_and_error() {
         let g = decolor_graph::generators::forest_union(60, 2, 6, 1).unwrap();
-        let root =
-            std::env::temp_dir().join(format!("decolor-cli-scratch-test-{}", std::process::id()));
+        let root = ScratchDir::new(&std::env::temp_dir(), "decolor-cli-scratch-test");
         let left = || std::fs::read_dir(&root).map_or(0, Iterator::count);
         for algo in Algorithm::all() {
             run_on_mmap(&algo, &g, &root).unwrap();
@@ -194,7 +193,6 @@ mod tests {
         let bad = Algorithm::T52 { a: 2, q: 1.0 };
         assert!(run_on_mmap(&bad, &g, &root).is_err());
         assert_eq!(left(), 0, "scratch survived an error exit");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -203,22 +203,23 @@ fn summary(sc: &ShardedCsr) -> String {
 mod tests {
     use super::*;
     use crate::args::parse;
+    use decolor_graph::storage::ScratchDir;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
-    fn scratch(name: &str) -> String {
-        let dir =
-            std::env::temp_dir().join(format!("decolor-cli-store-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir.display().to_string()
+    /// A scratch guard, and its path as the string the commands take.
+    fn scratch(name: &str) -> (ScratchDir, String) {
+        let dir = ScratchDir::new(&std::env::temp_dir(), &format!("decolor-cli-store-{name}"));
+        let path = dir.display().to_string();
+        (dir, path)
     }
 
     #[test]
     fn hypercube_dimension_is_checked_before_the_store_is_created() {
         for dim in [0, 21] {
-            let dir = scratch(&format!("hypercube-{dim}"));
+            let (_dir_guard, dir) = scratch(&format!("hypercube-{dim}"));
             let mut p = parse(&argv(&format!("store build hypercube:dim={dim} {dir}"))).unwrap();
             let err = run(&mut p).unwrap_err();
             let want = format!("hypercube dimension {dim} out of range 1..=20");
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn build_and_verify_round_trip() {
-        let dir = scratch("roundtrip");
+        let (_dir_guard, dir) = scratch("roundtrip");
         let mut p = parse(&argv(&format!(
             "store build grid:rows=8,cols=9 {dir} --shard-bits 5 --verify"
         )))
@@ -239,12 +240,11 @@ mod tests {
         assert!(out.contains("checksums verified"), "{out}");
         let mut v = parse(&argv(&format!("store verify {dir}"))).unwrap();
         assert!(run(&mut v).unwrap().contains("OK"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn verify_flags_bit_rot() {
-        let dir = scratch("bitrot");
+        let (_dir_guard, dir) = scratch("bitrot");
         let mut p = parse(&argv(&format!(
             "store build gnp:n=200,p=0.05,seed=3 {dir} --shard-bits 6"
         )))
@@ -259,14 +259,13 @@ mod tests {
         let mut v = parse(&argv(&format!("store verify {dir}"))).unwrap();
         let err = run(&mut v).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_continues_an_interrupted_journaled_build() {
-        let dir = scratch("resume");
+        let (_dir_guard, dir) = scratch("resume");
         // Journaled reference build.
-        let reference = scratch("resume-ref");
+        let (_reference_guard, reference) = scratch("resume-ref");
         let mut p = parse(&argv(&format!(
             "store build grid:rows=20,cols=20 {reference} --shard-bits 5 --journal-every 64"
         )))
@@ -314,7 +313,5 @@ mod tests {
             let b = std::fs::read(std::path::Path::new(&reference).join(file)).unwrap();
             assert_eq!(a, b, "{file} diverges from the uninterrupted build");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&reference).unwrap();
     }
 }

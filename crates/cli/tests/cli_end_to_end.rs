@@ -173,8 +173,7 @@ fn unknown_algorithm_is_a_clean_error_not_a_panic() {
 
 #[test]
 fn store_build_verify_and_corruption_reporting() {
-    let dir = std::env::temp_dir().join(format!("decolor-e2e-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-e2e-store");
     let dir_s = dir.to_string_lossy().into_owned();
 
     let (ok, stdout, stderr) = decolor(&[
@@ -220,13 +219,11 @@ fn store_build_verify_and_corruption_reporting() {
     let (ok, _, stderr) = decolor(&["store", "frobnicate", &dir_s]);
     assert!(!ok);
     assert!(stderr.contains("unknown store action"), "{stderr}");
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn malformed_graph_json_is_a_clean_error() {
-    let dir = std::env::temp_dir().join(format!("decolor-e2e-badjson-{}", std::process::id()));
+    let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-e2e-badjson");
     std::fs::create_dir_all(&dir).unwrap();
     for (name, payload) in [
         ("syntax.json", "{\"n\": 5, \"edges\": [[0,"),
@@ -246,7 +243,6 @@ fn malformed_graph_json_is_a_clean_error() {
         );
         assert!(!stderr.contains("panicked"), "{name}: panic: {stderr}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -292,7 +288,7 @@ fn strict_inputs_reject_unknown_keys_and_options() {
 
 #[test]
 fn value_options_without_a_value_fail() {
-    let dir = std::env::temp_dir().join(format!("decolor-e2e-novalue-{}", std::process::id()));
+    let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-e2e-novalue");
     std::fs::create_dir_all(&dir).unwrap();
     for option in [
         "--json",
@@ -315,7 +311,6 @@ fn value_options_without_a_value_fail() {
         !dir.join("true").exists(),
         "a value-less option wrote `true`"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

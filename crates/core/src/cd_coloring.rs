@@ -495,9 +495,9 @@ mod tests {
         }
         let g = b.build();
         let params = CdParams::default();
-        let dir = std::env::temp_dir().join(format!("decolor-cd-multi-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-cd-multi");
         let ram = cd_edge_coloring(&g, &params, None).unwrap_err();
-        let spilled = cd_edge_coloring(&g, &params, Some(&dir)).unwrap_err();
+        let spilled = cd_edge_coloring(&g, &params, Some(dir.path())).unwrap_err();
         assert!(matches!(ram, AlgoError::InvalidParameters { .. }), "{ram}");
         assert_eq!(spilled, ram);
         assert!(!dir.exists(), "scratch survived the error exit");

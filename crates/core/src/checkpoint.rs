@@ -9,34 +9,33 @@
 //! resumed run is **byte-identical** to an uninterrupted one (pinned by
 //! the crash-recovery suite).
 //!
-//! The file is written atomically (tmp → fsync → rename → directory
-//! fsync, via the storage layer's durable-write helper) and carries two
-//! CRC32s — one over the header+trace, one over the color words — plus an
-//! input **fingerprint** (over `n`, edge count, Δ, and the initial
-//! coloring) so a checkpoint can never silently resume a *different*
-//! run: every mismatch surfaces as
-//! [`GraphError::Corrupt`].
+//! The file is written through the storage layer's staged
+//! [`FileWriter`] (tmp → fsync → rename → directory fsync), like a
+//! store's manifest. Its header and palette trace are one storage
+//! [`record`] (tag, version, body, self-CRC); the color words follow
+//! with their own CRC32, taken from the writer and read back by
+//! [`record::read_words`]. An input **fingerprint** (over `n`, edge
+//! count, Δ, and the initial coloring) binds a checkpoint to its run, so
+//! it can never silently resume a *different* one: every mismatch
+//! surfaces as [`GraphError::Corrupt`].
 
 use std::io::Read;
 use std::path::Path;
 
-use decolor_graph::storage::{crc32, write_file_durable_with, Crc32};
+use decolor_graph::storage::record::{self, read_word};
+use decolor_graph::storage::{Crc32, FileWriter};
 use decolor_graph::{num, GraphError};
 
 /// Checkpoint magic tag ("DCLR CKP").
 const CKPT_TAG: u64 = 0x4443_4c52_434b_5000;
 /// Checkpoint format version.
 const CKPT_VERSION: u64 = 1;
-/// Fixed header words before the palette trace.
+/// Fixed header words (tag and version included) before the palette
+/// trace.
 const HEADER_WORDS: usize = 10;
 /// Byte length of the fixed header.
 // lint: allow(arith, "const context: overflow is a compile-time error")
 const HEADER_BYTES: usize = HEADER_WORDS * 8;
-/// Color words converted per I/O chunk.
-const CHUNK_WORDS: usize = 1 << 17;
-/// Byte length of one I/O chunk.
-// lint: allow(arith, "const context: overflow is a compile-time error")
-const CHUNK_BYTES: usize = CHUNK_WORDS * 8;
 
 /// Inter-round state of a chunked Linial run (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,33 +73,16 @@ pub fn input_fingerprint(n: usize, m: usize, delta: usize, palette: u64, initial
     crc.finish()
 }
 
-fn corrupt(path: &Path, reason: String) -> GraphError {
-    GraphError::Corrupt {
-        path: path.display().to_string(),
-        reason,
-    }
-}
-
-fn read_word_at(bytes: &[u8], i: usize) -> u64 {
-    // lint: allow(arith, "callers index within buffers whose length they sized or validated")
-    let b = &bytes[i * 8..i * 8 + 8];
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
 impl RoundCheckpoint {
     /// Durably writes the checkpoint, atomically replacing any previous
-    /// one at `path`. Layout: header words + trace + header CRC, then
-    /// the color words + colors CRC (all u64 LE; CRCs widen to a word).
+    /// one at `path`. Layout: one record (header words + trace), then the
+    /// color words + colors CRC (all u64 LE; CRCs widen to a word).
     ///
     /// # Errors
     ///
     /// [`GraphError::Io`] on any filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), GraphError> {
-        // lint: allow(arith, "capacity hint; the trace holds one word per round, far below usize::MAX")
-        let mut head: Vec<u64> = Vec::with_capacity(HEADER_WORDS + self.trace.len());
-        head.extend([
-            CKPT_TAG,
-            CKPT_VERSION,
+        let mut body = vec![
             self.n,
             self.delta,
             u64::from(self.fingerprint),
@@ -109,30 +91,20 @@ impl RoundCheckpoint {
             self.messages,
             self.payload_bytes,
             num::to_u64(self.trace.len()),
-        ]);
-        head.extend_from_slice(&self.trace);
-        let mut head_bytes = Vec::with_capacity(num::byte_len(num::add(head.len(), 1)?, 8)?);
-        for w in &head {
-            head_bytes.extend_from_slice(&w.to_le_bytes());
+        ];
+        body.extend_from_slice(&self.trace);
+        let mut w = FileWriter::stage(path, "checkpoint")?;
+        w.write(&record::encode(CKPT_TAG, CKPT_VERSION, &body), None)?;
+        // Restart the writer's CRC: the colors CRC covers the colors only.
+        w.take_crc();
+        // Colors stream through the writer's bounded buffer: no n-word
+        // byte copy, so checkpointing never doubles peak RAM.
+        for c in &self.colors {
+            w.write(&c.to_le_bytes(), None)?;
         }
-        let head_crc = crc32(&head_bytes);
-        head_bytes.extend_from_slice(&u64::from(head_crc).to_le_bytes());
-        write_file_durable_with(path, |w| {
-            w.write_all(&head_bytes)?;
-            // Colors stream through a bounded chunk buffer: no n-word
-            // byte copy, so checkpointing never doubles peak RAM.
-            let mut crc = Crc32::new();
-            let mut buf = Vec::with_capacity(CHUNK_BYTES);
-            for chunk in self.colors.chunks(CHUNK_WORDS) {
-                buf.clear();
-                for c in chunk {
-                    buf.extend_from_slice(&c.to_le_bytes());
-                }
-                crc.update(&buf);
-                w.write_all(&buf)?;
-            }
-            w.write_all(&u64::from(crc.finish()).to_le_bytes())
-        })
+        let colors_crc = w.take_crc();
+        w.write(&u64::from(colors_crc).to_le_bytes(), None)?;
+        w.commit(None)
     }
 
     /// Loads a checkpoint, or `Ok(None)` when none exists at `path`.
@@ -143,89 +115,59 @@ impl RoundCheckpoint {
     /// checkpoint; [`GraphError::Io`] for filesystem failures other than
     /// absence.
     pub fn load(path: &Path) -> Result<Option<RoundCheckpoint>, GraphError> {
+        let io = |e: std::io::Error| GraphError::Io {
+            reason: format!("cannot open {}: {e}", path.display()),
+        };
         let mut f = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(GraphError::Io {
-                    reason: format!("cannot open {}: {e}", path.display()),
-                })
-            }
+            Err(e) => return Err(io(e)),
         };
-        let short = |what: &str| corrupt(path, format!("checkpoint truncated in {what}"));
-        let mut fixed = vec![0u8; HEADER_BYTES];
-        f.read_exact(&mut fixed).map_err(|_| short("header"))?;
-        if read_word_at(&fixed, 0) != CKPT_TAG {
-            return Err(corrupt(
-                path,
-                format!("bad checkpoint magic {:#018x}", read_word_at(&fixed, 0)),
-            ));
-        }
-        if read_word_at(&fixed, 1) != CKPT_VERSION {
-            return Err(corrupt(
-                path,
-                format!(
-                    "checkpoint format version {} (this build reads {CKPT_VERSION})",
-                    read_word_at(&fixed, 1)
-                ),
-            ));
-        }
-        let n = read_word_at(&fixed, 2);
-        let trace_len = read_word_at(&fixed, 9);
+        let file_len = f.metadata().map_err(io)?.len();
+        let short =
+            |what: &str| GraphError::corrupt(path, format!("checkpoint truncated in {what}"));
+        let mut head = vec![0u8; HEADER_BYTES];
+        f.read_exact(&mut head).map_err(|_| short("header"))?;
+        let (n, trace_len) = (read_word(&head, 2), read_word(&head, 9));
         if n > 1 << 48 || trace_len > 1 << 16 {
-            return Err(corrupt(
+            return Err(GraphError::corrupt(
                 path,
                 format!("implausible checkpoint header n = {n}, trace_len = {trace_len}"),
             ));
         }
-        let trace_words = num::to_usize(trace_len)?;
+        // The header, trace and header CRC, then n colors and their CRC:
+        // the file must hold exactly that before anything is allocated.
         // lint: allow(arith, "trace_len <= 2^16 is validated just above")
-        let mut rest = vec![0u8; (trace_words + 1) * 8];
-        f.read_exact(&mut rest)
+        let head_words = num::to_u64(HEADER_WORDS) + trace_len + 1;
+        // lint: allow(arith, "n <= 2^48 and head_words <= 2^17, so the sum times 8 fits u64")
+        let want_len = (head_words + n + 1) * 8;
+        if file_len != want_len {
+            return Err(GraphError::corrupt(
+                path,
+                format!("checkpoint has {file_len} bytes, its header declares {want_len}"),
+            ));
+        }
+        head.resize(num::byte_len(num::to_usize(head_words)?, 8)?, 0);
+        f.read_exact(&mut head[HEADER_BYTES..])
             .map_err(|_| short("palette trace"))?;
-        let mut head_crc = Crc32::new();
-        head_crc.update(&fixed);
-        // lint: allow(arith, "trace_words <= 2^16, and rest holds trace_words + 1 words")
-        head_crc.update(&rest[..trace_words * 8]);
-        if u64::from(head_crc.finish()) != read_word_at(&rest, trace_words) {
-            return Err(corrupt(path, "checkpoint header checksum mismatch".into()));
-        }
-        let trace: Vec<u64> = (0..trace_words).map(|i| read_word_at(&rest, i)).collect();
-
-        let n_words = num::to_usize(n)?;
-        let mut colors: Vec<u64> = Vec::with_capacity(n_words);
-        let mut crc = Crc32::new();
-        let mut buf = vec![0u8; CHUNK_BYTES];
-        let mut left = n_words;
-        while left > 0 {
-            let take = CHUNK_WORDS.min(left);
-            // lint: allow(arith, "take <= CHUNK_WORDS, so take * 8 <= CHUNK_BYTES")
-            let take_bytes = take * 8;
-            f.read_exact(&mut buf[..take_bytes])
-                .map_err(|_| short("colors"))?;
-            crc.update(&buf[..take_bytes]);
-            for i in 0..take {
-                colors.push(read_word_at(&buf, i));
-            }
-            left -= take;
-        }
-        let mut tail = [0u8; 8];
-        f.read_exact(&mut tail)
-            .map_err(|_| short("colors checksum"))?;
-        if u64::from(crc.finish()) != u64::from_le_bytes(tail) {
-            return Err(corrupt(path, "checkpoint colors checksum mismatch".into()));
-        }
+        let body = record::decode(path, &head, CKPT_TAG, CKPT_VERSION)?;
+        let [_, delta, fingerprint, m, rounds, messages, payload_bytes, _, ref trace @ ..] =
+            body[..]
+        else {
+            return Err(short("header"));
+        };
         Ok(Some(RoundCheckpoint {
             n,
-            delta: read_word_at(&fixed, 3),
-            fingerprint: u32::try_from(read_word_at(&fixed, 4))
-                .map_err(|_| corrupt(path, "checkpoint fingerprint word exceeds u32".into()))?,
-            m: read_word_at(&fixed, 5),
-            rounds: read_word_at(&fixed, 6),
-            messages: read_word_at(&fixed, 7),
-            payload_bytes: read_word_at(&fixed, 8),
-            trace,
-            colors,
+            delta,
+            fingerprint: u32::try_from(fingerprint).map_err(|_| {
+                GraphError::corrupt(path, "checkpoint fingerprint word exceeds u32")
+            })?,
+            m,
+            rounds,
+            messages,
+            payload_bytes,
+            trace: trace.to_vec(),
+            colors: record::read_words(&mut f, path, num::to_usize(n)?)?,
         }))
     }
 }
@@ -298,6 +240,21 @@ mod tests {
                 "flip at {i}"
             );
         }
+    }
+
+    #[test]
+    fn header_declaring_more_colors_than_the_file_holds_is_corrupt() {
+        let dir = scratch();
+        let p = dir.path().join("huge.bin");
+        // A valid header and header CRC declaring n = 2^40 colors (below
+        // the plausibility bound), with no colors behind it: 88 bytes.
+        let head = record::encode(CKPT_TAG, CKPT_VERSION, &[1 << 40, 4, 0, 9, 1, 0, 0, 0]);
+        assert_eq!(head.len(), 88);
+        std::fs::write(&p, &head).unwrap();
+        assert!(matches!(
+            RoundCheckpoint::load(&p),
+            Err(GraphError::Corrupt { .. })
+        ));
     }
 
     #[test]

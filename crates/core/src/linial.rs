@@ -603,13 +603,13 @@ pub fn linial_coloring_chunked<V: GraphView + Sync>(
     if let Some((path, fp)) = fingerprint {
         if let Some(saved) = RoundCheckpoint::load(path)? {
             if saved.fingerprint != fp || saved.n != n || saved.delta != delta {
-                return Err(AlgoError::Graph(decolor_graph::GraphError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: format!(
+                return Err(AlgoError::Graph(decolor_graph::GraphError::corrupt(
+                    path,
+                    format!(
                         "checkpoint fingerprint {:#010x} does not match this run's inputs {fp:#010x}",
                         saved.fingerprint
                     ),
-                }));
+                )));
             }
             resumed_at_round = Some(saved.rounds);
             st = LinialState {
@@ -677,6 +677,7 @@ pub fn linial_coloring_chunked<V: GraphView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decolor_graph::storage::ScratchDir;
     use decolor_graph::{generators, Graph};
 
     fn run(g: &Graph, seed: u64) -> (LinialResult, decolor_runtime::NetworkStats) {
@@ -829,7 +830,7 @@ mod tests {
         let ids = IdAssignment::shuffled(3000, 3);
         let straight = linial_coloring_chunked(&g, &ids, None, None).unwrap();
         let (reference, ref_stats) = (straight.result, straight.stats);
-        let dir = std::env::temp_dir().join(format!("decolor-linial-ckpt-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-linial-ckpt");
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("rounds.ckpt");
         // One round per call, "killed" between rounds every time.
@@ -855,14 +856,13 @@ mod tests {
         assert_eq!(out.result.coloring.palette(), reference.coloring.palette());
         assert_eq!(out.result.palette_trace, reference.palette_trace);
         assert_eq!(out.stats, ref_stats);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpoint_for_different_inputs_is_rejected() {
         let g = generators::random_regular(2000, 4, 8).unwrap();
         let ids = IdAssignment::shuffled(2000, 1);
-        let dir = std::env::temp_dir().join(format!("decolor-linial-fpr-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-linial-fpr");
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("rounds.ckpt");
         let out = linial_coloring_chunked(&g, &ids, Some(&ckpt), Some(1)).unwrap();
@@ -878,7 +878,6 @@ mod tests {
             ),
             "expected Corrupt, got {err}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `Σ digit_i x^i mod q` over the base-`q` digits of `c`, by `%`-Horner.

@@ -10,20 +10,24 @@ use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::linial::{linial_coloring, linial_coloring_chunked};
 use decolor_core::star_partition::{star_partition_edge_coloring, StarPartitionParams};
 use decolor_graph::line_graph::LineGraph;
-use decolor_graph::storage::ShardedCsr;
+use decolor_graph::storage::{ScratchDir, ShardedCsr};
 use decolor_graph::{generators, Graph};
 use decolor_runtime::{IdAssignment, Network};
 
-fn spill(tag: &str, g: &Graph) -> (ShardedCsr, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("decolor-backend-{}-{tag}", std::process::id()));
-    (ShardedCsr::from_graph(&dir, g).unwrap(), dir)
+/// Spills `g` to `store/` under a fresh scratch root, removed when the
+/// guard (bound first, so it drops after the store) goes out of scope;
+/// derived graphs go to `scratch/` beside the store.
+fn spill(tag: &str, g: &Graph) -> (ScratchDir, ShardedCsr) {
+    let dir = ScratchDir::new(&std::env::temp_dir(), &format!("decolor-backend-{tag}"));
+    let sc = ShardedCsr::from_graph(dir.join("store"), g).unwrap();
+    (dir, sc)
 }
 
 #[test]
 fn linial_mmap_and_chunked_match_ram_network() {
     let g = generators::random_regular(600, 8, 1).unwrap();
     let ids = IdAssignment::sparse(600, 1 << 10, 2);
-    let (sc, dir) = spill("linial", &g);
+    let (_dir, sc) = spill("linial", &g);
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
             let mut net = Network::new(&g);
@@ -59,14 +63,12 @@ fn linial_mmap_and_chunked_match_ram_network() {
             }
         });
     }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn star_partition_mmap_matches_ram() {
     let g = generators::random_regular(256, 16, 5).unwrap();
-    let (sc, dir) = spill("star", &g);
+    let (_dir, sc) = spill("star", &g);
     let params = StarPartitionParams::for_levels(&g, 1);
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
@@ -82,8 +84,6 @@ fn star_partition_mmap_matches_ram() {
             assert_eq!(mmap.stats, ram.stats, "star ledger diverges");
         });
     }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The streamed (spilled-connector) star path against the fully in-RAM
@@ -93,9 +93,9 @@ fn star_partition_mmap_matches_ram() {
 #[test]
 fn star_spilled_connector_matches_materialized() {
     let g = generators::random_regular(256, 16, 5).unwrap();
-    let (sc, dir) = spill("star-spill", &g);
+    let (dir, sc) = spill("star-spill", &g);
     let params = StarPartitionParams::for_levels(&g, 1);
-    let scratch = dir.with_extension("scratch");
+    let scratch = dir.join("scratch");
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
             let ram = star_partition_edge_coloring(&g, &params).unwrap();
@@ -111,9 +111,6 @@ fn star_spilled_connector_matches_materialized() {
             assert_eq!(left, 0, "connector scratch survived");
         });
     }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Every paper algorithm through the [`Algorithm`] table: the mmap root
@@ -140,8 +137,8 @@ fn paper_algorithms_on_mmap_match_ram() {
         ),
     ];
     for (i, (g, algos)) in cases.iter().enumerate() {
-        let (sc, dir) = spill(&format!("table-{i}"), g);
-        let scratch = dir.with_extension("scratch");
+        let (dir, sc) = spill(&format!("table-{i}"), g);
+        let scratch = dir.join("scratch");
         for algo in algos {
             for threads in [1usize, 4] {
                 rayon::with_num_threads(threads, || {
@@ -160,9 +157,6 @@ fn paper_algorithms_on_mmap_match_ram() {
                 });
             }
         }
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
-        let _ = std::fs::remove_dir_all(&scratch);
     }
 }
 
@@ -172,7 +166,7 @@ fn cd_coloring_mmap_matches_ram() {
     let lg = LineGraph::new(&base);
     let params = CdParams::for_levels(lg.cover.max_clique_size(), 1);
     let ids = IdAssignment::sequential(lg.graph.num_vertices());
-    let (sc, dir) = spill("cd", &lg.graph);
+    let (_dir, sc) = spill("cd", &lg.graph);
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
             let ram = cd_coloring(&lg.graph, &lg.cover, &params, &ids).unwrap();
@@ -187,6 +181,4 @@ fn cd_coloring_mmap_matches_ram() {
             assert_eq!(mmap.stats, ram.stats, "cd ledger diverges");
         });
     }
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

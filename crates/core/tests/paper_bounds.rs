@@ -167,7 +167,8 @@ fn section5_palette_and_rounds_within_bounds() {
 /// suite; this asserts the paper bounds directly on the mmap outputs.
 #[test]
 fn bounds_hold_on_mmap_backend() {
-    let root = std::env::temp_dir().join(format!("decolor-bounds-mmap-{}", std::process::id()));
+    let root =
+        decolor_graph::storage::ScratchDir::new(&std::env::temp_dir(), "decolor-bounds-mmap");
     let cases = [
         (
             generators::forest_union(1024, 2, 8, 1).unwrap(),
@@ -188,7 +189,6 @@ fn bounds_hold_on_mmap_backend() {
             assert_within_bounds(*algo, g, &sc, Some(&dir));
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]

@@ -85,6 +85,16 @@ pub enum GraphError {
     },
 }
 
+impl GraphError {
+    /// A [`GraphError::Corrupt`] naming `path`.
+    pub fn corrupt(path: &std::path::Path, reason: impl Into<String>) -> GraphError {
+        GraphError::Corrupt {
+            path: path.display().to_string(),
+            reason: reason.into(),
+        }
+    }
+}
+
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

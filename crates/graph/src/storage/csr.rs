@@ -21,7 +21,7 @@
 //! crash-recovery suite can kill the build between any two steps.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use memmap2::{Mmap, MmapMut};
@@ -32,11 +32,13 @@ use crate::ids::{EdgeId, VertexId};
 use crate::num;
 use crate::subgraph::GraphView;
 
-use super::checksum::{crc32, Crc32};
-use super::fault::{injected, FaultDecision, FaultPlan};
+use super::checksum::crc32;
+use super::fault::{barrier, FaultPlan};
 use super::io_err;
-use super::journal::{fsync_dir, tmp_path, BuildJournal, EdgeCrc, JOURNAL_FILE};
+use super::journal::{BuildJournal, EdgeCrc, JOURNAL_FILE};
 use super::manifest::{FileRecord, Manifest, MANIFEST_FILE};
+use super::record::read_word;
+use super::writer::{fsync_dir, FileWriter, WRITER_BUF};
 
 /// Default shard size: 2^24 entries = 128 MiB per shard file.
 pub const DEFAULT_SHARD_BITS: u32 = 24;
@@ -45,17 +47,6 @@ pub const DEFAULT_SHARD_BITS: u32 = 24;
 /// two u32 words).
 const ENTRY: usize = 8;
 
-/// Buffered bytes a shard writer accumulates before hitting the file.
-const WRITER_BUF: usize = 1 << 20;
-
-/// Reads the u64 at entry index `i` of a mapped file.
-#[inline]
-fn read_u64(map: &Mmap, i: usize) -> u64 {
-    // lint: allow(arith, "i <= n and offsets.bin holds exactly (n + 1) * 8 bytes, validated at open()")
-    let b = &map[i * 8..i * 8 + 8];
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
 /// Splits a packed entry into its two u32 words.
 #[inline]
 fn unpack(chunk: &[u8]) -> (u32, u32) {
@@ -63,16 +54,6 @@ fn unpack(chunk: &[u8]) -> (u32, u32) {
         u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]),
         u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]),
     )
-}
-
-/// Consults the fault plan at a payloadless durability step.
-fn barrier(faults: Option<&FaultPlan>, label: &str) -> Result<(), GraphError> {
-    if let Some(p) = faults {
-        if p.decide(label, 0) != FaultDecision::Proceed {
-            return Err(injected(label));
-        }
-    }
-    Ok(())
 }
 
 /// A read-only sharded mmap-backed CSR graph (see the module docs).
@@ -114,10 +95,7 @@ impl ShardedCsr {
     pub fn open(dir: impl AsRef<Path>) -> Result<ShardedCsr, GraphError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = Manifest::load(&dir)?;
-        let corrupt = |reason: String| GraphError::Corrupt {
-            path: dir.display().to_string(),
-            reason,
-        };
+        let corrupt = |reason: String| GraphError::corrupt(&dir, reason);
         if !(4..=40).contains(&manifest.shard_bits) {
             return Err(corrupt(format!(
                 "implausible shard_bits {}",
@@ -197,14 +175,14 @@ impl ShardedCsr {
             endpoints,
         };
         if sc.n > 0 && sc.offset(sc.n) != 2 * num::to_u64(sc.m) {
-            return Err(GraphError::Corrupt {
-                path: sc.dir.display().to_string(),
-                reason: format!(
+            return Err(GraphError::corrupt(
+                &sc.dir,
+                format!(
                     "offset table ends at {} but 2m = {}",
                     sc.offset(sc.n),
                     2 * sc.m
                 ),
-            });
+            ));
         }
         Ok(sc)
     }
@@ -245,10 +223,11 @@ impl ShardedCsr {
         &self.manifest
     }
 
-    /// CSR offset of vertex `v` (entry `v` of the offset table).
+    /// CSR offset of vertex `v` (entry `v` of the offset table; `v <= n`
+    /// and `offsets.bin` holds `n + 1` words, validated at `open()`).
     #[inline]
     fn offset(&self, v: usize) -> u64 {
-        read_u64(&self.offsets, v)
+        read_word(&self.offsets, v)
     }
 
     /// The packed entry at global index `i` of the sharded array `maps`.
@@ -370,88 +349,6 @@ impl Default for BuildOptions {
     }
 }
 
-/// A buffered writer over one store file with the fault seam and a
-/// rolling CRC of everything successfully written through it.
-#[derive(Debug)]
-struct ShardWriter {
-    path: PathBuf,
-    label: String,
-    file: File,
-    buf: Vec<u8>,
-    crc: Crc32,
-}
-
-impl ShardWriter {
-    fn create(path: PathBuf, label: String) -> Result<ShardWriter, GraphError> {
-        let file = File::create(&path).map_err(|e| io_err("cannot create", &path, e))?;
-        Ok(ShardWriter {
-            path,
-            label,
-            file,
-            buf: Vec::with_capacity(WRITER_BUF),
-            crc: Crc32::new(),
-        })
-    }
-
-    /// Reopens an existing file for appending (the resume path; `crc`
-    /// restarts at the caller-provided prefix digest).
-    fn append(path: PathBuf, label: String, crc: Crc32) -> Result<ShardWriter, GraphError> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("cannot open for append", &path, e))?;
-        Ok(ShardWriter {
-            path,
-            label,
-            file,
-            buf: Vec::with_capacity(WRITER_BUF),
-            crc,
-        })
-    }
-
-    fn write(&mut self, bytes: &[u8], faults: Option<&FaultPlan>) -> Result<(), GraphError> {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() >= WRITER_BUF {
-            self.flush(faults)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, faults: Option<&FaultPlan>) -> Result<(), GraphError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        if let Some(p) = faults {
-            let label = format!("{}.write", self.label);
-            match p.decide(&label, self.buf.len()) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Short(k) => {
-                    // Torn write: a prefix reaches the file, then the
-                    // failure surfaces.
-                    // lint: allow(result, "fault injection models a torn write; the prefix is best-effort by design")
-                    let _ = self.file.write_all(&self.buf[..k]);
-                    return Err(injected(&label));
-                }
-                FaultDecision::Fail => return Err(injected(&label)),
-            }
-        }
-        self.file
-            .write_all(&self.buf)
-            .map_err(|e| io_err("cannot write", &self.path, e))?;
-        self.crc.update(&self.buf);
-        self.buf.clear();
-        Ok(())
-    }
-
-    fn sync(&mut self, faults: Option<&FaultPlan>) -> Result<(), GraphError> {
-        self.flush(faults)?;
-        barrier(faults, &format!("{}.fsync", self.label))?;
-        self.file
-            .sync_all()
-            .map_err(|e| io_err("cannot fsync", &self.path, e))
-    }
-}
-
 /// Streaming builder for a [`ShardedCsr`] (see the module docs).
 ///
 /// Edges are validated like [`GraphBuilder`](crate::GraphBuilder) —
@@ -477,7 +374,7 @@ pub struct ShardedCsrBuilder {
     m: usize,
     degree: Vec<u32>,
     /// Open writer for the current endpoint shard.
-    ep: Option<ShardWriter>,
+    ep: Option<FileWriter>,
     /// Index of the endpoint shard `ep` appends to.
     ep_shard: usize,
     /// Journal cadence in edges (0 = journaling disabled).
@@ -582,7 +479,7 @@ impl ShardedCsrBuilder {
             cleanup_armed: journal_every == 0,
             created_dir,
         };
-        b.ep = Some(ShardWriter::create(b.dir.join("ep.0"), "ep.0".into())?);
+        b.ep = Some(FileWriter::create(b.dir.join("ep.0"), "ep.0")?);
         if b.journal_every > 0 {
             // An initial durable journal makes even a build killed before
             // its first checkpoint resumable (at zero edges).
@@ -614,17 +511,13 @@ impl ShardedCsrBuilder {
                 ),
             });
         }
-        let corrupt = |path: &Path, reason: String| GraphError::Corrupt {
-            path: path.display().to_string(),
-            reason,
-        };
         let j = BuildJournal::load(&dir)?
-            .ok_or_else(|| corrupt(&dir, "no build journal to resume from".into()))?;
+            .ok_or_else(|| GraphError::corrupt(&dir, "no build journal to resume from"))?;
         if j.n > 1 << 48
             || !(4..=40).contains(&j.shard_bits)
             || j.durable_edges > u64::from(u32::MAX)
         {
-            return Err(corrupt(
+            return Err(GraphError::corrupt(
                 &dir.join(JOURNAL_FILE),
                 format!(
                     "implausible journal header n = {}, shard_bits = {}, durable_edges = {}",
@@ -634,7 +527,7 @@ impl ShardedCsrBuilder {
         }
         let n = num::to_usize(j.n)?;
         let shard_bits = u32::try_from(j.shard_bits).map_err(|_| {
-            corrupt(
+            GraphError::corrupt(
                 &dir.join(JOURNAL_FILE),
                 format!("journal shard_bits {} does not fit u32", j.shard_bits),
             )
@@ -665,7 +558,7 @@ impl ShardedCsrBuilder {
             let path = dir.join(format!("ep.{k}"));
             let mut f = File::open(&path).map_err(|e| match e.kind() {
                 std::io::ErrorKind::NotFound => {
-                    corrupt(&path, "journaled spool shard is missing".into())
+                    GraphError::corrupt(&path, "journaled spool shard is missing")
                 }
                 _ => io_err("cannot open", &path, e),
             })?;
@@ -673,16 +566,16 @@ impl ShardedCsrBuilder {
             while left > 0 {
                 let take = buf.len().min(left);
                 f.read_exact(&mut buf[..take]).map_err(|e| match e.kind() {
-                    std::io::ErrorKind::UnexpectedEof => corrupt(
+                    std::io::ErrorKind::UnexpectedEof => GraphError::corrupt(
                         &path,
-                        "spool shard shorter than the journaled durable prefix".into(),
+                        "spool shard shorter than the journaled durable prefix",
                     ),
                     _ => io_err("cannot read", &path, e),
                 })?;
                 for chunk in buf[..take].chunks_exact(ENTRY) {
                     let (lo, hi) = unpack(chunk);
                     if lo >= hi || num::usize_from(hi) >= n {
-                        return Err(corrupt(
+                        return Err(GraphError::corrupt(
                             &path,
                             format!("spooled endpoint pair ({lo}, {hi}) is invalid for n = {n}"),
                         ));
@@ -706,7 +599,7 @@ impl ShardedCsrBuilder {
             }
         }
         if crc.finish() != j.prefix_crc {
-            return Err(corrupt(
+            return Err(GraphError::corrupt(
                 &dir,
                 format!(
                     "durable spool checksum {:#010x} does not match journaled prefix {:#010x}",
@@ -746,12 +639,11 @@ impl ShardedCsrBuilder {
         }
 
         let ep = if durable == 0 {
-            ShardWriter::create(dir.join("ep.0"), "ep.0".into())?
+            FileWriter::create(dir.join("ep.0"), "ep.0")?
         } else {
-            ShardWriter::append(
+            FileWriter::append(
                 dir.join(format!("ep.{boundary}")),
-                format!("ep.{boundary}"),
-                Crc32::new(),
+                &format!("ep.{boundary}"),
             )?
         };
         Ok(ShardedCsrBuilder {
@@ -820,9 +712,9 @@ impl ShardedCsrBuilder {
                 w.flush(self.faults.as_ref())?;
             }
         }
-        self.ep = Some(ShardWriter::create(
+        self.ep = Some(FileWriter::create(
             self.dir.join(format!("ep.{k}")),
-            format!("ep.{k}"),
+            &format!("ep.{k}"),
         )?);
         self.ep_shard = k;
         Ok(())
@@ -880,15 +772,15 @@ impl ShardedCsrBuilder {
             self.replay_crc.update(lo32, hi32);
             self.skip -= 1;
             if self.skip == 0 && self.replay_crc.finish() != self.expected_prefix_crc {
-                return Err(GraphError::Corrupt {
-                    path: self.dir.display().to_string(),
-                    reason: format!(
+                return Err(GraphError::corrupt(
+                    &self.dir,
+                    format!(
                         "resumed edge stream diverges from the journaled prefix \
                          (replay checksum {:#010x}, journal {:#010x})",
                         self.replay_crc.finish(),
                         self.expected_prefix_crc
                     ),
-                });
+                ));
             }
             return Ok(());
         }
@@ -936,7 +828,7 @@ impl ShardedCsrBuilder {
         self.stream_crc = EdgeCrc::default();
         self.skip = 0;
         self.replay_crc = EdgeCrc::default();
-        self.ep = Some(ShardWriter::create(self.dir.join("ep.0"), "ep.0".into())?);
+        self.ep = Some(FileWriter::create(self.dir.join("ep.0"), "ep.0")?);
         self.ep_shard = 0;
         if self.journal_every > 0 {
             self.durable_edges = 0;
@@ -959,14 +851,14 @@ impl ShardedCsrBuilder {
     /// a spool shard disagrees with the build counters.
     pub fn finish(mut self) -> Result<ShardedCsr, GraphError> {
         if self.skip > 0 {
-            return Err(GraphError::Corrupt {
-                path: self.dir.display().to_string(),
-                reason: format!(
+            return Err(GraphError::corrupt(
+                &self.dir,
+                format!(
                     "resumed build finished after replaying only {} of {} journaled edges",
                     self.m - self.skip,
                     self.m
                 ),
-            });
+            ));
         }
         if self.journal_every > 0 {
             self.checkpoint()?;
@@ -979,13 +871,11 @@ impl ShardedCsrBuilder {
         let entries = self.shard_entries();
 
         // Offset table + scatter cursors from the degree counts, staged
-        // into offsets.bin.tmp and renamed into place once durable.
-        let offsets_path = self.dir.join("offsets.bin");
-        let offsets_tmp = tmp_path(&offsets_path);
+        // and committed into place once durable.
         let mut cursor: Vec<u64> = Vec::with_capacity(self.n);
         let mut max_degree = 0usize;
         let offsets_rec = {
-            let mut w = ShardWriter::create(offsets_tmp.clone(), "offsets".into())?;
+            let mut w = FileWriter::stage(&self.dir.join("offsets.bin"), "offsets")?;
             let mut acc = 0u64;
             w.write(&acc.to_le_bytes(), faults)?;
             for &d in &self.degree {
@@ -994,17 +884,13 @@ impl ShardedCsrBuilder {
                 max_degree = max_degree.max(num::usize_from(d));
                 w.write(&acc.to_le_bytes(), faults)?;
             }
-            w.sync(faults)?;
+            let crc = w.take_crc();
+            w.commit(faults)?;
             FileRecord {
                 len: num::to_u64(num::byte_len(num::add(self.n, 1)?, 8)?),
-                crc: w.crc.finish(),
+                crc,
             }
         };
-        barrier(faults, "offsets.rename")?;
-        std::fs::rename(&offsets_tmp, &offsets_path)
-            .map_err(|e| io_err("cannot rename into place", &offsets_path, e))?;
-        barrier(faults, "offsets.dirsync")?;
-        fsync_dir(&self.dir)?;
 
         // Create and map the adjacency shards read-write.
         let adj_slots = 2 * self.m;
@@ -1062,13 +948,13 @@ impl ShardedCsrBuilder {
             };
             let expect_bytes = num::byte_len(expect, ENTRY)?;
             if map.len() != expect_bytes {
-                return Err(GraphError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: format!(
+                return Err(GraphError::corrupt(
+                    &path,
+                    format!(
                         "endpoint shard has {} bytes, expected {expect_bytes}",
                         map.len()
                     ),
-                });
+                ));
             }
             for chunk in map.chunks_exact(ENTRY) {
                 let (lo, hi) = unpack(chunk);
@@ -1174,9 +1060,10 @@ impl Drop for ShardedCsrBuilder {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::storage::ScratchDir;
 
-    fn scratch(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("decolor-storage-{}-{name}", std::process::id()))
+    fn scratch(name: &str) -> ScratchDir {
+        ScratchDir::new(&std::env::temp_dir(), &format!("decolor-storage-{name}"))
     }
 
     fn assert_matches_graph(sc: &ShardedCsr, g: &Graph) {
@@ -1205,8 +1092,6 @@ mod tests {
         let sc = ShardedCsr::from_graph(&dir, &g).unwrap();
         assert_matches_graph(&sc, &g);
         sc.verify().unwrap();
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1222,8 +1107,6 @@ mod tests {
         let sc = b.finish().unwrap();
         assert!(sc.adj.len() > 1, "test must span multiple shards");
         assert_matches_graph(&sc, &g);
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1235,8 +1118,6 @@ mod tests {
         let sc = ShardedCsr::open(&dir).unwrap();
         assert_matches_graph(&sc, &g);
         sc.verify().unwrap();
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1258,8 +1139,6 @@ mod tests {
             GraphView::endpoints(&sc, EdgeId::new(0)),
             [VertexId::new(0), VertexId::new(2)]
         );
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1275,8 +1154,6 @@ mod tests {
         assert_eq!(sc.num_edges(), 1);
         assert_eq!(GraphView::degree(&sc, VertexId::new(0)), 0);
         assert_eq!(GraphView::degree(&sc, VertexId::new(3)), 1);
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1290,8 +1167,6 @@ mod tests {
         sc.for_each_port(VertexId::new(0), |_, _| seen += 1);
         assert_eq!(seen, 0);
         sc.verify().unwrap();
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1303,7 +1178,6 @@ mod tests {
         let err = ShardedCsr::open(&dir).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
         assert!(ShardedCsr::open(scratch("does-not-exist")).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1329,8 +1203,6 @@ mod tests {
         std::fs::write(&ep1, &rotted).unwrap();
         let sc = ShardedCsr::open(&dir).unwrap();
         assert!(matches!(sc.verify(), Err(GraphError::Corrupt { .. })));
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1349,7 +1221,6 @@ mod tests {
         b.keep_partial_on_drop();
         drop(b);
         assert!(dir.join("ep.0").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1394,8 +1265,6 @@ mod tests {
                 "{name} differs between resumed and uninterrupted builds"
             );
         }
-        std::fs::remove_dir_all(&dir_a).unwrap();
-        std::fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]
@@ -1428,7 +1297,6 @@ mod tests {
         }
         assert!(saw_corrupt, "diverging replay must surface as Corrupt");
         drop(b);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1440,6 +1308,5 @@ mod tests {
             ShardedCsrBuilder::resume(&dir),
             Err(GraphError::InvalidParameters { .. })
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

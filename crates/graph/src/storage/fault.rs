@@ -146,6 +146,19 @@ pub(crate) fn injected(label: &str) -> crate::error::GraphError {
     }
 }
 
+/// Consults the plan at a payloadless durability step.
+pub(crate) fn barrier(
+    faults: Option<&FaultPlan>,
+    label: &str,
+) -> Result<(), crate::error::GraphError> {
+    if let Some(p) = faults {
+        if p.decide(label, 0) != FaultDecision::Proceed {
+            return Err(injected(label));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

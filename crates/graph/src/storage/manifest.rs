@@ -5,8 +5,9 @@
 //! graph header (`n`, `m`, Δ, `shard_bits`), the **byte length and CRC32
 //! of every data file** in the store — `offsets.bin` and each `adj.<k>` /
 //! `ep.<k>` shard — plus a trailing self-checksum. It is written *last*
-//! and *atomically* (tmp → fsync → rename → dir fsync), so its presence
-//! marks a complete, internally consistent store:
+//! and *atomically* through the staged [`FileWriter`] (tmp → fsync →
+//! rename → dir fsync), so its presence marks a complete, internally
+//! consistent store:
 //!
 //! * a crash before the rename leaves no manifest — `open` fails with a
 //!   typed error instead of mmapping garbage;
@@ -17,20 +18,20 @@
 //!   CLI's `store verify` / `--verify`), which is kept out of `open`
 //!   because it reads every byte of a potentially multi-GB store.
 //!
-//! All words are u64 LE. Layout: `TAG`, `VERSION`, `n`, `m`, Δ,
+//! The file is one [`record`](super::record) whose body is `n`, `m`, Δ,
 //! `shard_bits`, `#ep shards`, `#adj shards`, then `(len, crc)` word
-//! pairs for `offsets.bin`, each `ep.<k>`, each `adj.<k>`, then the
-//! CRC32 of all preceding bytes.
+//! pairs for `offsets.bin`, each `ep.<k>`, each `adj.<k>`.
 
 use std::path::{Path, PathBuf};
 
 use crate::error::GraphError;
 use crate::num;
 
-use super::checksum::{crc32, Crc32};
+use super::checksum::Crc32;
 use super::fault::FaultPlan;
-use super::journal::write_durable_faulty;
-use super::{io_err, read_word, word_bytes};
+use super::io_err;
+use super::record;
+use super::writer::FileWriter;
 
 /// Manifest file name inside a store directory.
 pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
@@ -71,11 +72,9 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes the manifest (words + trailing self-CRC).
+    /// Serializes the manifest as one [`record`].
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut words = vec![
-            MANIFEST_TAG,
-            FORMAT_VERSION,
+        let mut body = vec![
             self.n,
             self.m,
             self.max_degree,
@@ -87,13 +86,10 @@ impl Manifest {
             .chain(&self.ep)
             .chain(&self.adj)
         {
-            words.push(rec.len);
-            words.push(u64::from(rec.crc));
+            body.push(rec.len);
+            body.push(u64::from(rec.crc));
         }
-        let mut bytes = word_bytes(&words);
-        let self_crc = crc32(&bytes);
-        bytes.extend_from_slice(&u64::from(self_crc).to_le_bytes());
-        bytes
+        record::encode(MANIFEST_TAG, FORMAT_VERSION, &body)
     }
 
     /// Parses and integrity-checks manifest bytes.
@@ -102,57 +98,47 @@ impl Manifest {
     ///
     /// [`GraphError::Corrupt`] naming `path` on any malformation.
     pub(crate) fn decode(path: &Path, bytes: &[u8]) -> Result<Manifest, GraphError> {
-        let corrupt = |reason: String| GraphError::Corrupt {
-            path: path.display().to_string(),
-            reason,
+        let corrupt = |reason: String| GraphError::corrupt(path, reason);
+        let body = record::decode(path, bytes, MANIFEST_TAG, FORMAT_VERSION)?;
+        let [n, m, max_degree, shard_bits, ep_count, adj_count, ref pairs @ ..] = body[..] else {
+            return Err(corrupt(format!(
+                "manifest has {} body words, expected at least 6",
+                body.len()
+            )));
         };
-        if bytes.len() < 9 * 8 || !bytes.len().is_multiple_of(8) {
+        // The declared shard counts must match the (len, crc) pairs the
+        // file holds; comparing against the pair count, never computing
+        // from the declared counts, keeps a crafted count from
+        // overflowing or sizing an allocation.
+        let records = pairs.len() / 2;
+        if !pairs.len().is_multiple_of(2)
+            || records == 0
+            || ep_count > num::to_u64(records - 1)
+            || adj_count != num::to_u64(records - 1) - ep_count
+        {
             return Err(corrupt(format!(
-                "manifest has {} bytes, not a whole number of words",
-                bytes.len()
+                "manifest has {} record words, expected offsets + {ep_count} ep + {adj_count} adj (len, crc) pairs",
+                pairs.len()
             )));
         }
-        let words = bytes.len() / 8;
-        // lint: allow(arith, "words = bytes.len() / 8, so (words - 1) * 8 < bytes.len()")
-        let payload = &bytes[..(words - 1) * 8];
-        if u64::from(crc32(payload)) != read_word(bytes, words - 1) {
-            return Err(corrupt(
-                "manifest self-checksum mismatch (torn write or bit rot)".into(),
-            ));
+        let mut recs = Vec::with_capacity(records);
+        for pair in pairs.chunks_exact(2) {
+            recs.push(FileRecord {
+                len: pair[0],
+                crc: u32::try_from(pair[1])
+                    .map_err(|_| corrupt("manifest CRC word exceeds u32".into()))?,
+            });
         }
-        if read_word(bytes, 0) != MANIFEST_TAG {
-            return Err(corrupt(format!(
-                "bad manifest magic {:#018x}",
-                read_word(bytes, 0)
-            )));
-        }
-        if read_word(bytes, 1) != FORMAT_VERSION {
-            return Err(corrupt(format!(
-                "store format version {} (this build reads {FORMAT_VERSION})",
-                read_word(bytes, 1)
-            )));
-        }
-        let ep_count = num::to_usize(read_word(bytes, 6))?;
-        let adj_count = num::to_usize(read_word(bytes, 7))?;
-        let expect_words = 8 + 2 * (1 + ep_count + adj_count) + 1;
-        if words != expect_words {
-            return Err(corrupt(format!(
-                "manifest has {words} words, expected {expect_words} for {ep_count} ep + {adj_count} adj shards"
-            )));
-        }
-        let rec = |i: usize| FileRecord {
-            len: read_word(bytes, 8 + 2 * i),
-            // lint: allow(cast, "CRC words are written as u64::from(u32) and the self-CRC above validated the bytes")
-            crc: read_word(bytes, 8 + 2 * i + 1) as u32,
-        };
+        let adj = recs.split_off(1 + num::to_usize(ep_count)?);
+        let ep = recs.split_off(1);
         Ok(Manifest {
-            n: read_word(bytes, 2),
-            m: read_word(bytes, 3),
-            max_degree: read_word(bytes, 4),
-            shard_bits: read_word(bytes, 5),
-            offsets: rec(0),
-            ep: (0..ep_count).map(|k| rec(1 + k)).collect(),
-            adj: (0..adj_count).map(|k| rec(1 + ep_count + k)).collect(),
+            n,
+            m,
+            max_degree,
+            shard_bits,
+            offsets: recs[0],
+            ep,
+            adj,
         })
     }
 
@@ -179,19 +165,18 @@ impl Manifest {
                 } else {
                     return Err(io_err("cannot open", &path, e));
                 };
-                Err(GraphError::Corrupt {
-                    path: dir.display().to_string(),
-                    reason,
-                })
+                Err(GraphError::corrupt(dir, reason))
             }
             Err(e) => Err(io_err("cannot read", &path, e)),
         }
     }
 
-    /// Durably writes the manifest into `dir` (tmp → fsync → rename →
-    /// dir fsync), consulting `faults` at each step.
+    /// Durably writes the manifest into `dir` through a staged
+    /// [`FileWriter`], consulting `faults` at each step.
     pub(crate) fn store(&self, dir: &Path, faults: Option<&FaultPlan>) -> Result<(), GraphError> {
-        write_durable_faulty(&dir.join(MANIFEST_FILE), &self.encode(), "manifest", faults)
+        let mut w = FileWriter::stage(&dir.join(MANIFEST_FILE), "manifest")?;
+        w.write(&self.encode(), faults)?;
+        w.commit(faults)
     }
 
     /// The data files the manifest covers, in manifest order, with their
@@ -220,17 +205,16 @@ impl Manifest {
             let len = std::fs::metadata(&path)
                 .map(|m| m.len())
                 .map_err(|e| match e.kind() {
-                    std::io::ErrorKind::NotFound => GraphError::Corrupt {
-                        path: path.display().to_string(),
-                        reason: "file listed in manifest is missing".into(),
-                    },
+                    std::io::ErrorKind::NotFound => {
+                        GraphError::corrupt(&path, "file listed in manifest is missing")
+                    }
                     _ => io_err("cannot stat", &path, e),
                 })?;
             if len != rec.len {
-                return Err(GraphError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: format!("has {len} bytes, manifest records {}", rec.len),
-                });
+                return Err(GraphError::corrupt(
+                    &path,
+                    format!("has {len} bytes, manifest records {}", rec.len),
+                ));
             }
         }
         Ok(())
@@ -260,14 +244,14 @@ impl Manifest {
                 crc.update(&buf[..got]);
             }
             if crc.finish() != rec.crc {
-                return Err(GraphError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: format!(
+                return Err(GraphError::corrupt(
+                    &path,
+                    format!(
                         "checksum {:#010x} does not match manifest {:#010x}",
                         crc.finish(),
                         rec.crc
                     ),
-                });
+                ));
             }
         }
         Ok(())
@@ -277,6 +261,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{crc32, ScratchDir};
 
     fn sample() -> Manifest {
         Manifest {
@@ -353,24 +338,33 @@ mod tests {
         let err = Manifest::decode(p, &words_bad).unwrap_err();
         assert!(err.to_string().contains("format version"), "{err}");
         let _ = v;
+        // Shard counts of 2^62 each under a valid self-CRC: the declared
+        // counts disagree with the one record pair present.
+        let crafted = record::encode(
+            MANIFEST_TAG,
+            FORMAT_VERSION,
+            &[4, 3, 2, 4, 1 << 62, 1 << 62, 0, 0],
+        );
+        assert_eq!(crafted.len(), 11 * 8);
+        assert!(matches!(
+            Manifest::decode(p, &crafted),
+            Err(GraphError::Corrupt { .. })
+        ));
     }
 
     #[test]
     fn legacy_meta_reports_version_mismatch() {
-        let dir =
-            std::env::temp_dir().join(format!("decolor-manifest-legacy-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-manifest-legacy");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(LEGACY_META_FILE), [0u8; 40]).unwrap();
         let err = Manifest::load(&dir).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt { .. }));
         assert!(err.to_string().contains("legacy"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn length_and_checksum_validation() {
-        let dir =
-            std::env::temp_dir().join(format!("decolor-manifest-check-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-manifest-check");
         std::fs::create_dir_all(&dir).unwrap();
         let offsets = vec![7u8; 16];
         let ep0 = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
@@ -413,6 +407,5 @@ mod tests {
             m.verify_checksums(&dir),
             Err(GraphError::Corrupt { .. })
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -35,34 +35,44 @@
 //!
 //! # Crash safety
 //!
-//! The store has a defined durability order: spool shards are fsynced,
-//! the offset table and manifest are staged to tmp files, fsynced, and
-//! atomically renamed into place, and the manifest — carrying a length
-//! and CRC32 for every data file plus a self-checksum — is written
-//! **last**, so its presence marks a complete store. [`ShardedCsr::open`]
-//! validates the manifest and every file length (a cheap O(#files) pass)
-//! and surfaces [`GraphError::Corrupt`]
-//! instead of mmapping garbage; [`ShardedCsr::verify`] recomputes every
-//! checksum. With [`BuildOptions::journal_every`] set, the builder
-//! additionally journals its durable edge count + prefix CRC so an
-//! interrupted build [`resume`](ShardedCsrBuilder::resume)s from the last
-//! checkpoint and provably reproduces the uninterrupted result. The
-//! [`FaultPlan`] seam lets the crash-recovery suite kill, tear, or
-//! ENOSPC-fail any of these steps deterministically.
+//! One writer and one codec carry every durability guarantee. Every file
+//! is written through a [`FileWriter`] (1 MiB buffer, rolling CRC32,
+//! [`FaultPlan`] consulted at each step). The files a crash must never
+//! leave torn — `offsets.bin`, `manifest.bin`, `journal.bin`, and the
+//! chunked-Linial round checkpoints in `decolor-core` — are staged in a
+//! tmp sibling and committed: fsync, atomic rename, directory fsync.
+//! The manifest, the journal and the checkpoint header share one
+//! [`record`] framing (tag, version, body words, self-CRC), checked in
+//! one place. The spool shards are fsynced before the offset table and
+//! manifest are committed, and the manifest — carrying a length and
+//! CRC32 for every data file — is committed **last**, so its presence
+//! marks a complete store. [`ShardedCsr::open`] validates the manifest
+//! and every file length (a cheap O(#files) pass) and surfaces
+//! [`GraphError::Corrupt`] instead of mmapping garbage;
+//! [`ShardedCsr::verify`] recomputes every checksum. With
+//! [`BuildOptions::journal_every`] set, the builder additionally
+//! journals its durable edge count + prefix CRC so an interrupted build
+//! [`resume`](ShardedCsrBuilder::resume)s from the last checkpoint and
+//! provably reproduces the uninterrupted result. The [`FaultPlan`] seam
+//! lets the crash-recovery suite kill, tear, or ENOSPC-fail any of these
+//! steps deterministically.
 
 mod checksum;
 mod csr;
 mod fault;
 mod journal;
 mod manifest;
+pub mod record;
 mod scratch;
+mod writer;
 
 pub use checksum::{crc32, Crc32};
 pub use csr::{BuildOptions, ShardedCsr, ShardedCsrBuilder, DEFAULT_SHARD_BITS};
 pub use fault::{FaultKind, FaultPlan};
-pub use journal::{read_file, write_file_durable, write_file_durable_with, BuildJournal};
+pub use journal::BuildJournal;
 pub use manifest::{FileRecord, Manifest, FORMAT_VERSION};
 pub use scratch::ScratchDir;
+pub use writer::FileWriter;
 
 use std::path::Path;
 
@@ -73,21 +83,4 @@ pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> GraphError {
     GraphError::Io {
         reason: format!("{what} {}: {e}", path.display()),
     }
-}
-
-/// Reads u64 LE word `i` of a byte buffer (caller guarantees bounds).
-pub(crate) fn read_word(bytes: &[u8], i: usize) -> u64 {
-    // lint: allow(arith, "callers index within a buffer whose length they have already validated")
-    let b = &bytes[i * 8..i * 8 + 8];
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// Serializes u64 words to LE bytes.
-pub(crate) fn word_bytes(words: &[u64]) -> Vec<u8> {
-    // lint: allow(arith, "words is an in-memory &[u64], so 8 * len <= isize::MAX by allocation")
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes
 }

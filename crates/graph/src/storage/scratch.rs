@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// [`ScratchDir::new`] only names the directory (the first writer, such
 /// as [`ShardedCsrBuilder::create`](super::ShardedCsrBuilder::create),
-/// creates it). Declare the guard before the
+/// creates it). The guard derefs to its [`Path`], so `&dir` and
+/// `dir.join(..)` work as on a `PathBuf`. Declare the guard before the
 /// [`ShardedCsr`](super::ShardedCsr) it holds, so the mapping drops
 /// first.
 #[derive(Debug)]
@@ -26,6 +27,20 @@ impl ScratchDir {
 
     /// The guarded directory.
     pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
         &self.0
     }
 }

@@ -2,13 +2,13 @@
 //! **byte-identical** — CSR incidence arrays, endpoint table, and degree
 //! sequence — to the one-shot in-memory builds, at any worker-pool size.
 
-use decolor_graph::storage::{ShardedCsr, ShardedCsrBuilder};
+use decolor_graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{generators, EdgeId, Graph, Relabeling, VertexId};
 use proptest::prelude::*;
 
-fn scratch(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("decolor-parity-{}-{tag}", std::process::id()))
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(&std::env::temp_dir(), &format!("decolor-parity-{tag}"))
 }
 
 /// Asserts the topology `sc` (a sharded store or a view) serves exactly
@@ -53,8 +53,6 @@ fn check_stream(
     stream(&mut b).unwrap();
     let sc = b.finish().unwrap();
     assert_csr_identical(&sc, reference);
-    drop(sc);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
@@ -132,7 +130,6 @@ fn relabeling_sink_over_sharded_builder_matches_spilled_relayout() {
             let sc = b.finish().unwrap();
             assert_csr_identical(&sc, &relaid);
             drop(sc);
-            std::fs::remove_dir_all(&dir).unwrap();
         });
     }
 }
@@ -146,8 +143,6 @@ fn spilled_graph_round_trips_through_open() {
     drop(sc);
     let reopened = ShardedCsr::open(&dir).unwrap();
     assert_csr_identical(&reopened, &g);
-    drop(reopened);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -180,8 +175,6 @@ fn views_borrow_a_sharded_parent() {
         let v = VertexId::new(lv);
         assert_eq!(ram.incidence(v), mmap.incidence(v), "induced ports of {v}");
     }
-    drop(mmap);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -220,7 +213,5 @@ fn has_parallel_edges_on_every_topology() {
             want,
             "{tag} store view"
         );
-        drop(sc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -82,7 +82,7 @@ impl<'g, V: GraphView> Network<'g, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decolor_graph::storage::ShardedCsr;
+    use decolor_graph::storage::{ScratchDir, ShardedCsr};
     use decolor_graph::subgraph::{EdgeSubgraphView, InducedSubgraphView};
     use decolor_graph::{generators, EdgeId};
 
@@ -129,11 +129,9 @@ mod tests {
             InducedSubgraphView::new(&g, g.vertices().filter(|&v| inside(v)).collect()).unwrap();
         check("induced view", &view, induced);
 
-        let dir = std::env::temp_dir().join(format!("decolor-bcost-{}", std::process::id()));
+        let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-bcost");
         let csr = ShardedCsr::from_graph(&dir, &g).unwrap();
         check("sharded csr", &csr, 2 * g.num_edges() as u64);
-        drop(csr);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

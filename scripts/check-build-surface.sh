@@ -52,4 +52,29 @@ fi
 rmdir "$mmap_tmp"
 echo "    star and cd on --backend mmap removed their scratch"
 
+echo "==> CLI store round trip leaves no scratch behind"
+# A journaled store build with --verify, then a standalone verify, run
+# with TMPDIR pointed at a fresh directory: both must succeed, the
+# finished store must hold only its data files and manifest (no staged
+# .tmp file, no journal), and TMPDIR must stay empty.
+store_tmp=$(mktemp -d)
+store_parent=$(mktemp -d)
+store_dir="$store_parent/store"
+TMPDIR="$store_tmp" target/debug/decolor store build grid:rows=64,cols=64 "$store_dir" \
+    --journal-every 500 --verify >/dev/null
+TMPDIR="$store_tmp" target/debug/decolor store verify "$store_dir" >/dev/null
+store_files=$(ls -A "$store_dir" | sort | tr '\n' ' ')
+if [[ "$store_files" != "adj.0 ep.0 manifest.bin offsets.bin " ]]; then
+    echo "store round trip left unexpected files in $store_dir: $store_files"
+    exit 1
+fi
+if [[ -n "$(ls -A "$store_tmp")" ]]; then
+    echo "store round trip left scratch behind in $store_tmp:"
+    ls -A "$store_tmp"
+    exit 1
+fi
+rm -r "$store_parent"
+rmdir "$store_tmp"
+echo "    store build --verify and store verify left nothing behind"
+
 echo "build surface OK"

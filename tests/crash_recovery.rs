@@ -17,11 +17,11 @@
 //! `scripts/test-matrix.sh`'s crash-recovery smoke leg.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use decolor::core::linial::linial_coloring_chunked;
 use decolor::core::AlgoError;
-use decolor::graph::storage::{BuildOptions, FaultPlan, ShardedCsr, ShardedCsrBuilder};
+use decolor::graph::storage::{BuildOptions, FaultPlan, ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor::graph::{generators, GraphError};
 use decolor::runtime::IdAssignment;
 
@@ -29,10 +29,8 @@ use decolor::runtime::IdAssignment;
 const ROWS: usize = 10;
 const COLS: usize = 8;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("decolor-crash-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::new(&std::env::temp_dir(), &format!("decolor-crash-{name}"))
 }
 
 /// Every file of a store directory, by name — the byte-identity oracle.
@@ -72,7 +70,7 @@ fn build_grid(
 }
 
 /// Reference store built with no faults.
-fn reference(name: &str, journal_every: usize) -> (PathBuf, BTreeMap<String, Vec<u8>>) {
+fn reference(name: &str, journal_every: usize) -> (ScratchDir, BTreeMap<String, Vec<u8>>) {
     let dir = scratch(name);
     build_grid(&dir, journal_every, None).expect("uninterrupted build succeeds");
     let bytes = dir_bytes(&dir);
@@ -99,7 +97,7 @@ fn assert_recovered_or_typed_error(dir: &Path, want: &BTreeMap<String, Vec<u8>>,
 /// byte-identical complete store.
 #[test]
 fn every_kill_point_leaves_corrupt_or_identical_store() {
-    let (ref_dir, want) = reference("kill-ref", 0);
+    let (_ref_dir, want) = reference("kill-ref", 0);
     let dir = scratch("kill-sweep");
     let mut k = 0u64;
     loop {
@@ -121,15 +119,13 @@ fn every_kill_point_leaves_corrupt_or_identical_store() {
         assert!(k < 10_000, "sweep did not terminate");
     }
     assert!(k > 20, "sweep covered only {k} fault points — seam lost?");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// Sweeps torn writes (seeded short-write prefixes) and ENOSPC failures
 /// over every fault point of a non-journaled build.
 #[test]
 fn torn_writes_and_enospc_never_yield_a_wrong_store() {
-    let (ref_dir, want) = reference("torn-ref", 0);
+    let (_ref_dir, want) = reference("torn-ref", 0);
     for (tag, mk) in [
         (
             "short",
@@ -156,9 +152,7 @@ fn torn_writes_and_enospc_never_yield_a_wrong_store() {
             k += 1;
             assert!(k < 10_000, "{tag} sweep did not terminate");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// Sweeps a kill at every point of a **journaled** build, then resumes
@@ -166,7 +160,7 @@ fn torn_writes_and_enospc_never_yield_a_wrong_store() {
 /// store must be byte-identical to the uninterrupted one.
 #[test]
 fn journaled_builds_resume_byte_identical_from_every_kill_point() {
-    let (ref_dir, want) = reference("resume-ref", 32);
+    let (_ref_dir, want) = reference("resume-ref", 32);
     let dir = scratch("resume-sweep");
     let mut k = 0u64;
     let mut resumed = 0u32;
@@ -213,8 +207,6 @@ fn journaled_builds_resume_byte_identical_from_every_kill_point() {
         assert!(k < 10_000, "journaled sweep did not terminate");
     }
     assert!(resumed > 20, "only {resumed} kill points actually resumed");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// The journaled sweep under explicit worker-pool widths 1 and 4 — the
@@ -223,7 +215,7 @@ fn journaled_builds_resume_byte_identical_from_every_kill_point() {
 fn recovery_is_pool_width_invariant() {
     for threads in [1usize, 4] {
         rayon::with_num_threads(threads, || {
-            let (ref_dir, want) = reference(&format!("pool-ref-{threads}"), 16);
+            let (_ref_dir, want) = reference(&format!("pool-ref-{threads}"), 16);
             let dir = scratch(&format!("pool-sweep-{threads}"));
             // Three representative kill points: mid-spool, mid-scatter,
             // and during the manifest dance (past the last journal sync).
@@ -247,8 +239,6 @@ fn recovery_is_pool_width_invariant() {
                     },
                 }
             }
-            let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&ref_dir);
         });
     }
 }
@@ -284,7 +274,6 @@ fn checkpointed_linial_survives_kills_between_every_round() {
     assert_eq!(out.result.coloring, straight.coloring, "coloring diverges");
     assert_eq!(out.result.palette_trace, straight.palette_trace);
     assert_eq!(out.stats, straight_stats, "ledger diverges");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A damaged or foreign checkpoint must surface as `Corrupt` — a
@@ -318,7 +307,6 @@ fn damaged_or_foreign_checkpoints_are_rejected() {
         Err(AlgoError::Graph(GraphError::Corrupt { .. })) => {}
         other => panic!("foreign checkpoint accepted: {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance-scale run: a million-vertex grid (Δ = 4) streamed to a
@@ -373,6 +361,4 @@ fn million_vertex_resumed_run_is_byte_identical() {
     assert_eq!(out.result.coloring, straight.coloring, "coloring diverges");
     assert_eq!(out.result.palette_trace, straight.palette_trace);
     assert_eq!(out.stats, straight_stats);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }

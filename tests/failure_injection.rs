@@ -125,11 +125,10 @@ fn oversized_ids_rejected() {
 /// never feed the algorithms a silently wrong topology.
 #[test]
 fn damaged_stores_are_corrupt_never_wrong() {
-    use decolor::graph::storage::{ShardedCsr, ShardedCsrBuilder};
+    use decolor::graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
     use decolor::graph::GraphError;
 
-    let dir = std::env::temp_dir().join(format!("decolor-fi-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new(&std::env::temp_dir(), "decolor-fi-store");
     let g = generators::grid(9, 8).unwrap();
     let mut b = ShardedCsrBuilder::with_shard_bits(&dir, g.num_vertices(), 4).unwrap();
     for e in g.edges() {
@@ -187,6 +186,4 @@ fn damaged_stores_are_corrupt_never_wrong() {
     // reported as such (not a bare "file not found").
     std::fs::remove_file(dir.join("manifest.bin")).unwrap();
     is_corrupt(ShardedCsr::open(&dir), "missing manifest");
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
