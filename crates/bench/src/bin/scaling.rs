@@ -43,13 +43,6 @@
 //!   provenance record per (row, width); the experiments report renders
 //!   the widths into its speedup-vs-threads table. Without the flag the
 //!   ambient pool (the `DECOLOR_THREADS` knob) is used, as before.
-//! * `--relayout` — (ram backend) rebuild the star/t52/t53/t54 workloads under
-//!   the degree-class relabeling (`decolor_graph::Relabeling`) before
-//!   coloring, and assert the result proper on the **original** graph
-//!   (edge ids survive the relayout; rounds/palettes are pinned
-//!   identical by the relayout-equivalence proptests). Rows are tagged
-//!   `[relayout]` in the provenance records.
-//!
 //! * `--help` — print the flags and exit; any other flag is an error.
 //!
 //! The star, t52, t53 and t54 rows are the paper's
@@ -68,7 +61,7 @@ use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
 use decolor_graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
-use decolor_graph::{generators, Graph, Relabeling};
+use decolor_graph::{generators, Graph};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use std::path::Path;
 use std::time::Instant;
@@ -131,14 +124,6 @@ fn regular_workload_mmap(
         ShardedCsrBuilder::with_options(dir, n, opts).expect("scratch storage dir is writable");
     generators::random_regular_stream(n, d, seed, &mut b).expect("workload parameters are valid");
     b.finish().expect("sharded CSR build succeeds")
-}
-
-/// Rebuilds `g` under its degree-class relabeling (the `--relayout`
-/// path). Edge ids are preserved, so edge colorings of the result are
-/// asserted on `g` directly.
-fn relay(g: &Graph) -> Graph {
-    let relab = Relabeling::by_degree_classes(g).expect("vertex ids fit u32");
-    relab.apply_to_graph(g).expect("same vertex count")
 }
 
 /// The input graph family of an [`Algorithm`] row.
@@ -225,8 +210,6 @@ struct LadderCfg<'a> {
     mmap: bool,
     checkpoint: bool,
     journal_every: usize,
-    relayout: bool,
-    tag: &'a str,
 }
 
 fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<String>> {
@@ -235,10 +218,11 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
         mmap,
         checkpoint,
         journal_every,
-        relayout,
-        tag,
         ..
     } = cfg;
+    // Rows measured under --backend mmap are tagged in the provenance
+    // records so EXPERIMENTS.md can tell the paths apart.
+    let tag = if mmap { " [mmap]" } else { "" };
     let mut rows = Vec::new();
     for &n in cfg.sizes {
         // (rounds, wall seconds) per column; None renders as "-".
@@ -317,10 +301,7 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 )
             } else {
                 let g = workload.ram(n);
-                let relaid = relayout.then(|| relay(&g));
-                let (coloring, stats, secs) = timed(&algo, relaid.as_ref().unwrap_or(&g), None);
-                // Edge ids survive the relayout, so the coloring must be
-                // proper on the *original* workload either way.
+                let (coloring, stats, secs) = timed(&algo, &g, None);
                 assert!(coloring.is_proper(&g));
                 (coloring, stats, secs, g.num_edges(), g.max_degree())
             };
@@ -456,7 +437,7 @@ fn print_ladder(rows: &[Vec<String>]) {
 
 const USAGE: &str = "\
 usage: scaling [--quick] [--only <row>] [--backend ram|mmap] [--max-n N]
-               [--checkpoint] [--threads W1,W2,...] [--relayout] [--help]
+               [--checkpoint] [--threads W1,W2,...] [--help]
 
 Rows: linial, star, t52, t53, t54, cd. See the module docs of
 crates/bench/src/bin/scaling.rs for what each flag does.
@@ -471,7 +452,6 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut quick = false;
     let mut checkpoint = false;
-    let mut relayout = false;
     let mut only: Option<String> = None;
     let mut backend = "ram".to_string();
     let mut max_n: usize = 1_048_576;
@@ -490,7 +470,6 @@ fn main() {
             }
             "--quick" => quick = true,
             "--checkpoint" => checkpoint = true,
-            "--relayout" => relayout = true,
             "--only" => only = Some(value()),
             "--backend" => backend = value(),
             "--max-n" => {
@@ -534,13 +513,6 @@ fn main() {
     if checkpoint && !mmap {
         fail("--checkpoint applies to the out-of-core paths; add --backend mmap");
     }
-    if relayout && mmap {
-        fail(
-            "--relayout rebuilds the in-RAM workloads; the streamed mmap \
-             builds take the relabeling through `Relabeling::sink` (see \
-             the storage tests) and are not benched here",
-        );
-    }
     // Journal cadence for --checkpoint builds: every 2^20 edges.
     let journal_every = if checkpoint { 1 << 20 } else { 0 };
     let runs = move |row: &str| only.as_deref().is_none_or(|o| o == row);
@@ -554,22 +526,11 @@ fn main() {
     } else {
         "borrowed-view paths"
     };
-    // Rows measured under --backend mmap / --relayout are tagged in the
-    // provenance records so EXPERIMENTS.md can tell the paths apart.
-    let mut tag = String::new();
-    if mmap {
-        tag.push_str(" [mmap]");
-    }
-    if relayout {
-        tag.push_str(" [relayout]");
-    }
     let cfg = LadderCfg {
         sizes: &sizes,
         mmap,
         checkpoint,
         journal_every,
-        relayout,
-        tag: &tag,
     };
 
     println!("# Scaling study — rounds vs n at fixed Δ ({path})\n");

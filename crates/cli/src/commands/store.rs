@@ -9,7 +9,7 @@
 //! edges, and `--resume` continues an interrupted journaled build from
 //! its last checkpoint — the finished store is byte-identical to an
 //! uninterrupted one. `verify` re-reads every data file and checks its
-//! manifest CRC32.
+//! manifest CRC32 and the manifest's Δ against the offset table.
 
 use decolor_graph::storage::{
     BuildOptions, ShardedCsr, ShardedCsrBuilder, DEFAULT_SHARD_BITS, FORMAT_VERSION,
@@ -203,7 +203,7 @@ fn summary(sc: &ShardedCsr) -> String {
 mod tests {
     use super::*;
     use crate::args::parse;
-    use decolor_graph::storage::ScratchDir;
+    use decolor_graph::storage::{record, ScratchDir};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -253,12 +253,26 @@ mod tests {
         // Flip one byte in a data shard: open() still succeeds (lengths
         // are fine) but verify() must report corruption.
         let shard = std::path::Path::new(&dir).join("ep.0");
-        let mut bytes = std::fs::read(&shard).unwrap();
+        let orig = std::fs::read(&shard).unwrap();
+        let mut bytes = orig.clone();
         bytes[3] ^= 0x40;
         std::fs::write(&shard, bytes).unwrap();
         let mut v = parse(&argv(&format!("store verify {dir}"))).unwrap();
         let err = run(&mut v).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
+        // Restore the shard, then raise the manifest's Δ (body word 2)
+        // and re-seal its self-CRC: open() still succeeds, but the
+        // offset table disagrees, so verify() must fail.
+        std::fs::write(&shard, orig).unwrap();
+        let path = std::path::Path::new(&dir).join("manifest.bin");
+        let bytes = std::fs::read(&path).unwrap();
+        let (tag, version) = (record::read_word(&bytes, 0), record::read_word(&bytes, 1));
+        let mut body = record::decode(&path, &bytes, tag, version).unwrap();
+        body[2] += 1;
+        std::fs::write(&path, record::encode(tag, version, &body)).unwrap();
+        let mut v = parse(&argv(&format!("store verify {dir}"))).unwrap();
+        let err = run(&mut v).unwrap_err();
+        assert!(err.contains("max degree"), "{err}");
     }
 
     #[test]

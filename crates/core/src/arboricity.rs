@@ -116,7 +116,7 @@ pub fn theorem52<G: GraphView + Sync>(
     q: f64,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
-    theorem52_on(g, g, a, q, 1, cfg)
+    theorem52_on(g, g, a, q, cfg)
 }
 
 /// The view-generic realization of Theorem 5.2: runs on any
@@ -130,32 +130,25 @@ pub fn theorem52<G: GraphView + Sync>(
 /// buckets the crossing edges by stage and one `CrossingStages` run
 /// over all stages, O(n + m) plus the stages' own label rounds.
 ///
-/// `intra_levels` applies the proof's remark: "this step can be computed
-/// much faster in the expense of increasing the constant of the number of
-/// colors O(a). See Theorem 4.1." — the intra-H-set edges are colored
-/// with an `intra_levels`-deep star partition (2^{x+1}d instead of 4d
-/// colors, fewer rounds); [`theorem52`] uses 1.
+/// The intra-H-set edges get one star-partition level, as Theorem 5.2
+/// is stated; the proof remarks that "this step can be computed much
+/// faster in the expense of increasing the constant of the number of
+/// colors O(a). See Theorem 4.1."
 ///
 /// # Errors
 ///
-/// As [`theorem52`], plus `intra_levels == 0`.
+/// As [`theorem52`].
 pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     root: &R,
     view: &V,
     a: usize,
     q: f64,
-    intra_levels: usize,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
     if view.num_edges() == 0 {
         return finish(view, (vec![], 1, NetworkStats::default()));
     }
     let d = a_hat(q, a)?;
-    if intra_levels == 0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "intra_levels must be ≥ 1".into(),
-        });
-    }
     let delta = num::to_u64(view.max_degree());
     let hp = h_partition(view, d)?;
     let mut stats = hp.stats;
@@ -203,10 +196,7 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
             &intra,
             &StarPartitionParams {
                 subroutine: cfg,
-                ..StarPartitionParams::for_max_degree(
-                    num::to_u64(GraphView::max_degree(&intra)),
-                    intra_levels,
-                )
+                ..StarPartitionParams::for_max_degree(num::to_u64(GraphView::max_degree(&intra)), 1)
             },
         )?;
         intra_palette = star.coloring.palette();
@@ -294,7 +284,7 @@ fn combine_classes_on<G: GraphView + Sync>(
     let (out, inner, children) = color_classes(g.num_edges(), &phi.classes(), |class| {
         let view = EdgeSubgraphView::new(g, class.to_vec()).map_err(AlgoError::invariant)?;
         let a_sub = max_out_degree(g, class.iter().map(|&e| (e, orient.head(e)))).max(1);
-        let psi = theorem52_on(g, &view, a_sub, q, 1, cfg)?;
+        let psi = theorem52_on(g, &view, a_sub, q, cfg)?;
         Ok((
             psi.coloring.as_slice().to_vec(),
             psi.coloring.palette(),
@@ -312,7 +302,8 @@ fn combine_classes_on<G: GraphView + Sync>(
 /// view-generic Theorem 5.2 in parallel. Every class recursion is a
 /// borrowed [`EdgeSubgraphView`] of the root, with the class's heads
 /// carried alongside — no spanning subgraph or restricted
-/// [`Orientation`] object is materialized.
+/// [`Orientation`] object is materialized. At `x = 1` there is no
+/// connector level and the call is [`theorem52`].
 ///
 /// # Errors
 ///
@@ -333,18 +324,14 @@ pub fn theorem54<G: GraphView + Sync>(
     if g.num_edges() == 0 {
         return finish(g, (vec![], 1, NetworkStats::default()));
     }
+    if x == 1 {
+        return theorem52(g, a, q, cfg);
+    }
     let d = a_hat(q, a)?;
     let delta = num::to_u64(g.max_degree());
     let hp = h_partition(g, d)?;
     let orient = hp.orientation(g);
     let stats = hp.stats;
-    if x == 1 {
-        let t52 = theorem52(g, a, q, cfg)?;
-        return Ok(ArboricityColoring {
-            coloring: t52.coloring,
-            stats: stats.then(t52.stats),
-        });
-    }
     // Group sizes fixed from the *original* Δ and â (the paper's
     // ⌈Δ^{1/x} + 1⌉ / ⌈â^{1/x} + 1⌉).
     let x32 = num::to_u32(x)?;
@@ -388,7 +375,7 @@ fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
             .map(EdgeId::new)
             .zip(heads.iter().copied());
         let a_cur = max_out_degree(view, arcs).max(1);
-        let t52 = theorem52_on(root, view, a_cur, ctx.q, 1, ctx.cfg)?;
+        let t52 = theorem52_on(root, view, a_cur, ctx.q, ctx.cfg)?;
         return Ok((
             t52.coloring.as_slice().to_vec(),
             t52.coloring.palette(),
@@ -547,6 +534,22 @@ mod tests {
     }
 
     #[test]
+    fn theorem54_at_x1_is_theorem52() {
+        let cfg = SubroutineConfig::default();
+        for g in [
+            generators::forest_union(220, 2, 12, 0).unwrap(),
+            generators::barabasi_albert(1_500, 2, 1).unwrap(),
+            generators::path(50).unwrap(),
+        ] {
+            let t52 = theorem52(&g, 2, 2.5, cfg).unwrap();
+            let t54 = theorem54(&g, 2, 2.5, 1, cfg).unwrap();
+            assert_eq!(t54.coloring.as_slice(), t52.coloring.as_slice());
+            assert_eq!(t54.coloring.palette(), t52.coloring.palette());
+            assert_eq!(t54.stats, t52.stats);
+        }
+    }
+
+    #[test]
     fn corollary55_delta_one_plus_o1() {
         let g = workload(600, 2, 48, 7);
         let delta = g.max_degree() as u64;
@@ -622,22 +625,6 @@ mod tests {
             .unwrap()
             .coloring
             .is_empty());
-    }
-
-    #[test]
-    fn theorem52_intra_levels_tradeoff() {
-        let g = workload(500, 3, 12, 10);
-        let cfg = SubroutineConfig::default();
-        let slow = theorem52_on(&g, &g, 3, 2.5, 1, cfg).unwrap();
-        let fast = theorem52_on(&g, &g, 3, 2.5, 2, cfg).unwrap();
-        assert!(slow.coloring.is_proper(&g));
-        assert!(fast.coloring.is_proper(&g));
-        // Deeper intra recursion may cost more colors but never breaks
-        // the Δ + O(a) family (the O(a) constant grows to 2^{x+1}·d).
-        let delta = g.max_degree() as u64;
-        let d = (2.5f64 * 3.0).ceil() as u64;
-        assert!(fast.coloring.palette() <= (8 * d + 1).max(delta + d));
-        assert!(theorem52_on(&g, &g, 3, 2.5, 0, cfg).is_err());
     }
 
     /// Theorem 5.2 as it ran before `CrossingStages`: the H-partition by
@@ -718,7 +705,7 @@ mod tests {
         let g = generators::barabasi_albert(1_500, 4, 7).unwrap();
         let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % 5 != 2).collect();
         let view = EdgeSubgraphView::new(&g, class).unwrap();
-        let res = theorem52_on(&g, &view, 4, 2.5, 1, cfg).unwrap();
+        let res = theorem52_on(&g, &view, 4, 2.5, cfg).unwrap();
         let (colors, palette, stats, stages) = theorem52_by_stage_rescans(&g, &view, 4, 2.5);
         assert!(stages >= 2, "view: only {stages} stage(s)");
         assert_eq!(res.coloring.as_slice(), &colors[..], "view");

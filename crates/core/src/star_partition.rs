@@ -50,11 +50,6 @@ pub struct StarPartitionParams {
     pub subroutine: SubroutineConfig,
     /// Run the final palette trim down to 2^{x+1}Δ (default true).
     pub trim: bool,
-    /// Ablation: recompute `t = ⌊Δ_cur^{1/(x_rem+1)}⌋` at every stage from
-    /// the *current* maximum degree instead of reusing the top-level `t`
-    /// (the paper fixes `t`; adaptive `t` trades a few colors for rounds
-    /// on irregular graphs).
-    pub adaptive_t: bool,
 }
 
 impl Default for StarPartitionParams {
@@ -64,7 +59,6 @@ impl Default for StarPartitionParams {
             x: 1,
             subroutine: SubroutineConfig::default(),
             trim: true,
-            adaptive_t: false,
         }
     }
 }
@@ -243,11 +237,7 @@ fn stage_on<R: GraphView + Sync, V: GraphView + Sync, L: Leaf>(
     }
     let cfg = params.subroutine;
     let delta = num::to_u64(view.max_degree());
-    let t = if params.adaptive_t {
-        optimal_t(delta, x)
-    } else {
-        params.t
-    };
+    let t = params.t;
     // The partition keeps recursing at Δ ≤ t: its classes must shrink x
     // times.
     if x == 0 || (!L::LABELS && delta <= num::to_u64(t)) {
@@ -426,19 +416,5 @@ mod tests {
             r3.stats.rounds,
             r1.stats.rounds
         );
-    }
-
-    #[test]
-    fn adaptive_t_stays_proper_on_irregular_graphs() {
-        let g = generators::barabasi_albert(300, 4, 3).unwrap();
-        let fixed = StarPartitionParams::for_levels(&g, 2);
-        let adaptive = StarPartitionParams {
-            adaptive_t: true,
-            ..fixed
-        };
-        let rf = star_partition_edge_coloring(&g, &fixed).unwrap();
-        let ra = star_partition_edge_coloring(&g, &adaptive).unwrap();
-        assert!(rf.coloring.is_proper(&g));
-        assert!(ra.coloring.is_proper(&g));
     }
 }

@@ -19,7 +19,7 @@
 //! coloring and labels, CD-Coloring with and without the §3 trim,
 //! Theorems 5.2–5.4, the Theorem 2.4 clique decomposition) on 32 seeded
 //! graphs per row, folded into one CRC per row, plus the degenerate
-//! shapes and the adaptive-t ablation.
+//! shapes.
 //!
 //! Each run is folded into one CRC32 over the coloring, the palette and
 //! the full `NetworkStats` (rounds, messages, payload bytes) and checked
@@ -393,7 +393,7 @@ fn fold_cd(crc: &mut Crc32, g: &Graph, cover: &CliqueCover, params: &CdParams, i
 
 /// The **sweep rows**: every class recursion (star partition coloring and
 /// labels, CD-Coloring, Theorems 5.2–5.4, the clique decomposition) run on
-/// 32 seeded graphs per row, plus odd shapes and the adaptive-t ablation.
+/// 32 seeded graphs per row, plus odd shapes.
 fn sweep_lines() -> Vec<String> {
     let n = SEEDS.end as usize;
     let mut lines = Vec::new();
@@ -524,19 +524,6 @@ fn sweep_lines() -> Vec<String> {
             },
         ));
     }
-    let g = generators::barabasi_albert(150, 4, 9).unwrap();
-    lines.push(sweep_line(
-        "star:x=2,adaptive_t",
-        "ba(150,4,9)",
-        1,
-        |_, crc| {
-            let params = StarPartitionParams {
-                adaptive_t: true,
-                ..StarPartitionParams::for_levels(&g, 2)
-            };
-            fold_star(crc, &g, &params);
-        },
-    ));
     lines
 }
 

@@ -31,10 +31,6 @@
 //!   [`properties`]).
 //! * Deterministic workload generators ([`generators`]), with streaming
 //!   `*_stream` variants that emit edges into any [`EdgeSink`].
-//! * Degree-ordered CSR relayout ([`relabel::Relabeling`]): permutation
-//!   construction from degree classes, application at either build seam
-//!   (in-RAM parallel CSR or a streamed [`EdgeSink`]), and inversion of
-//!   per-vertex results back to original ids.
 //! * Out-of-core storage: [`storage::ShardedCsr`], a sharded mmap-backed
 //!   CSR serving the same [`subgraph::GraphView`] interface bit-for-bit,
 //!   built by the streaming [`storage::ShardedCsrBuilder`].
@@ -79,7 +75,6 @@ pub mod num;
 pub mod ops;
 pub mod orientation;
 pub mod properties;
-pub mod relabel;
 pub mod storage;
 pub mod subgraph;
 
@@ -87,4 +82,3 @@ pub use builder::{builder_from_edges, EdgeSink, GraphBuilder};
 pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
-pub use relabel::Relabeling;

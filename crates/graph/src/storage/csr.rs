@@ -188,15 +188,38 @@ impl ShardedCsr {
     }
 
     /// Full integrity pass: recomputes the CRC32 of every data file and
-    /// compares it against the manifest. Reads every byte of the store —
-    /// this is the `store verify` / `--verify` slow path, deliberately
-    /// not part of [`ShardedCsr::open`].
+    /// compares it against the manifest, then recomputes Δ from the
+    /// offset table and compares it against the manifest's. Reads every
+    /// byte of the store — this is the `store verify` / `--verify` slow
+    /// path, deliberately not part of [`ShardedCsr::open`].
     ///
     /// # Errors
     ///
-    /// [`GraphError::Corrupt`] naming the first mismatching file.
+    /// [`GraphError::Corrupt`] naming the first mismatching file, for an
+    /// offset table that decreases, or for a recorded Δ that is not the
+    /// offset table's.
     pub fn verify(&self) -> Result<(), GraphError> {
-        self.manifest.verify_checksums(&self.dir)
+        self.manifest.verify_checksums(&self.dir)?;
+        let mut max_degree = 0u64;
+        let mut start = self.offset(0);
+        for v in 1..=self.n {
+            let end = self.offset(v);
+            let degree = end.checked_sub(start).ok_or_else(|| {
+                GraphError::corrupt(&self.dir, format!("offset table decreases at entry {v}"))
+            })?;
+            max_degree = max_degree.max(degree);
+            start = end;
+        }
+        if max_degree != self.manifest.max_degree {
+            return Err(GraphError::corrupt(
+                &self.dir,
+                format!(
+                    "manifest records max degree {}, offset table gives {max_degree}",
+                    self.manifest.max_degree
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Spills an in-memory [`Graph`] to `dir` and opens it — the parity
@@ -1203,6 +1226,31 @@ mod tests {
         std::fs::write(&ep1, &rotted).unwrap();
         let sc = ShardedCsr::open(&dir).unwrap();
         assert!(matches!(sc.verify(), Err(GraphError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn verify_rejects_a_manifest_delta_the_offsets_disagree_with() {
+        let dir = scratch("delta");
+        let g = generators::grid(8, 8).unwrap();
+        let sc = ShardedCsr::from_graph(&dir, &g).unwrap();
+        sc.verify().unwrap();
+        let mut manifest = sc.manifest().clone();
+        drop(sc);
+        manifest.max_degree = 1;
+        manifest.store(&dir, None).unwrap();
+        let err = ShardedCsr::open(&dir).unwrap().verify().unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("max degree"), "{err}");
+        // A decreasing offset table under re-sealed CRCs is corrupt too,
+        // not a wrapped degree.
+        let offsets = dir.join("offsets.bin");
+        let mut bytes = std::fs::read(&offsets).unwrap();
+        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&offsets, &bytes).unwrap();
+        manifest.offsets.crc = crate::storage::crc32(&bytes);
+        manifest.store(&dir, None).unwrap();
+        let err = ShardedCsr::open(&dir).unwrap().verify().unwrap_err();
+        assert!(err.to_string().contains("decreases at entry 2"), "{err}");
     }
 
     #[test]

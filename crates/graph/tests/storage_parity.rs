@@ -4,7 +4,7 @@
 
 use decolor_graph::storage::{ScratchDir, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::GraphView;
-use decolor_graph::{generators, EdgeId, Graph, Relabeling, VertexId};
+use decolor_graph::{generators, EdgeId, Graph, VertexId};
 use proptest::prelude::*;
 
 fn scratch(tag: &str) -> ScratchDir {
@@ -104,32 +104,6 @@ fn hypercube_and_grid_stream_parity() {
             check_stream(&format!("grid-{threads}"), 17 * 23, &g, |sink| {
                 generators::grid_stream(17, 23, sink)
             });
-        });
-    }
-}
-
-#[test]
-fn relabeling_sink_over_sharded_builder_matches_spilled_relayout() {
-    // The streamed relayout seam: pushing edges through
-    // `Relabeling::sink` into a ShardedCsrBuilder must serve the same
-    // CSR as materializing `apply_to_graph` in RAM and spilling it —
-    // at both pool widths, since both builds cross the parallel seams.
-    let g = generators::forest_union(200, 2, 7, 13).unwrap();
-    let relab = Relabeling::by_degree_classes(&g).unwrap();
-    let relaid = relab.apply_to_graph(&g).unwrap();
-    for threads in [1usize, 4] {
-        rayon::with_num_threads(threads, || {
-            let dir = scratch(&format!("relabel-sink-{threads}"));
-            let mut b = ShardedCsrBuilder::with_shard_bits(&dir, g.num_vertices(), 8).unwrap();
-            {
-                let mut sink = relab.sink(&mut b);
-                for (_, [u, v]) in g.edge_list() {
-                    decolor_graph::EdgeSink::add_edge(&mut sink, u.index(), v.index()).unwrap();
-                }
-            }
-            let sc = b.finish().unwrap();
-            assert_csr_identical(&sc, &relaid);
-            drop(sc);
         });
     }
 }

@@ -15,9 +15,8 @@
 //! ¹ the offset-arithmetic rule (`ARITH01`) applies only inside
 //! `crates/graph/src/storage/` and `crates/core/src/checkpoint.rs` (raw
 //! byte-offset arithmetic against mmap'd stores) plus the hot-path
-//! word/slot kernels `crates/core/src/bitset.rs` and
-//! `crates/graph/src/relabel.rs`, where a wrapping word index or slot
-//! offset silently corrupts a palette or permutation.
+//! word/slot kernel `crates/core/src/bitset.rs`, where a wrapping word
+//! index silently corrupts a palette.
 //! Vendor crates are exempt from the cast/result rules because they are
 //! vendored upstream API surfaces (see `vendor/README.md`), not code
 //! this workspace authors.
@@ -47,13 +46,12 @@ const TIMING_SCOPES: [&str; 2] = ["crates/bench/src/", "crates/cli/src/"];
 
 /// The scopes whose `+`/`*` byte-offset arithmetic must be checked
 /// (`ARITH01`): the mmap'd-store layers where a wrapping offset multiply
-/// misreads a "verified" store, plus the bitset/relabel hot-path kernels
-/// whose word and slot indices must not wrap.
-const ARITH_SCOPES: [&str; 4] = [
+/// misreads a "verified" store, plus the bitset hot-path kernel whose
+/// word indices must not wrap.
+const ARITH_SCOPES: [&str; 3] = [
     "crates/graph/src/storage/",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/bitset.rs",
-    "crates/graph/src/relabel.rs",
 ];
 
 /// The rule set for a workspace-relative path (forward slashes), or
@@ -157,7 +155,6 @@ mod tests {
         );
         assert!(rules_for("crates/core/src/checkpoint.rs").unwrap().arith);
         assert!(rules_for("crates/core/src/bitset.rs").unwrap().arith);
-        assert!(rules_for("crates/graph/src/relabel.rs").unwrap().arith);
         assert!(!rules_for("crates/graph/src/generators.rs").unwrap().arith);
     }
 

@@ -16,7 +16,6 @@ if [[ "${1:-}" == "--refresh" ]]; then
     echo "==> regenerating records (quick probes)"
     cargo run --release -q -p decolor-bench --bin scaling -- --quick
     cargo run --release -q -p decolor-bench --bin scaling -- --quick --threads 1,4
-    cargo run --release -q -p decolor-bench --bin scaling -- --quick --relayout
     cargo run --release -q -p decolor-bench --bin table1 -- --quick || true
     cargo run --release -q -p decolor-bench --bin table2 -- --quick || true
     cargo run --release -q -p decolor-bench --bin section5 -- --quick || true

@@ -55,9 +55,6 @@ for threads in 1 4; do
         DECOLOR_THREADS=$threads cargo run --release -q -p decolor-bench --bin scaling -- \
             --quick --only "$row" --backend mmap
     done
-    echo "=== scaling --quick --relayout (DECOLOR_THREADS=$threads) ==="
-    DECOLOR_THREADS=$threads cargo run --release -q -p decolor-bench --bin scaling -- \
-        --quick --relayout
     echo "=== crash-recovery smoke (DECOLOR_THREADS=$threads) ==="
     DECOLOR_THREADS=$threads cargo test -q --release --test crash_recovery -- --include-ignored
     DECOLOR_THREADS=$threads cargo run --release -q -p decolor-bench --bin scaling -- \
@@ -67,4 +64,4 @@ echo "=== scaling --quick --threads 1,4 (in-process thread axis) ==="
 cargo run --release -q -p decolor-bench --bin scaling -- --quick --threads 1,4
 grep -q '"threads":1' target/experiments.jsonl
 grep -q '"threads":4' target/experiments.jsonl
-echo "test matrix green: threads {1,4} x backend {ram,mmap} + relayout + thread axis + crash recovery"
+echo "test matrix green: threads {1,4} x backend {ram,mmap} + thread axis + crash recovery"
